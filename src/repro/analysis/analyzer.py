@@ -32,9 +32,9 @@ from repro.analysis.dataflow import (
 )
 from repro.analysis.lint import Diagnostic, lint_module
 from repro.analysis.lockset import analyze_locksets
+from repro.analysis.relevance import ModuleRelevance
 from repro.analysis.taint import StaticSeeds, static_causality
 from repro.cfg.callgraph import CallGraph
-from repro.ir import compile_source
 from repro.ir.function import IRModule
 
 # Seeds used when no LdxConfig is supplied (plain ``repro analyze`` on
@@ -181,8 +181,14 @@ def analyze_module(
     module: IRModule,
     seeds: Optional[StaticSeeds] = None,
     name: str = "<program>",
+    relevance: Optional[ModuleRelevance] = None,
 ) -> ProgramAnalysis:
-    """Run every static pass over *module* and summarize."""
+    """Run every static pass over *module* and summarize.
+
+    *relevance* is the sink-relevance classification riding *module*'s
+    instrumentation plan; None plans the module here.  No pass mutates
+    *module*, so it may be the artifact the engine runs.
+    """
     callgraph = CallGraph(module)
     locksets = analyze_locksets(module, callgraph)
     if seeds is None:
@@ -203,12 +209,12 @@ def analyze_module(
     diagnostics = lint_module(module, callgraph, locksets)
     global_names = frozenset(module.global_values)
 
-    # Sink-relevance rides the instrumentation plan (regions fold that
-    # plan's counter deltas), so plan the module the same way a run
-    # would.  Imported lazily: the pipeline consumes this package.
-    from repro.instrument.pipeline import instrument_module
+    if relevance is None:
+        # Plan the module the same way a run would.  Imported lazily:
+        # the pipeline consumes this package.
+        from repro.instrument.pipeline import instrument_module
 
-    relevance = instrument_module(module).plan.relevance
+        relevance = instrument_module(module).plan.relevance
     relevance_functions: List[Tuple[str, int, int, int, int, int, int, int]] = []
     for fn_name in sorted(relevance.functions):
         fn_rel = relevance.functions[fn_name]
@@ -283,14 +289,17 @@ def analyze_source(
 
     The cached value is a pure function of (source, seed fingerprint);
     *name* is presentation-only, so it is re-stamped on hits rather
-    than keyed.
+    than keyed.  A miss analyzes the instrumented artifact a run of
+    *source* uses (module and plan relevance), so each program is
+    lowered and instrumented once per process, not once per consumer.
     """
     from repro import cache
 
     seeds, fingerprint = _seeds_for(source, config)
 
     def build() -> ProgramAnalysis:
-        return analyze_module(compile_source(source), seeds, name)
+        artifact = cache.instrumented_for(source)
+        return analyze_module(artifact.module, seeds, name, artifact.plan.relevance)
 
     analysis = cache.analysis_for(source, fingerprint, build)
     if analysis.name != name:

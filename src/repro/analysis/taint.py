@@ -51,12 +51,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.controldep import transitive_control_dependence
-from repro.analysis.lockset import (
-    LocksetReport,
-    address_taken,
-    analyze_locksets,
-    funcref_targets,
-)
+from repro.analysis.lockset import LocksetReport, address_taken, funcref_targets
 from repro.cfg.callgraph import CallGraph
 from repro.ir import instructions as ins
 from repro.ir.function import IRModule
@@ -551,15 +546,3 @@ def static_causality(
         abort_reasons=tuple(abort_reasons),
         seeds=seeds,
     )
-
-
-def causality_for_module(
-    module: IRModule,
-    config,
-    callgraph: Optional[CallGraph] = None,
-) -> Tuple[StaticCausality, LocksetReport]:
-    """Convenience wrapper: locksets then taint, sharing one callgraph."""
-    callgraph = callgraph if callgraph is not None else CallGraph(module)
-    locksets = analyze_locksets(module, callgraph)
-    seeds = StaticSeeds.from_config(config, locksets)
-    return static_causality(module, seeds, callgraph), locksets

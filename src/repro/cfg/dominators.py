@@ -1,9 +1,17 @@
-"""Dominator and postdominator computation (iterative data-flow
-formulation).
+"""Dominator and postdominator trees (Cooper–Harvey–Kennedy).
 
-Function CFGs here are instruction-granular and small, so the classic
-iterate-until-fixpoint set algorithm is plenty fast and trivially
-correct — the property tests exercise it against a brute-force check.
+Function CFGs here are instruction-granular, so a set-per-node fixpoint
+costs O(n²) per graph.  The immediate-dominator tree is computed with
+the iterative algorithm of Cooper, Harvey and Kennedy instead: visit the
+reachable nodes in reverse postorder and set each node's idom to the
+meet of its processed predecessors, found by climbing the partial tree
+by postorder rank, until nothing changes.  On reducible CFGs one pass
+settles it, so the cost is near-linear.  The idom tree is unique, so
+the result equals any correct algorithm's; the property tests check it
+against a brute-force path-avoidance oracle.
+
+Full dominator sets (loop detection, locksets) are read off the tree.
+Nodes unreachable from the root get no idom and an empty set.
 
 Postdominators are dominators of the reversed CFG, rooted at the unique
 exit node every :class:`~repro.ir.function.IRFunction` guarantees.  They
@@ -13,9 +21,58 @@ control-dependence computation of the static analyzer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
-from repro.cfg.graph import Digraph
+from repro.cfg.graph import Digraph, function_digraph
+
+
+def _dominator_tree(graph: Digraph, entry: int) -> Tuple[List[int], Dict[int, int]]:
+    """(reachable nodes in reverse postorder, idom with idom[entry] == entry)."""
+    order: List[int] = []
+    stack = [(entry, iter(graph.succs(entry)))]
+    seen = {entry}
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(graph.succs(child))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    order.reverse()
+    rank = {node: position for position, node in enumerate(order)}
+    idom: Dict[int, int] = {entry: entry}
+    changed = True
+    while changed:
+        changed = False
+        for node in order[1:]:
+            # A DFS parent precedes its child in reverse postorder, so
+            # some predecessor is always processed already.
+            new = None
+            for pred in graph.preds(node):
+                if pred not in idom:
+                    continue  # unreachable, or not yet processed
+                if new is None:
+                    new = pred
+                    continue
+                while pred != new:
+                    while rank[pred] > rank[new]:
+                        pred = idom[pred]
+                    while rank[new] > rank[pred]:
+                        new = idom[new]
+            if idom.get(node) != new:
+                idom[node] = new
+                changed = True
+    return order, idom
+
+
+def immediate_dominators(graph: Digraph, entry: int) -> Dict[int, int]:
+    """Map each reachable node (except entry) to its immediate dominator."""
+    _order, idom = _dominator_tree(graph, entry)
+    del idom[entry]
+    return idom
 
 
 def compute_dominators(graph: Digraph, entry: int) -> Dict[int, Set[int]]:
@@ -24,59 +81,17 @@ def compute_dominators(graph: Digraph, entry: int) -> Dict[int, Set[int]]:
     Unreachable nodes get an empty dominator set and are ignored by loop
     detection.
     """
-    reachable = graph.reachable_from(entry)
-    dominators: Dict[int, Set[int]] = {}
-    for node in graph.nodes:
-        if node not in reachable:
-            dominators[node] = set()
-        elif node == entry:
-            dominators[node] = {entry}
-        else:
-            dominators[node] = set(reachable)
-
-    order = [node for node in sorted(reachable)]
-    changed = True
-    while changed:
-        changed = False
-        for node in order:
-            if node == entry:
-                continue
-            pred_sets = [
-                dominators[pred]
-                for pred in graph.preds(node)
-                if pred in reachable
-            ]
-            if pred_sets:
-                new_set = set.intersection(*pred_sets)
-            else:
-                new_set = set()
-            new_set = new_set | {node}
-            if new_set != dominators[node]:
-                dominators[node] = new_set
-                changed = True
+    order, idom = _dominator_tree(graph, entry)
+    dominators: Dict[int, Set[int]] = {node: set() for node in graph.nodes}
+    dominators[entry] = {entry}
+    for node in order[1:]:  # an idom precedes its node
+        dominators[node] = dominators[idom[node]] | {node}
     return dominators
 
 
 def dominates(dominators: Dict[int, Set[int]], a: int, b: int) -> bool:
     """True when node *a* dominates node *b*."""
     return a in dominators.get(b, ())
-
-
-def immediate_dominators(graph: Digraph, entry: int) -> Dict[int, int]:
-    """Map each reachable node (except entry) to its immediate dominator."""
-    dominators = compute_dominators(graph, entry)
-    idom: Dict[int, int] = {}
-    for node, doms in dominators.items():
-        if not doms or node == entry:
-            continue
-        strict: List[int] = [d for d in doms if d != node]
-        # The immediate dominator is the strict dominator dominated by
-        # all other strict dominators.
-        for candidate in strict:
-            if all(dominates(dominators, other, candidate) for other in strict):
-                idom[node] = candidate
-                break
-    return idom
 
 
 # -- postdominators ------------------------------------------------------------
@@ -118,7 +133,4 @@ def immediate_postdominators(function) -> Dict[int, int]:
     close at the predicate's immediate postdominator, and the static
     analyzer's control-dependence pass walks the same tree.
     """
-    graph = Digraph(range(len(function.instrs)))
-    for src, dst in function.edges():
-        graph.add_edge(src, dst)
-    return immediate_postdominators_of(graph, function.exit)
+    return immediate_postdominators_of(function_digraph(function), function.exit)

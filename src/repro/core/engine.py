@@ -43,7 +43,7 @@ from repro.core.report import (
     DualResult,
 )
 from repro.core.supervisor import Checkpointer, EngineWatchdog
-from repro.errors import BudgetExceededError, EngineStallError, InterpreterError
+from repro.errors import BudgetExceededError, DualExecutionError, EngineStallError, InterpreterError
 from repro.instrument.pipeline import InstrumentedModule
 from repro.interp.costs import CostModel
 from repro.interp.events import BarrierEvent, SyscallEvent
@@ -265,7 +265,10 @@ class LdxEngine:
         if isinstance(event, BarrierEvent):
             side.waiting[event.thread_id] = event
             return
-        assert isinstance(event, SyscallEvent)
+        if not isinstance(event, SyscallEvent):
+            raise DualExecutionError(
+                f"{side.role} machine yielded an unexpected event: {event!r}"
+            )
         if side.role == MASTER:
             self._on_master_syscall(event)
         else:

@@ -124,7 +124,8 @@ class _Node:
         return f"{self.spec}#{self.index}"
 
     def send(self, msg: dict) -> None:
-        assert self.proc is not None and self.proc.stdin is not None
+        if self.proc is None or self.proc.stdin is None:
+            raise ExecutorError(f"worker node {self.label} has no input pipe")
         self.proc.stdin.write(json.dumps(msg, sort_keys=True) + "\n")
         self.proc.stdin.flush()
 
@@ -201,7 +202,8 @@ class MultiHostExecutor(CellExecutor):
 
     def _reader(self, node: _Node) -> None:
         """Pump one node's protocol stream into the shared event queue."""
-        assert node.proc is not None and node.proc.stdout is not None
+        if node.proc is None or node.proc.stdout is None:
+            raise ExecutorError(f"worker node {node.label} has no output pipe")
         for line in node.proc.stdout:
             line = line.strip()
             if not line:

@@ -159,20 +159,8 @@ class FunctionPlan:
         """Actions on edge src->dst, or None."""
         return self.actions.get((src, dst))
 
-    def folded_actions_for(self, src: int, dst: int) -> Optional[Tuple[int, int]]:
-        """``(total_delta, count)`` when edge src->dst is pure counter
-        math, else None (no actions, or barrier/loop actions)."""
-        actions = self.actions.get((src, dst))
-        if not actions:
-            return None
-        return fold_counter_adds(actions)
-
     def add_action(self, edge: Edge, action: EdgeAction) -> None:
         self.actions.setdefault(edge, []).append(action)
-
-    @property
-    def instrumented_edge_count(self) -> int:
-        return len(self.actions)
 
     def __repr__(self) -> str:
         return (

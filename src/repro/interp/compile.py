@@ -297,24 +297,37 @@ class _FunctionCompiler:
             # branch targets can land the driver mid-chain, and the step
             # at that index must execute exactly the instructions from
             # there.  Runs reference *base* steps for their slow path and
-            # terminator, never other runs.
+            # terminator, never other runs.  Fusibility is decided here;
+            # the code itself is generated lazily, the first time the
+            # driver lands on an index (most indices never are).
             if self.relevance is not None:
                 # Relevance-guided widening emits larger (branch-
-                # crossing, tail-duplicated) regions, so compile each
-                # lazily: a self-replacing stub generates the region
-                # the first time the driver actually lands on it.
-                for index in sorted(self.relevance.fusible):
-                    if index >= len(instrs):
-                        continue
-                    steps[index] = self._region_stub(index, base, steps)
-                    fused.append(index)
+                # crossing, tail-duplicated) regions.
+                build = self._compile_region
+                fused = [i for i in sorted(self.relevance.fusible) if i < len(instrs)]
             else:
-                for index in range(len(instrs)):
-                    run = self._compile_run(index, base)
-                    if run is not None:
-                        steps[index] = run
-                        fused.append(index)
+                build = self._compile_run
+                fused = [i for i, instr in enumerate(instrs)
+                         if self._member_successor(i, instr) is not None]
+            for index in fused:
+                steps[index] = self._lazy_step(index, build, base, steps)
         return CompiledFunction(self.function.name, steps, tuple(fused))
+
+    @staticmethod
+    def _lazy_step(index: int, build, base: List[Step], steps: List[Step]) -> Step:
+        """A self-replacing step: on first execution, generate the run
+        or region at *index* with *build* (falling back to the base
+        step when it declines), install it in *steps*, and run it."""
+
+        def stub(machine, thread, frame, _index=index, _build=build,
+                 _base=base, _steps=steps):
+            run = _build(_index, _base)
+            if run is None:
+                run = _base[_index]
+            _steps[_index] = run
+            return run(machine, thread, frame)
+
+        return stub
 
     # -- name access -------------------------------------------------------------
 
@@ -357,9 +370,6 @@ class _FunctionCompiler:
         if self.plan is None:
             return None
         return self.plan.actions_for(src, dst)
-
-    def _edge_is_free(self, src: int, dst: int) -> bool:
-        return not self._edge_actions(src, dst)
 
     def _edge(self, src: int, dst: int) -> Optional[Step]:
         """Compiled crossing of edge src->dst; None when action-free
@@ -1678,20 +1688,6 @@ class _FunctionCompiler:
     # the paper's Algorithm 2.  Virtual-clock charges stay one float
     # add per original action, in sequence: float addition is not
     # associative and the contract is byte identity.
-
-    def _region_stub(self, index: int, base: List[Step], steps: List[Step]) -> Step:
-        """A self-replacing step: compile the region at *index* on
-        first execution, install it, and run it."""
-
-        def stub(machine, thread, frame, _self=self, _index=index,
-                 _base=base, _steps=steps):
-            run = _self._compile_region(_index, _base)
-            if run is None:
-                run = _base[_index]
-            _steps[_index] = run
-            return run(machine, thread, frame)
-
-        return stub
 
     def _region_successor(self, index: int, instr: ins.Instr) -> Optional[int]:
         if type(instr) is ins.NewList:

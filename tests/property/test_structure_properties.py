@@ -2,8 +2,13 @@
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cfg.dominators import compute_dominators
-from repro.cfg.graph import Digraph
+from repro.cfg.dominators import (
+    compute_dominators,
+    immediate_dominators,
+    immediate_postdominators_of,
+    reversed_digraph,
+)
+from repro.cfg.graph import Digraph, function_digraph
 from repro.core.channel import counter_geq, counter_less
 from repro.core.mutation import (
     bit_flip,
@@ -84,6 +89,125 @@ def test_dominators_match_brute_force(graph):
                 graph, entry, node, candidate
             )
             assert (candidate in dominators[node]) == brute
+
+
+@st.composite
+def larger_digraphs(draw):
+    """Up to ~40 nodes; self-loops, unreachable islands and regions with
+    no path to the last node (the "exit") all occur."""
+    node_count = draw(st.integers(1, 40))
+    graph = Digraph(range(node_count))
+    nodes = st.integers(0, node_count - 1)
+    edges = st.lists(
+        st.tuples(nodes, nodes), min_size=node_count, max_size=3 * node_count
+    )
+    for src, dst in draw(edges):
+        graph.add_edge(src, dst)
+    return graph
+
+
+def _brute_idom(graph, root):
+    """idom per node reachable from *root*, by path avoidance: *c*
+    dominates *n* iff removing *c* cuts every root->n path."""
+    reachable = graph.reachable_from(root)
+    cut_off = {
+        candidate: reachable - _reach_avoiding(graph, root, candidate)
+        for candidate in reachable
+    }
+    strict = {
+        node: {c for c in reachable if c != node and node in cut_off[c]}
+        for node in reachable
+    }
+    idom = {}
+    for node in reachable - {root}:
+        # The strict dominator that every other strict dominator dominates.
+        (closest,) = [d for d in strict[node] if strict[node] - {d} <= strict[d]]
+        idom[node] = closest
+    return idom
+
+
+def _reach_avoiding(graph, start, avoid):
+    if start == avoid:
+        return set()
+    seen = {start}
+    stack = [start]
+    while stack:
+        for succ in graph.succs(stack.pop()):
+            if succ != avoid and succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
+
+
+@given(larger_digraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_immediate_dominators_match_path_avoidance(graph, data):
+    entry = data.draw(st.sampled_from(graph.nodes))
+    assert immediate_dominators(graph, entry) == _brute_idom(graph, entry)
+
+
+@given(larger_digraphs())
+@settings(max_examples=150, deadline=None)
+def test_immediate_postdominators_match_path_avoidance(graph):
+    exit_node = max(graph.nodes)
+    expected = _brute_idom(reversed_digraph(graph), exit_node)
+    ipostdom = immediate_postdominators_of(graph, exit_node)
+    assert ipostdom == expected
+    # Nodes with no path to the exit get no immediate postdominator.
+    can_exit = reversed_digraph(graph).reachable_from(exit_node)
+    assert set(ipostdom) == can_exit - {exit_node}
+
+
+def _reference_dominators(graph, entry):
+    """The set-intersection fixpoint the tree algorithm replaced."""
+    reachable = graph.reachable_from(entry)
+    doms = {node: set() for node in graph.nodes}
+    for node in reachable:
+        doms[node] = {entry} if node == entry else set(reachable)
+    changed = True
+    while changed:
+        changed = False
+        for node in sorted(reachable - {entry}):
+            preds = [doms[p] for p in graph.preds(node) if p in reachable]
+            new = set.intersection(*preds) | {node}
+            if new != doms[node]:
+                doms[node] = new
+                changed = True
+    return doms
+
+
+def _reference_idom(doms, entry):
+    return {
+        node: next(d for d in nodes - {node} if nodes - {node} <= doms[d])
+        for node, nodes in doms.items()
+        if nodes and node != entry
+    }
+
+
+def _workload_graphs():
+    from repro.workloads import ALL_WORKLOADS
+
+    for workload in ALL_WORKLOADS:
+        for function in workload.module.functions.values():
+            graph = function_digraph(function)
+            yield f"{workload.name}:{function.name}", graph, function.entry
+            yield (
+                f"{workload.name}:{function.name}:post",
+                reversed_digraph(graph),
+                function.exit,
+            )
+
+
+def test_dominator_tree_matches_set_reference_on_workloads():
+    checked = 0
+    for label, graph, root in _workload_graphs():
+        reference = _reference_dominators(graph, root)
+        assert compute_dominators(graph, root) == reference, label
+        assert immediate_dominators(graph, root) == _reference_idom(
+            reference, root
+        ), label
+        checked += 1
+    assert checked >= 2 * 28
 
 
 # -- mutation strategies -------------------------------------------------------

@@ -290,3 +290,144 @@ def test_small_region_caps_stay_byte_identical(monkeypatch):
     assert capped.stdout == baseline.stdout
     assert capped.time == baseline.time
     assert capped.stats.instructions == baseline.stats.instructions
+
+
+# -- lazily generated superinstruction runs --------------------------------------
+
+
+def _count_compiles(monkeypatch):
+    """Count the generated-code ``compile()`` calls of the compiler."""
+    from repro.interp import compile as compile_mod
+
+    calls = []
+    real = compile
+
+    def counting(source, filename, mode, *args, **kwargs):
+        calls.append(filename)
+        return real(source, filename, mode, *args, **kwargs)
+
+    monkeypatch.setattr(compile_mod, "compile", counting, raising=False)
+    return calls
+
+
+def _eager_fused_indices(module, plan):
+    """The eager definition: every index whose run compiles."""
+    from repro.interp.compile import _FunctionCompiler
+
+    global_names = frozenset(module.global_values)
+    result = {}
+    for name, function in module.functions.items():
+        function_plan = plan.functions.get(name) if plan is not None else None
+        compiler = _FunctionCompiler(
+            module, function, function_plan, global_names, True, None, {}
+        )
+        base = [
+            compiler._compile_one(index, instr)
+            for index, instr in enumerate(function.instrs)
+        ]
+        result[name] = tuple(
+            index
+            for index in range(len(base))
+            if compiler._compile_run(index, base) is not None
+        )
+    return result
+
+
+def test_lazy_chains_keep_eager_fused_indices():
+    from repro.workloads import ALL_WORKLOADS
+
+    for workload in ALL_WORKLOADS:
+        module = workload.module
+        for plan in (None, workload.instrumented.plan):
+            compiled = compile_module(module, plan, relevance=False)
+            lazy = {
+                name: function.fused_indices
+                for name, function in compiled.functions.items()
+            }
+            assert lazy == _eager_fused_indices(module, plan), workload.name
+
+
+def test_planless_compile_generates_no_code_before_first_run(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    compiled = compile_module(compile_source(LOOP))
+    assert compiled.fused_count > 0
+    assert calls == []
+
+
+def test_chain_stub_installs_generated_step_on_first_landing(monkeypatch):
+    module = compile_source(LOOP)
+    clear_compile_memo()
+    compiled = compiled_for_module(module, None, fuse=True)
+    steps = compiled.steps_for("main")
+    stubs = {index: steps[index] for index in compiled.functions["main"].fused_indices}
+    calls = _count_compiles(monkeypatch)
+    first = run_native(module, World(), backend="threaded")
+    landed = [index for index, stub in stubs.items() if steps[index] is not stub]
+    # One compile() per landed index; indices never landed on (chain
+    # interiors here) keep their stub and cost nothing.
+    assert landed and len(landed) < len(stubs)
+    assert len(calls) == len(landed)
+    assert all(steps[index].__name__ == "run" for index in landed)
+    calls.clear()
+    second = run_native(module, World(), backend="threaded")
+    assert calls == []
+    assert first.stdout == second.stdout == "190"
+    assert first.time == second.time
+    clear_compile_memo()
+
+
+def test_planless_native_runs_identical_with_lazy_chains():
+    # A cleared memo makes every threaded run start from stubs, so the
+    # comparison covers first landings, not steps an earlier test
+    # already installed.
+    from repro.workloads import ALL_WORKLOADS
+
+    for workload in ALL_WORKLOADS:
+        clear_compile_memo()
+        runs = []
+        for backend in ("switch", "threaded"):
+            result = run_native(
+                workload.module, workload.build_world(1), backend=backend
+            )
+            runs.append((
+                result.stdout,
+                result.time,
+                result.stats.instructions,
+                result.stats.edge_actions,
+                result.sink_values(),
+            ))
+        assert runs[0] == runs[1], workload.name
+
+
+def test_lazy_stubs_safe_under_concurrent_first_landing():
+    # Serve worker threads share one compiled module; racing first
+    # landings may each generate a run, and either install must be
+    # observably identical.
+    import sys
+    import threading
+
+    module = compile_source(LOOP)
+    clear_compile_memo()
+    compiled_for_module(module, None, fuse=True)
+    expected = run_native(compile_source(LOOP), World(), backend="switch")
+    results = []
+
+    def worker():
+        result = run_native(module, World(), backend="threaded")
+        results.append((result.stdout, result.time, result.stats.instructions))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        clear_compile_memo()
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [
+        (expected.stdout, expected.time, expected.stats.instructions)
+    ] * len(threads)
