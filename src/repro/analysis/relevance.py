@@ -312,10 +312,11 @@ def _fusible_indices(
 ) -> FrozenSet[int]:
     """Indices proven event-free with free-or-foldable plan edges.
 
-    These are exactly the instructions the threaded backend may fuse
-    into widened superinstruction regions: executing one can never
-    yield an event, block, alter ``thread.status``, push or pop frames,
-    or cross a barrier edge.  ``CJump`` joins the set here — the
+    These are exactly the instructions the threaded backend fuses into
+    superinstruction regions, and it relies on this definition instead
+    of re-checking it: executing one can never yield an event, block,
+    alter ``thread.status``, push or pop frames, or cross a barrier
+    edge.  ``CJump`` joins the set here — the
     syntactic barrier the relevance analysis removes — because a branch
     is event-free; only its plan edges need to stay foldable.
     """

@@ -54,7 +54,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from repro.instrument import InstrumentedModule, instrument_module
+from repro.instrument import InstrumentedModule, instrument_module, relevance_enabled
 from repro.ir import compile_source
 
 # Bump when InstrumentedModule / ModulePlan / IR pickle layout changes.
@@ -257,8 +257,6 @@ class ArtifactCache:
         cached with pruning on can never be served to a ``--no-relevance``
         run, or vice versa.
         """
-        from repro.interp.compile import relevance_enabled  # cycle-free local import
-
         prune = relevance_enabled()
         full_config = dict(config or {})
         full_config["relevance_pruning"] = prune
@@ -439,16 +437,12 @@ def compiled_for(
     module), then through the per-module weak memo inside the compiler,
     so repeated lookups within one process never recompile.
     """
-    from repro.interp.compile import (  # cycle-free local import
-        compiled_for_module,
-        relevance_enabled,
-    )
+    from repro.interp.compile import compiled_for_module  # cycle-free local import
 
     full_config = dict(config or {})
     full_config["fuse"] = fuse
-    # The relevance switch selects both the plan variant (pruned/full)
-    # and the compilation mode (widened regions/syntactic chains), so it
-    # must join the key.
+    # The relevance switch selects the plan variant (pruned/full) the
+    # compilation is built from, so it must join the key.
     full_config["relevance_pruning"] = relevance_enabled()
     key = artifact_key(source, full_config, schema_tag=COMPILED_SCHEMA_TAG)
     instrumented = instrumented_for(source, config)

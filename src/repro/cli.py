@@ -255,9 +255,7 @@ def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-relevance",
         action="store_true",
-        help="disable relevance-guided counter elision and fusion "
-        "widening in the threaded backend (results are identical; "
-        "the default is faster)",
+        help="emit full (unpruned) plans; results are identical",
     )
 
 

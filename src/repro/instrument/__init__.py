@@ -6,6 +6,8 @@ from repro.instrument.pipeline import (
     InstrumentedModule,
     compute_may_reach_syscall,
     instrument_module,
+    relevance_enabled,
+    set_relevance_enabled,
 )
 from repro.instrument.plan import (
     CounterAdd,
@@ -24,6 +26,8 @@ __all__ = [
     "InstrumentedModule",
     "compute_may_reach_syscall",
     "instrument_module",
+    "relevance_enabled",
+    "set_relevance_enabled",
     "CounterAdd",
     "EdgeAction",
     "ElidedAdd",

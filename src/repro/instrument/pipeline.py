@@ -15,6 +15,26 @@ from repro.instrument.plan import ModulePlan
 from repro.ir import instructions as ins
 from repro.ir.function import IRModule
 
+# -- relevance switch --------------------------------------------------------------
+#
+# The sink-relevance classification always rides the plan; this
+# process-wide switch decides whether the instrumenter *acts* on it by
+# pruning counter-elidable edges (``--no-relevance`` emits full plans).
+# Both settings are byte-identical by contract; the switch exists so CI
+# can diff them.  The artifact cache keys on it too.
+
+_RELEVANCE_ENABLED = True
+
+
+def set_relevance_enabled(enabled: bool) -> None:
+    """Toggle plan pruning for subsequently instrumented modules."""
+    global _RELEVANCE_ENABLED
+    _RELEVANCE_ENABLED = bool(enabled)
+
+
+def relevance_enabled() -> bool:
+    return _RELEVANCE_ENABLED
+
 
 def compute_may_reach_syscall(module: IRModule, callgraph: CallGraph) -> Set[str]:
     """Functions whose execution may perform a syscall.
@@ -104,8 +124,8 @@ def instrument_module(
     counter-elidable edges (see ``analysis/relevance.py``) carry an
     accounting-only ghost instead of their ``CounterAdd`` runs, so both
     backends execute (and the artifact cache stores) smaller plans.
-    None follows the process-wide relevance switch; ``--no-relevance``
-    therefore still emits full plans.
+    None follows the process-wide :func:`relevance_enabled` switch,
+    which ``--no-relevance`` turns off to emit full plans.
     """
     callgraph = CallGraph(module)
     plan = ModulePlan()
@@ -133,10 +153,7 @@ def instrument_module(
 
     plan.relevance = compute_relevance(module, plan)
     if prune is None:
-        # Imported lazily: the interp package consumes this module.
-        from repro.interp.compile import relevance_enabled
-
-        prune = relevance_enabled()
+        prune = _RELEVANCE_ENABLED
     if prune:
         plan.prune_counter_adds()
     return InstrumentedModule(module, plan, callgraph)

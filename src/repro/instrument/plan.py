@@ -180,9 +180,10 @@ class ModulePlan:
         self.may_reach_syscall: Set[str] = set()
         # Sink-relevance classification (analysis/relevance.py),
         # attached by the pipeline once planning is done.  Purely
-        # derived from the module + this plan; consumers (the
-        # instrumenter's pruning pass, the threaded backend, reporting)
-        # decide whether to act on it.
+        # derived from the module + this plan: the instrumenter's
+        # pruning pass acts on it when the relevance switch is on, the
+        # threaded backend always fuses its fusible set, and reporting
+        # renders it.
         self.relevance = None
         # True once prune_counter_adds() rewrote counter-elidable edges
         # (the --no-relevance path leaves full plans and this False).

@@ -1,5 +1,8 @@
 """The MiniC interpreter: machine, events, builtins and cost model."""
 
+# The relevance switch lives with its reader, the instrumenter; it stays
+# importable here for existing callers.
+from repro.instrument.pipeline import relevance_enabled, set_relevance_enabled
 from repro.interp.compile import (
     BACKEND_SWITCH,
     BACKEND_THREADED,
@@ -8,10 +11,8 @@ from repro.interp.compile import (
     compile_module,
     compiled_for_module,
     get_default_backend,
-    relevance_enabled,
     resolve_backend,
     set_default_backend,
-    set_relevance_enabled,
 )
 from repro.interp.costs import DEFAULT_COSTS, CostModel
 from repro.interp.events import BarrierEvent, Event, SyscallEvent

@@ -23,12 +23,15 @@ with everything pre-resolved:
 * names that are provably frame-local (module globals form a fixed key
   set) read and write ``frame.locals`` directly, skipping the
   locals-then-globals probe;
-* maximal straight-line chains of event-free instructions (consts,
-  moves, arithmetic, jumps, pure builtins, index loads/stores) become
-  *superinstruction runs*: one ``exec``-generated closure executes the
-  whole chain with per-instruction prologues inlined and the virtual
-  clock and instruction count held in Python locals, so the driver
-  loop runs once per chain instead of once per instruction.
+* the plan's *fusible* set (event-free instructions with free or
+  foldable out-edges, decided once by ``analysis/relevance.py``)
+  becomes *superinstruction regions*: one ``exec``-generated closure
+  per landing index walks the CFG through fusible instructions,
+  inlining branches as tail-duplicated if/else, turning edges back to
+  its head into ``while True`` re-entries, and holding the virtual
+  clock, instruction count and path-local registers in Python locals,
+  so the driver loop runs once per region pass instead of once per
+  instruction.  A module compiled without a plan fuses nothing.
 
 The contract is **byte identity**: a compiled run must produce the
 same events, counter stacks, virtual clocks and MachineStats as the
@@ -38,9 +41,9 @@ switch interpreter, bit for bit.  That drives three non-obvious rules:
   associative — a folded counter edge still charges
   ``costs.edge_action`` once per original action, in sequence, never as
   one multiplied add;
-* a run pre-checks the instruction budget for its whole chain and, on
-  possible overflow, replays through the unfused base steps so the
-  budget error fires at the exact instruction with the exact state;
+* a region pre-checks a conservative instruction budget for one pass
+  and, near the limit, runs only its unfused base step, so the budget
+  error fires at the exact instruction with the exact state;
 * members whose errors embed a code location (index loads/stores)
   sync ``frame.index`` first, keeping crash surfaces identical.
 
@@ -51,11 +54,10 @@ and error surfaces stay single-sourced.
 
 from __future__ import annotations
 
-import os
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import LoweringError, ReproError
+from repro.errors import LoweringError
 from repro.instrument.plan import FunctionPlan, ModulePlan, fold_counter_adds
 from repro.interp.builtins import BUILTINS
 from repro.interp.events import SyscallEvent
@@ -71,60 +73,15 @@ BACKENDS = (BACKEND_SWITCH, BACKEND_THREADED)
 # out-edge; it returns an event when the thread must yield.
 Step = Callable[["Machine", "ThreadState", "Frame"], Optional[object]]
 
-# Longest superinstruction run; bounds generated-code size (a chain
-# cycle is cut by the revisit check before this matters in practice).
-CHAIN_CAP = 32
-
-# Widened (relevance-guided) regions: total emitted members per
-# generated region (tail duplication counts every copy; bounds code
-# size), the per-path member limit (bounds how many instructions one
-# pass can execute), and the conservative instruction-budget bound per
-# pass derived from it (every path member at most once, plus the
-# terminator prologue).
-_REGION_CAP_DEFAULT = 320
-_REGION_PATH_CAP_DEFAULT = 80
-
-
-def _cap_from_env(name: str, default: int):
-    """Read a positive-int region cap override from the environment.
-
-    Caps only shape how much straight-line code one generated region
-    may cover — observables are byte-identical at any setting (the
-    instruction-budget pre-check falls back to single-stepping) — so
-    an operator may tune them per host without invalidating results.
-
-    Returns ``(value, error)``: an invalid override keeps the default
-    and defers the ``ReproError`` to the first compile, so the CLI can
-    render its usual one-line diagnosis instead of an import-time
-    traceback (this module loads with the ``repro`` package itself).
-    """
-    raw = os.environ.get(name)
-    if raw is None:
-        return default, None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        return default, ReproError(
-            f"{name} must be a positive integer, got {raw!r}"
-        )
-    return value, None
-
-
-REGION_CAP, _REGION_CAP_ERROR = _cap_from_env(
-    "REPRO_REGION_CAP", _REGION_CAP_DEFAULT
-)
-REGION_PATH_CAP, _REGION_PATH_CAP_ERROR = _cap_from_env(
-    "REPRO_REGION_PATH_CAP", _REGION_PATH_CAP_DEFAULT
-)
+# Region size limits: total emitted members per generated region (tail
+# duplication counts every copy; bounds code size), the per-path member
+# limit (bounds how many instructions one pass can execute), and the
+# conservative instruction-budget bound per pass derived from it (every
+# path member at most once, plus the terminator prologue).  Any setting
+# is byte-safe: caps only shape how much code one region covers.
+REGION_CAP = 320
+REGION_PATH_CAP = 80
 REGION_BOUND = REGION_PATH_CAP + 2
-
-
-def _check_region_caps() -> None:
-    error = _REGION_CAP_ERROR or _REGION_PATH_CAP_ERROR
-    if error is not None:
-        raise error
 
 # Binops whose Python operator IS the MiniC semantics when both
 # operands are plain ints (``type(x) is int`` — bools excluded); for
@@ -135,54 +92,6 @@ _INT_FAST_BINOPS = {
     "<": "<", "<=": "<=", ">": ">", ">=": ">=",
     "==": "==", "!=": "!=",
 }
-
-# -- relevance gating ------------------------------------------------------------
-#
-# The sink-relevance analysis (analysis/relevance.py) always rides the
-# instrumentation plan; this process-wide switch decides whether the
-# compiler *acts* on it (widened fusion + batched counter flushes) or
-# sticks to the purely syntactic chains above.  Both modes are
-# byte-identical by contract; the switch exists so CI can diff them.
-
-_RELEVANCE_ENABLED = True
-
-
-def set_relevance_enabled(enabled: bool) -> None:
-    """Toggle relevance-guided fusion for subsequently built machines."""
-    global _RELEVANCE_ENABLED
-    _RELEVANCE_ENABLED = bool(enabled)
-
-
-def relevance_enabled() -> bool:
-    return _RELEVANCE_ENABLED
-
-
-def _make_slow(first: Step, rest: Tuple[Step, ...], final: Step) -> Step:
-    """Exact replay of a run through its base steps.
-
-    Used when a run's batched budget pre-check trips: stepping one
-    instruction at a time makes the budget error fire at the precise
-    instruction, with stats, clock and frame.index all exact.
-    """
-
-    def slow(machine, thread, frame):
-        first(machine, thread, frame)
-        stats = machine.stats
-        limit = machine.max_instructions
-        instruction_cost = machine.costs.instruction
-        for step in rest:
-            stats.instructions += 1
-            if stats.instructions > limit:
-                machine._budget_exceeded()
-            thread.clock += instruction_cost
-            step(machine, thread, frame)
-        stats.instructions += 1
-        if stats.instructions > limit:
-            machine._budget_exceeded()
-        thread.clock += instruction_cost
-        return final(machine, thread, frame)
-
-    return slow
 
 # -- backend selection ----------------------------------------------------------
 
@@ -232,7 +141,7 @@ class CompiledModule:
     entry for a recycled object id.
     """
 
-    __slots__ = ("functions", "module", "plan", "fuse", "relevance")
+    __slots__ = ("functions", "module", "plan", "fuse")
 
     def __init__(
         self,
@@ -240,13 +149,11 @@ class CompiledModule:
         module: IRModule,
         plan: Optional[ModulePlan],
         fuse: bool,
-        relevance: bool = False,
     ) -> None:
         self.functions = functions
         self.module = module
         self.plan = plan
         self.fuse = fuse
-        self.relevance = relevance
 
     def steps_for(self, name: str) -> List[Step]:
         return self.functions[name].steps
@@ -266,18 +173,16 @@ class _FunctionCompiler:
         function: IRFunction,
         plan: Optional[FunctionPlan],
         global_names: frozenset,
-        fuse: bool,
-        relevance=None,
+        fusible: FrozenSet[int] = frozenset(),
         link: Optional[Dict[str, Tuple[Optional[FunctionPlan], List[Step]]]] = None,
     ) -> None:
         self.module = module
         self.function = function
         self.plan = plan
         self.global_names = global_names
-        self.fuse = fuse
-        # FunctionRelevance (analysis/relevance.py) when relevance-
-        # guided widening is on for this compilation, else None.
-        self.relevance = relevance
+        # The instructions regions may cover: the plan's fusible set
+        # (analysis/relevance.py), empty when nothing is to be fused.
+        self.fusible = fusible
         # Module-wide callee registry, filled by compile_module after
         # every function is compiled: name -> (FunctionPlan, steps).
         # Direct-call steps use it to build callee frames without the
@@ -285,45 +190,30 @@ class _FunctionCompiler:
         self.link = link
 
     def compile(self) -> CompiledFunction:
-        instrs = self.function.instrs
         base: List[Step] = [
-            self._compile_one(index, instr) for index, instr in enumerate(instrs)
+            self._compile_one(index, instr)
+            for index, instr in enumerate(self.function.instrs)
         ]
         steps = list(base)
-        fused: List[int] = []
-        if self.fuse:
-            # Overlay superinstruction runs.  Every member index gets its
-            # own run (not just chain leaders): calls, syscall resumes and
-            # branch targets can land the driver mid-chain, and the step
-            # at that index must execute exactly the instructions from
-            # there.  Runs reference *base* steps for their slow path and
-            # terminator, never other runs.  Fusibility is decided here;
-            # the code itself is generated lazily, the first time the
-            # driver lands on an index (most indices never are).
-            if self.relevance is not None:
-                # Relevance-guided widening emits larger (branch-
-                # crossing, tail-duplicated) regions.
-                build = self._compile_region
-                fused = [i for i in sorted(self.relevance.fusible) if i < len(instrs)]
-            else:
-                build = self._compile_run
-                fused = [i for i, instr in enumerate(instrs)
-                         if self._member_successor(i, instr) is not None]
-            for index in fused:
-                steps[index] = self._lazy_step(index, build, base, steps)
-        return CompiledFunction(self.function.name, steps, tuple(fused))
+        # Every fusible index gets its own region (not just region
+        # heads): calls, syscall resumes and branch targets can land the
+        # driver anywhere, and the step at that index must execute
+        # exactly the instructions from there.  Regions reference *base*
+        # steps for their slow path and terminators, never other
+        # regions.  The code itself is generated lazily, the first time
+        # the driver lands on an index (most indices never are).
+        fused = tuple(sorted(self.fusible))
+        for index in fused:
+            steps[index] = self._lazy_step(index, base, steps)
+        return CompiledFunction(self.function.name, steps, fused)
 
-    @staticmethod
-    def _lazy_step(index: int, build, base: List[Step], steps: List[Step]) -> Step:
-        """A self-replacing step: on first execution, generate the run
-        or region at *index* with *build* (falling back to the base
-        step when it declines), install it in *steps*, and run it."""
+    def _lazy_step(self, index: int, base: List[Step], steps: List[Step]) -> Step:
+        """A self-replacing step: on first execution, generate the
+        region at *index*, install it in *steps*, and run it."""
 
-        def stub(machine, thread, frame, _index=index, _build=build,
-                 _base=base, _steps=steps):
+        def stub(machine, thread, frame, _index=index,
+                 _build=self._compile_region, _base=base, _steps=steps):
             run = _build(_index, _base)
-            if run is None:
-                run = _base[_index]
             _steps[_index] = run
             return run(machine, thread, frame)
 
@@ -927,264 +817,7 @@ class _FunctionCompiler:
 
         return step
 
-    # -- superinstruction runs -----------------------------------------------------
-    #
-    # Pairwise fusion (Const->Binop, Binop->CJump, Move->Ret) generalizes
-    # to *maximal straight-line runs*: a chain of event-free instructions
-    # connected by free or counter-folded edges compiles — via source
-    # generation — into ONE closure that executes the whole chain with
-    # the per-instruction prologue inlined and the virtual clock kept in
-    # a Python local.  The driver loop then runs once per run instead of
-    # once per instruction.  The chain's terminator (the first
-    # instruction that can yield an event, transfer control non-locally
-    # or carry a barrier edge) executes through its ordinary base step.
-
-    def _member_successor(self, index: int, instr: ins.Instr) -> Optional[int]:
-        """The chain successor of *instr*, or None when it must
-        terminate a run.
-
-        A chain member provably cannot yield an event, block, change
-        ``thread.status`` or push/pop frames, and its outgoing edge is
-        action-free or a foldable ``CounterAdd`` sequence.
-        """
-        kind = type(instr)
-        if kind is ins.Jump:
-            succ = instr.target
-        elif kind is ins.Const or kind is ins.Move:
-            succ = index + 1
-        elif kind is ins.Binop:
-            if instr.op not in BINOP_FUNCS:
-                return None
-            succ = index + 1
-        elif kind is ins.Unop:
-            if instr.op not in UNOP_FUNCS:
-                return None
-            succ = index + 1
-        elif kind is ins.Nop:
-            if index == self.function.exit:
-                return None
-            succ = index + 1
-        elif kind is ins.CallBuiltin:
-            if (
-                BUILTINS.get(instr.name) is None
-                or not self._is_local(instr.dst)
-                or not all(self._is_local(arg) for arg in instr.args)
-            ):
-                return None
-            succ = index + 1
-        elif kind is ins.LoadIndex or kind is ins.StoreIndex:
-            succ = index + 1
-        else:
-            return None
-        actions = self._edge_actions(index, succ)
-        if actions and fold_counter_adds(actions) is None:
-            return None
-        return succ
-
-    def _compile_run(self, start: int, base: List[Step]) -> Optional[Step]:
-        """A generated run step starting at *start*, or None when the
-        instruction there cannot begin a chain."""
-        instrs = self.function.instrs
-        succ = self._member_successor(start, instrs[start])
-        if succ is None:
-            return None
-        chain = [start]
-        seen = {start}
-        nxt = succ
-        while len(chain) < CHAIN_CAP and nxt not in seen:
-            follower_succ = self._member_successor(nxt, instrs[nxt])
-            if follower_succ is None:
-                break
-            chain.append(nxt)
-            seen.add(nxt)
-            nxt = follower_succ
-        return self._emit_run(chain, nxt, base)
-
     def _emit_member(
-        self, pos: int, index: int, instr: ins.Instr, env: Dict[str, object]
-    ) -> Tuple[List[str], bool]:
-        """(body lines, needs frame.index) for one chain member.
-
-        ``fl`` (frame.locals) is a local in the generated function;
-        captured objects land in *env* and surface as default args.
-        Members whose errors embed a location (index loads/stores) get
-        ``frame.index`` synced first — crash surfaces must match the
-        switch backend exactly.
-        """
-        kind = type(instr)
-        if kind is ins.Nop or kind is ins.Jump:
-            return [], False
-        if kind is ins.Const:
-            env[f"v{pos}"] = instr.value
-            if self._is_local(instr.dst):
-                return [f"fl[{instr.dst!r}] = v{pos}"], False
-            env[f"w{pos}"] = self._writer(instr.dst)
-            return [f"w{pos}(machine, frame, v{pos})"], False
-        if kind is ins.Move:
-            if self._is_local(instr.dst) and self._is_local(instr.src):
-                return [f"fl[{instr.dst!r}] = fl.get({instr.src!r})"], False
-            env[f"r{pos}"] = self._reader(instr.src)
-            env[f"w{pos}"] = self._writer(instr.dst)
-            return [f"w{pos}(machine, frame, r{pos}(machine, frame))"], False
-        if kind is ins.Binop:
-            env[f"b{pos}"] = BINOP_FUNCS[instr.op]
-            if (
-                self._is_local(instr.dst)
-                and self._is_local(instr.left)
-                and self._is_local(instr.right)
-            ):
-                # Exact inline fast paths: ``type(x) is int`` excludes
-                # bool, and for two plain ints (or two strs under
-                # ==/!=) the Python operator IS the MiniC semantics —
-                # every other shape falls back to the shared handler.
-                fast = _INT_FAST_BINOPS.get(instr.op)
-                if fast is not None:
-                    xl, xr = f"xl{pos}", f"xr{pos}"
-                    guard = f"type({xl}) is int and type({xr}) is int"
-                    if instr.op in ("==", "!="):
-                        guard = (
-                            f"({guard}) or "
-                            f"(type({xl}) is str and type({xr}) is str)"
-                        )
-                    return [
-                        f"{xl} = fl.get({instr.left!r})",
-                        f"{xr} = fl.get({instr.right!r})",
-                        f"fl[{instr.dst!r}] = ({xl} {fast} {xr}) "
-                        f"if {guard} else b{pos}({xl}, {xr})",
-                    ], False
-                return [
-                    f"fl[{instr.dst!r}] = b{pos}"
-                    f"(fl.get({instr.left!r}), fl.get({instr.right!r}))"
-                ], False
-            env[f"rl{pos}"] = self._reader(instr.left)
-            env[f"rr{pos}"] = self._reader(instr.right)
-            env[f"w{pos}"] = self._writer(instr.dst)
-            return [
-                f"w{pos}(machine, frame, b{pos}"
-                f"(rl{pos}(machine, frame), rr{pos}(machine, frame)))"
-            ], False
-        if kind is ins.Unop:
-            env[f"u{pos}"] = UNOP_FUNCS[instr.op]
-            if self._is_local(instr.dst) and self._is_local(instr.operand):
-                xo = f"xo{pos}"
-                if instr.op == "-":
-                    return [
-                        f"{xo} = fl.get({instr.operand!r})",
-                        f"fl[{instr.dst!r}] = -{xo} "
-                        f"if type({xo}) is int else u{pos}({xo})",
-                    ], False
-                if instr.op == "not":
-                    return [
-                        f"{xo} = fl.get({instr.operand!r})",
-                        f"fl[{instr.dst!r}] = (not {xo}) "
-                        f"if {xo} is True or {xo} is False else u{pos}({xo})",
-                    ], False
-                return [
-                    f"fl[{instr.dst!r}] = u{pos}(fl.get({instr.operand!r}))"
-                ], False
-            env[f"r{pos}"] = self._reader(instr.operand)
-            env[f"w{pos}"] = self._writer(instr.dst)
-            return [
-                f"w{pos}(machine, frame, u{pos}(r{pos}(machine, frame)))"
-            ], False
-        if kind is ins.CallBuiltin:
-            env[f"h{pos}"] = BUILTINS[instr.name]
-            args = ", ".join(f"fl.get({arg!r})" for arg in instr.args)
-            xa = f"xa{pos}"
-            if instr.name == "len" and len(instr.args) == 1:
-                return [
-                    f"{xa} = fl.get({instr.args[0]!r})",
-                    f"fl[{instr.dst!r}] = len({xa}) "
-                    f"if type({xa}) is str or type({xa}) is list "
-                    f"else h{pos}([{xa}])",
-                ], False
-            if instr.name == "push" and len(instr.args) == 2:
-                return [
-                    f"{xa} = fl.get({instr.args[0]!r})",
-                    f"if type({xa}) is list:",
-                    f"    {xa}.append(fl.get({instr.args[1]!r}))",
-                    f"    fl[{instr.dst!r}] = {xa}",
-                    "else:",
-                    f"    fl[{instr.dst!r}] = "
-                    f"h{pos}([{xa}, fl.get({instr.args[1]!r})])",
-                ], False
-            if instr.name == "pop" and len(instr.args) == 1:
-                return [
-                    f"{xa} = fl.get({instr.args[0]!r})",
-                    f"fl[{instr.dst!r}] = {xa}.pop() "
-                    f"if type({xa}) is list and {xa} else h{pos}([{xa}])",
-                ], False
-            return [f"fl[{instr.dst!r}] = h{pos}([{args}])"], False
-        if kind is ins.LoadIndex:
-            env[f"i{pos}"] = instr
-            if (
-                self._is_local(instr.dst)
-                and self._is_local(instr.base)
-                and self._is_local(instr.index)
-            ):
-                # In-bounds list/str indexing by a plain int is exactly
-                # Python's; anything else (bool index, out of range,
-                # non-indexable) goes through the helper, which syncs
-                # the error surface via frame.index first.
-                xb, xi = f"xb{pos}", f"xi{pos}"
-                return [
-                    f"{xb} = fl.get({instr.base!r})",
-                    f"{xi} = fl.get({instr.index!r})",
-                    f"if (type({xb}) is list or type({xb}) is str) "
-                    f"and type({xi}) is int and 0 <= {xi} < len({xb}):",
-                    f"    fl[{instr.dst!r}] = {xb}[{xi}]",
-                    "else:",
-                    f"    frame.index = {index}",
-                    f"    fl[{instr.dst!r}] = "
-                    f"machine._load_index(thread, frame, i{pos})",
-                ], False
-            if self._is_local(instr.dst):
-                line = (
-                    f"fl[{instr.dst!r}] = "
-                    f"machine._load_index(thread, frame, i{pos})"
-                )
-            else:
-                env[f"w{pos}"] = self._writer(instr.dst)
-                line = (
-                    f"w{pos}(machine, frame, "
-                    f"machine._load_index(thread, frame, i{pos}))"
-                )
-            return [line], True
-        if kind is ins.StoreIndex:
-            env[f"i{pos}"] = instr
-            if (
-                self._is_local(instr.base)
-                and self._is_local(instr.index)
-                and self._is_local(instr.src)
-            ):
-                xb, xi = f"xb{pos}", f"xi{pos}"
-                return [
-                    f"{xb} = fl.get({instr.base!r})",
-                    f"{xi} = fl.get({instr.index!r})",
-                    f"if type({xb}) is list "
-                    f"and type({xi}) is int and 0 <= {xi} < len({xb}):",
-                    f"    {xb}[{xi}] = fl.get({instr.src!r})",
-                    "else:",
-                    f"    frame.index = {index}",
-                    f"    machine._store_index(thread, frame, i{pos})",
-                ], False
-            return [f"machine._store_index(thread, frame, i{pos})"], True
-        if kind is ins.NewList:
-            parts = []
-            for item_pos, item in enumerate(instr.items):
-                if self._is_local(item):
-                    parts.append(f"fl.get({item!r})")
-                else:
-                    env[f"r{pos}_{item_pos}"] = self._reader(item)
-                    parts.append(f"r{pos}_{item_pos}(machine, frame)")
-            items = ", ".join(parts)
-            if self._is_local(instr.dst):
-                return [f"fl[{instr.dst!r}] = [{items}]"], False
-            env[f"w{pos}"] = self._writer(instr.dst)
-            return [f"w{pos}(machine, frame, [{items}])"], False
-        raise AssertionError(f"unexpected chain member {instr!r}")
-
-    def _emit_member_cached(
         self,
         pos: int,
         index: int,
@@ -1195,7 +828,7 @@ class _FunctionCompiler:
         hoist: frozenset,
         rstate: Dict[str, object],
     ) -> Tuple[List[str], bool]:
-        """Region-mode member emission with path-local register caching.
+        """One region member's emission, with path-local register caching.
 
         Every emitted region path is straight-line (tail duplication,
         no merges), so a local read can be cached in a Python temp and
@@ -1523,165 +1156,16 @@ class _FunctionCompiler:
                 return lines, False
             env[f"w{pos}"] = self._writer(instr.dst)
             return [f"w{pos}(machine, frame, [{items}])"], False
-        raise AssertionError(f"unexpected chain member {instr!r}")
+        raise AssertionError(f"unexpected region member {instr!r}")
 
-    def _emit_run(
-        self, chain: List[int], terminator: int, base: List[Step]
-    ) -> Step:
-        instrs = self.function.instrs
-        head = chain[0]
-        env: Dict[str, object] = {
-            "slow": _make_slow(
-                base[head],
-                tuple(base[i] for i in chain[1:]),
-                base[terminator],
-            ),
-            "final": base[terminator],
-        }
-        term = instrs[terminator]
-
-        # Terminator shape.  A chain cycling straight back to its own
-        # head, or a CJump whose out-edges are both free/foldable and
-        # one of whose targets is the head, turns into a `while True`
-        # in the generated code: whole loop iterations execute without
-        # returning to the driver (budget permitting).
-        cycle = terminator == head
-        t_act = f_act = None
-        inline_cjump = False
-        if not cycle and type(term) is ins.CJump:
-            t_act = self._edge_actions(terminator, term.true_target)
-            f_act = self._edge_actions(terminator, term.false_target)
-            inline_cjump = (
-                not t_act or fold_counter_adds(t_act) is not None
-            ) and (not f_act or fold_counter_adds(f_act) is not None)
-        loops_back = cycle or (
-            inline_cjump and head in (term.true_target, term.false_target)
-        )
-
-        chain_edges = [
-            self._edge_actions(src, dst)
-            for src, dst in zip(chain, chain[1:] + [terminator])
-        ]
-        has_folded = any(chain_edges) or (
-            inline_cjump and (bool(t_act) or bool(f_act))
-        )
-
-        lines: List[str] = []
-
-        def emit(depth: int, text: str) -> None:
-            lines.append("    " * (depth + 1) + text)
-
-        def emit_edge(depth: int, actions) -> None:
-            if not actions:
-                return
-            delta, count = fold_counter_adds(actions)
-            emit(depth, f"cs[-1] += {delta}")
-            # One float add per original action, in sequence: clock
-            # charges must match the switch backend bit for bit.
-            for _ in range(count):
-                emit(depth, "clock += ec")
-            emit(depth, f"st.edge_actions += {count}")
-
-        def emit_spill(depth: int, target: int) -> None:
-            emit(depth, "st.instructions = n")
-            emit(depth, "thread.clock = clock")
-            emit(depth, f"frame.index = {target}")
-            emit(depth, "return None")
-
-        def emit_reenter(depth: int, budget: int) -> None:
-            # The next full iteration may overflow the budget: hand
-            # back to the driver, whose prologue + the run's own slow
-            # path reproduce the exact overflow state.
-            emit(depth, f"if n + {budget} > limit:")
-            emit_spill(depth + 1, head)
-            emit(depth, "n += 1")
-            emit(depth, "clock += icost")
-            emit(depth, "continue")
-
-        emit(0, "st = machine.stats")
-        emit(0, "n = st.instructions")
-        emit(0, "limit = machine.max_instructions")
-        # Budget overflow anywhere in the chain: replay through the
-        # base steps so the error fires at the exact instruction with
-        # the exact machine state.
-        emit(0, f"if n + {len(chain)} > limit:")
-        emit(1, "return slow(machine, thread, frame)")
-        emit(0, "icost = machine.costs.instruction")
-        emit(0, "clock = thread.clock")
-        emit(0, "fl = frame.locals")
-        if has_folded:
-            emit(0, "ec = machine.costs.edge_action")
-            emit(0, "cs = thread.counter_stack")
-        depth = 0
-        if loops_back:
-            emit(0, "while True:")
-            depth = 1
-
-        for pos, index in enumerate(chain):
-            if pos:
-                # The driver ran the first member's prologue; the run
-                # runs every later one, clock kept in a local.
-                emit(depth, "n += 1")
-                emit(depth, "clock += icost")
-            member_lines, needs_index = self._emit_member(
-                pos, index, instrs[index], env
-            )
-            if needs_index:
-                emit(depth, f"frame.index = {index}")
-            for text in member_lines:
-                emit(depth, text)
-            emit_edge(depth, chain_edges[pos])
-
-        if cycle:
-            emit_reenter(depth, len(chain))
-        elif inline_cjump:
-            emit(depth, "n += 1")
-            emit(depth, "clock += icost")
-            env["truthy"] = truthy
-            if self._is_local(term.cond):
-                emit(depth, f"xc = fl.get({term.cond!r})")
-            else:
-                env["rc"] = self._reader(term.cond)
-                emit(depth, "xc = rc(machine, frame)")
-            # Comparison results are Python bools: test those by
-            # identity, call truthy() only for other types.
-            cond = "xc is True or (xc is not False and truthy(xc))"
-            def emit_branch(target: int, actions) -> None:
-                emit_edge(depth + 1, actions)
-                if loops_back and target == head:
-                    emit_reenter(depth + 1, len(chain) + 1)
-                else:
-                    emit_spill(depth + 1, target)
-
-            emit(depth, f"if {cond}:")
-            emit_branch(term.true_target, t_act)
-            emit(depth, "else:")
-            emit_branch(term.false_target, f_act)
-        else:
-            emit(depth, "n += 1")
-            emit(depth, "clock += icost")
-            emit(depth, "st.instructions = n")
-            emit(depth, "thread.clock = clock")
-            emit(depth, f"frame.index = {terminator}")
-            emit(depth, "return final(machine, thread, frame)")
-
-        params = ", ".join(f"{name}={name}" for name in env)
-        source = (
-            f"def run(machine, thread, frame, {params}):\n"
-            + "".join(f"{line}\n" for line in lines)
-        )
-        namespace = dict(env)
-        exec(compile(source, "<ldx-run>", "exec"), namespace)
-        return namespace["run"]
-
-    # -- relevance-guided widened regions --------------------------------------
+    # -- superinstruction regions ------------------------------------------------
     #
-    # With the sink-relevance classification in hand, fusion no longer
-    # stops at the first branch: a region walk follows the CFG through
-    # every fusible instruction, inlining interior CJumps as generated
-    # if/else with tail duplication, turning edges back to the region
-    # head into `while True` re-entries, and spilling to the driver at
-    # revisits of interior nodes (inner loops get their own regions).
+    # A region walk follows the CFG through every fusible instruction
+    # (a straight-line chain is the region with no branch arm),
+    # inlining interior CJumps as generated if/else with tail
+    # duplication, turning edges back to the region head into
+    # `while True` re-entries, and spilling to the driver at revisits
+    # of interior nodes (inner loops get their own regions).
     # Counter compensation along each emitted path is a compile-time
     # constant, so it flushes as ONE literal add at each exit instead
     # of one add per edge — the "single precomputed aggregate add" of
@@ -1689,34 +1173,7 @@ class _FunctionCompiler:
     # add per original action, in sequence: float addition is not
     # associative and the contract is byte identity.
 
-    def _region_successor(self, index: int, instr: ins.Instr) -> Optional[int]:
-        if type(instr) is ins.NewList:
-            succ = index + 1
-            actions = self._edge_actions(index, succ)
-            if actions and fold_counter_adds(actions) is None:
-                return None
-            return succ
-        return self._member_successor(index, instr)
-
-    def _region_edges_ok(self, index: int, instr: ins.CJump) -> bool:
-        for target in {instr.true_target, instr.false_target}:
-            actions = self._edge_actions(index, target)
-            if actions and fold_counter_adds(actions) is None:
-                return False
-        return True
-
-    def _compile_region(self, start: int, base: List[Step]) -> Optional[Step]:
-        fusible = self.relevance.fusible
-        if start not in fusible:
-            return None
-        instrs = self.function.instrs
-        first_instr = instrs[start]
-        if type(first_instr) is ins.CJump:
-            if not self._region_edges_ok(start, first_instr):
-                return self._compile_run(start, base)
-        elif self._region_successor(start, first_instr) is None:
-            return self._compile_run(start, base)
-
+    def _compile_region(self, start: int, base: List[Step]) -> Step:
         # Pass 1: generic emission (no entry assumptions).  Its
         # candidate set records which locals would shed per-iteration
         # int guards if proven int at entry, and its read set records
@@ -1772,7 +1229,7 @@ class _FunctionCompiler:
         carried: Tuple[str, ...] = (),
     ) -> Tuple[Dict[str, object], List[Tuple[int, str]], Dict[str, object]]:
         instrs = self.function.instrs
-        fusible = self.relevance.fusible
+        fusible = self.fusible
         env: Dict[str, object] = {"s0": base[start]}
         body: List[Tuple[int, str]] = []
         state: Dict[str, object] = {
@@ -1890,16 +1347,6 @@ class _FunctionCompiler:
                         return
                 instr = instrs[index]
                 kind = type(instr)
-                if kind is ins.CJump:
-                    if not self._region_edges_ok(index, instr):
-                        emit_term(depth, index, cum)
-                        return
-                    succ = None
-                else:
-                    succ = self._region_successor(index, instr)
-                    if succ is None:
-                        emit_term(depth, index, cum)
-                        return
                 state["emitted"] += 1
                 visited = visited | {index}
                 path_len += 1
@@ -1957,7 +1404,7 @@ class _FunctionCompiler:
                         visited, False, dict(bindings), dict(types),
                     )
                     return
-                member_lines, needs_index = self._emit_member_cached(
+                member_lines, needs_index = self._emit_member(
                     state["emitted"], index, instr, env, bindings,
                     types, hoist, state,
                 )
@@ -1965,6 +1412,9 @@ class _FunctionCompiler:
                     emit(depth, f"frame.index = {index}")
                 for text in member_lines:
                     emit(depth, text)
+                # Fusible already means event-free with free-or-foldable
+                # out-edges: only the successor remains to be named.
+                succ = instr.target if kind is ins.Jump else index + 1
                 cum = charge_edge(depth, index, succ, cum)
                 index = succ
 
@@ -2040,18 +1490,14 @@ def compile_module(
     module: IRModule,
     plan: Optional[ModulePlan] = None,
     fuse: bool = True,
-    relevance: Optional[bool] = None,
 ) -> CompiledModule:
     """Compile every function of *module* under *plan*.
 
-    *relevance* selects relevance-guided widened fusion; None follows
-    the process-wide :func:`relevance_enabled` switch.  It only takes
-    effect when the plan actually carries a classification.
+    With *fuse*, exactly the plan's fusible set (its relevance
+    classification) becomes superinstruction regions; a module without
+    a plan, or a plan without a classification, fuses nothing.
     """
-    if relevance is None:
-        relevance = _RELEVANCE_ENABLED
-    module_relevance = getattr(plan, "relevance", None) if relevance else None
-    use_relevance = fuse and module_relevance is not None
+    module_relevance = getattr(plan, "relevance", None) if fuse else None
     global_names = frozenset(module.global_values)
     functions: Dict[str, CompiledFunction] = {}
     # Callee registry shared by every direct-call step of this
@@ -2061,16 +1507,20 @@ def compile_module(
     for name, function in module.functions.items():
         function_plan = plan.functions.get(name) if plan is not None else None
         function_relevance = (
-            module_relevance.functions.get(name) if use_relevance else None
+            module_relevance.functions.get(name)
+            if module_relevance is not None else None
+        )
+        fusible = (
+            function_relevance.fusible
+            if function_relevance is not None else frozenset()
         )
         functions[name] = _FunctionCompiler(
-            module, function, function_plan, global_names, fuse,
-            function_relevance, link,
+            module, function, function_plan, global_names, fusible, link,
         ).compile()
     for name, compiled in functions.items():
         function_plan = plan.functions.get(name) if plan is not None else None
         link[name] = (function_plan, compiled.steps)
-    return CompiledModule(functions, module, plan, fuse, use_relevance)
+    return CompiledModule(functions, module, plan, fuse)
 
 
 # -- in-process compilation memo --------------------------------------------------
@@ -2082,7 +1532,7 @@ def compile_module(
 # Keys are object identities: the CompiledModule pins the plan alive,
 # so a recycled id can never alias a stale entry.
 
-_MEMO: "weakref.WeakKeyDictionary[IRModule, Dict[Tuple[int, bool, bool], CompiledModule]]" = (
+_MEMO: "weakref.WeakKeyDictionary[IRModule, Dict[Tuple[int, bool], CompiledModule]]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -2091,20 +1541,16 @@ def compiled_for_module(
     module: IRModule,
     plan: Optional[ModulePlan] = None,
     fuse: bool = True,
-    relevance: Optional[bool] = None,
 ) -> CompiledModule:
     """Compile (or reuse the memoized compilation of) *module*."""
-    _check_region_caps()
-    if relevance is None:
-        relevance = _RELEVANCE_ENABLED
     per_module = _MEMO.get(module)
     if per_module is None:
         per_module = {}
         _MEMO[module] = per_module
-    key = (id(plan), fuse, relevance)
+    key = (id(plan), fuse)
     compiled = per_module.get(key)
     if compiled is None:
-        compiled = compile_module(module, plan, fuse, relevance)
+        compiled = compile_module(module, plan, fuse)
         per_module[key] = compiled
     return compiled
 

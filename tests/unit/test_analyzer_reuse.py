@@ -10,7 +10,7 @@ import pytest
 from repro import cache
 from repro.analysis import analyze_module, analyze_source
 from repro.analysis.analyzer import ProgramAnalysis, _seeds_for
-from repro.interp.compile import relevance_enabled, set_relevance_enabled
+from repro.instrument import relevance_enabled, set_relevance_enabled
 from repro.ir import compile_source
 from repro.ir.printer import format_module
 from repro.workloads import ALL_WORKLOADS, get_workload

@@ -89,10 +89,11 @@ def test_compile_produces_step_per_instruction():
 
 def test_fusion_finds_superinstructions():
     module = compile_source(LOOP)
-    fused = compile_module(module, fuse=True)
-    unfused = compile_module(module, fuse=False)
+    plan = instrument_module(module).plan
+    fused = compile_module(module, plan, fuse=True)
+    unfused = compile_module(module, plan, fuse=False)
     assert unfused.fused_count == 0
-    # The loop body has const->binop and binop->cjump chains to fuse.
+    # The loop head, body and branch are event-free: one region.
     assert fused.fused_count > 0
 
 
@@ -229,47 +230,7 @@ def test_profile_histograms_identical_across_backends():
     assert switch.time == threaded.time
 
 
-# -- region cap env overrides ---------------------------------------------------
-
-
-def test_region_caps_default_without_env(monkeypatch):
-    from repro.interp import compile as compile_mod
-
-    monkeypatch.delenv("REPRO_REGION_CAP", raising=False)
-    assert compile_mod._cap_from_env("REPRO_REGION_CAP", 320) == (320, None)
-
-
-def test_region_caps_read_from_env(monkeypatch):
-    from repro.interp import compile as compile_mod
-
-    monkeypatch.setenv("REPRO_REGION_CAP", "64")
-    assert compile_mod._cap_from_env("REPRO_REGION_CAP", 320) == (64, None)
-
-
-@pytest.mark.parametrize("bad", ["0", "-3", "ten", "1.5", ""])
-def test_region_caps_reject_invalid_env(monkeypatch, bad):
-    from repro.errors import ReproError
-    from repro.interp import compile as compile_mod
-
-    monkeypatch.setenv("REPRO_REGION_PATH_CAP", bad)
-    value, error = compile_mod._cap_from_env("REPRO_REGION_PATH_CAP", 80)
-    assert value == 80  # invalid override keeps the default
-    assert isinstance(error, ReproError)
-    assert "REPRO_REGION_PATH_CAP" in str(error)
-
-
-def test_invalid_region_cap_raises_at_first_compile(monkeypatch):
-    # The deferred error surfaces as a ReproError from compiled_for_module
-    # (which the CLI turns into a one-line diagnosis), never as an
-    # import-time traceback.
-    from repro.errors import ReproError
-    from repro.interp import compile as compile_mod
-
-    bad = ReproError("REPRO_REGION_CAP must be a positive integer, got 'x'")
-    monkeypatch.setattr(compile_mod, "_REGION_CAP_ERROR", bad)
-    module = compile_source(LOOP)
-    with pytest.raises(ReproError, match="REPRO_REGION_CAP"):
-        compile_mod.compiled_for_module(module)
+# -- region caps ----------------------------------------------------------------
 
 
 def test_small_region_caps_stay_byte_identical(monkeypatch):
@@ -278,112 +239,151 @@ def test_small_region_caps_stay_byte_identical(monkeypatch):
     from repro.interp import compile as compile_mod
 
     module = compile_source(LOOP)
-    baseline = run_native(compile_source(LOOP), World(), backend="threaded")
+    plan = instrument_module(module).plan
+    baseline = run_native(module, World(), plan=plan, backend="switch")
     monkeypatch.setattr(compile_mod, "REGION_CAP", 2)
     monkeypatch.setattr(compile_mod, "REGION_PATH_CAP", 4)
     monkeypatch.setattr(compile_mod, "REGION_BOUND", 6)
     clear_compile_memo()
+    calls = _count_compiles(monkeypatch)
     try:
-        capped = run_native(module, World(), backend="threaded")
+        capped = run_native(module, World(), plan=plan, backend="threaded")
     finally:
         clear_compile_memo()
+    assert "<ldx-region>" in calls
     assert capped.stdout == baseline.stdout
     assert capped.time == baseline.time
     assert capped.stats.instructions == baseline.stats.instructions
+    assert capped.stats.edge_actions == baseline.stats.edge_actions
 
 
-# -- lazily generated superinstruction runs --------------------------------------
+# -- lazily generated regions -----------------------------------------------------
 
 
-def _count_compiles(monkeypatch):
-    """Count the generated-code ``compile()`` calls of the compiler."""
+def _count_compiles(monkeypatch, keep_source=False):
+    """Record the generated-code ``compile()`` calls of the compiler:
+    their filenames, or with *keep_source* the generated source."""
     from repro.interp import compile as compile_mod
 
     calls = []
     real = compile
 
     def counting(source, filename, mode, *args, **kwargs):
-        calls.append(filename)
+        calls.append(source if keep_source else filename)
         return real(source, filename, mode, *args, **kwargs)
 
     monkeypatch.setattr(compile_mod, "compile", counting, raising=False)
     return calls
 
 
-def _eager_fused_indices(module, plan):
-    """The eager definition: every index whose run compiles."""
-    from repro.interp.compile import _FunctionCompiler
-
-    global_names = frozenset(module.global_values)
-    result = {}
-    for name, function in module.functions.items():
-        function_plan = plan.functions.get(name) if plan is not None else None
-        compiler = _FunctionCompiler(
-            module, function, function_plan, global_names, True, None, {}
-        )
-        base = [
-            compiler._compile_one(index, instr)
-            for index, instr in enumerate(function.instrs)
-        ]
-        result[name] = tuple(
-            index
-            for index in range(len(base))
-            if compiler._compile_run(index, base) is not None
-        )
-    return result
+def _fused_indices(compiled):
+    return {
+        name: frozenset(function.fused_indices)
+        for name, function in compiled.functions.items()
+    }
 
 
-def test_lazy_chains_keep_eager_fused_indices():
+def test_fused_indices_equal_plan_fusible_set():
+    # The compiler fuses exactly the plan's fusible set and relies on
+    # its definition: every out-edge of a fusible index folds on the
+    # plan actually compiled, pruned or not.
+    from repro.instrument.plan import fold_counter_adds
     from repro.workloads import ALL_WORKLOADS
 
     for workload in ALL_WORKLOADS:
         module = workload.module
-        for plan in (None, workload.instrumented.plan):
-            compiled = compile_module(module, plan, relevance=False)
-            lazy = {
-                name: function.fused_indices
-                for name, function in compiled.functions.items()
-            }
-            assert lazy == _eager_fused_indices(module, plan), workload.name
+        for prune in (True, False):
+            plan = instrument_module(module, prune=prune).plan
+            compiled = compile_module(module, plan)
+            assert _fused_indices(compiled) == {
+                name: relevance.fusible
+                for name, relevance in plan.relevance.functions.items()
+            }, workload.name
+            for name, indices in _fused_indices(compiled).items():
+                function = module.functions[name]
+                function_plan = plan.functions[name]
+                for index in indices:
+                    for succ in function.successors(index):
+                        actions = function_plan.actions_for(index, succ)
+                        assert not actions or (
+                            fold_counter_adds(actions) is not None
+                        ), (workload.name, name, index, succ)
+
+
+def test_relevance_switch_does_not_change_compiled_code(monkeypatch):
+    # The switch only picks the plan variant at instrumentation time;
+    # for one given plan the compiler emits the same code either way.
+    from repro.instrument import relevance_enabled, set_relevance_enabled
+
+    module = compile_source(LOOP)
+    for prune in (True, False):
+        plan = instrument_module(module, prune=prune).plan
+        emitted = []
+        saved = relevance_enabled()
+        try:
+            for enabled in (True, False):
+                set_relevance_enabled(enabled)
+                clear_compile_memo()
+                calls = _count_compiles(monkeypatch, keep_source=True)
+                compiled = compiled_for_module(module, plan)
+                run_native(module, World(), plan=plan, backend="threaded")
+                emitted.append((_fused_indices(compiled), list(calls)))
+        finally:
+            set_relevance_enabled(saved)
+            clear_compile_memo()
+        assert emitted[0] == emitted[1]
+        assert emitted[0][1], "no region was generated"
 
 
 def test_planless_compile_generates_no_code_before_first_run(monkeypatch):
+    # Without a plan there is no fusible set: nothing fuses, so no code
+    # is generated before (or during) a run.
     calls = _count_compiles(monkeypatch)
-    compiled = compile_module(compile_source(LOOP))
-    assert compiled.fused_count > 0
+    module = compile_source(LOOP)
+    compiled = compile_module(module)
+    assert compiled.fused_count == 0
+    run_native(module, World(), backend="threaded")
     assert calls == []
 
 
-def test_chain_stub_installs_generated_step_on_first_landing(monkeypatch):
+def test_region_stub_installs_generated_step_on_first_landing(monkeypatch):
     module = compile_source(LOOP)
+    plan = instrument_module(module).plan
     clear_compile_memo()
-    compiled = compiled_for_module(module, None, fuse=True)
+    calls = _count_compiles(monkeypatch)
+    compiled = compiled_for_module(module, plan, fuse=True)
+    assert calls == []
     steps = compiled.steps_for("main")
     stubs = {index: steps[index] for index in compiled.functions["main"].fused_indices}
-    calls = _count_compiles(monkeypatch)
-    first = run_native(module, World(), backend="threaded")
+    first = run_native(module, World(), plan=plan, backend="threaded")
     landed = [index for index, stub in stubs.items() if steps[index] is not stub]
-    # One compile() per landed index; indices never landed on (chain
-    # interiors here) keep their stub and cost nothing.
+    # Code is generated only for landed indices (one compile(), or two
+    # when a region with hoisted int guards also builds its generic
+    # variant); indices never landed on keep their stub and cost nothing.
     assert landed and len(landed) < len(stubs)
-    assert len(calls) == len(landed)
+    assert set(calls) == {"<ldx-region>"}
+    assert len(landed) <= len(calls) <= 2 * len(landed)
     assert all(steps[index].__name__ == "run" for index in landed)
     calls.clear()
-    second = run_native(module, World(), backend="threaded")
+    second = run_native(module, World(), plan=plan, backend="threaded")
     assert calls == []
     assert first.stdout == second.stdout == "190"
     assert first.time == second.time
     clear_compile_memo()
 
 
-def test_planless_native_runs_identical_with_lazy_chains():
-    # A cleared memo makes every threaded run start from stubs, so the
-    # comparison covers first landings, not steps an earlier test
-    # already installed.
+def test_planless_native_runs_fuse_nothing_and_match_switch(monkeypatch):
+    # Plan-less runs (native baselines, `repro run`) execute unfused:
+    # every workload compiles with empty fused indices and issues zero
+    # compile() calls across a run, whose observables match the switch
+    # backend.  A cleared memo makes every threaded run start afresh.
     from repro.workloads import ALL_WORKLOADS
 
+    calls = _count_compiles(monkeypatch)
     for workload in ALL_WORKLOADS:
         clear_compile_memo()
+        compiled = compiled_for_module(workload.module)
+        assert compiled.fused_count == 0, workload.name
         runs = []
         for backend in ("switch", "threaded"):
             result = run_native(
@@ -397,23 +397,27 @@ def test_planless_native_runs_identical_with_lazy_chains():
                 result.sink_values(),
             ))
         assert runs[0] == runs[1], workload.name
+    clear_compile_memo()
+    assert calls == []
 
 
 def test_lazy_stubs_safe_under_concurrent_first_landing():
     # Serve worker threads share one compiled module; racing first
-    # landings may each generate a run, and either install must be
+    # landings may each generate a region, and either install must be
     # observably identical.
     import sys
     import threading
 
     module = compile_source(LOOP)
+    plan = instrument_module(module).plan
     clear_compile_memo()
-    compiled_for_module(module, None, fuse=True)
-    expected = run_native(compile_source(LOOP), World(), backend="switch")
+    compiled = compiled_for_module(module, plan, fuse=True)
+    assert compiled.fused_count > 0
+    expected = run_native(module, World(), plan=plan, backend="switch")
     results = []
 
     def worker():
-        result = run_native(module, World(), backend="threaded")
+        result = run_native(module, World(), plan=plan, backend="threaded")
         results.append((result.stdout, result.time, result.stats.instructions))
 
     interval = sys.getswitchinterval()
