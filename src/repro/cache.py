@@ -179,9 +179,9 @@ class ArtifactCache:
         self.enabled = enabled
         self.schema_tag = schema_tag
         self.payload_type = payload_type
-        # Callers whose payloads are merged destructively after lookup
-        # (e.g. checkpoint rows) disable the memory layer so every load
-        # is a fresh unpickle, never a shared object.
+        # Callers whose payloads are mutated after lookup (e.g.
+        # restored world snapshots) disable the memory layer so every
+        # load is a fresh unpickle, never a shared object.
         self.use_memory = use_memory
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()

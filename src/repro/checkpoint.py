@@ -1,67 +1,41 @@
-"""Checkpoint persistence for dual executions and chaos sweeps.
+"""Checkpoint persistence for dual executions.
 
-Two kinds of state land under ``.repro-cache/checkpoints/``:
-
-* **world checkpoints** — :meth:`World.snapshot` dicts saved by the
-  engine supervisor at each degradation-ladder rung (before a thread
-  is abandoned, or when the engine fails terminally).  These make the
-  slave's overlay delta inspectable after the fact and let a future
-  run re-materialize the execution point;
-* **chaos cells** — the finished :class:`ChaosRow` chunk for one
-  (workload, seed-chunk) cell.  ``repro chaos --resume`` loads the
-  completed cells and re-runs only the incomplete ones, then merges in
-  the same deterministic order as an uninterrupted sweep — so the
-  resumed report is byte-identical.
+**World checkpoints** land under ``.repro-cache/checkpoints/``:
+:meth:`World.snapshot` dicts saved by the engine supervisor at each
+degradation-ladder rung (before a thread is abandoned, or when the
+engine fails terminally).  These make the slave's overlay delta
+inspectable after the fact and let a future run re-materialize the
+execution point.  (Resuming an interrupted ``repro chaos`` or
+``repro eval`` is the results store's job, not this module's: every
+finished cell persists there and a re-run reuses it.)
 
 Storage reuses :class:`repro.cache.ArtifactCache` (content-addressed
 keys, schema-versioned directory, atomic writes, corrupt-entry
 recovery) with two deliberate differences: its own schema tag — a
 checkpoint is runtime state, never mixed with instrumentation
-artifacts — and **no memory layer**.  Chaos rows are merged
-destructively after lookup; a shared in-memory object would be merged
-twice on the second resume.  Every load is a fresh unpickle.
+artifacts — and **no memory layer**.  A loaded snapshot is restored
+into a world that then runs on; a shared in-memory object would carry
+one caller's mutations into the next load.  Every load is a fresh
+unpickle.
 
-Keying *includes* runtime identity (workload name, seeds, fault rate,
-rung label): unlike instrumentation artifacts, a checkpoint is only
-meaningful for the exact run configuration that produced it.  The
-workload's MiniC source is hashed in too, so editing a workload
-orphans its stale cells instead of resuming from them.
+Keying *includes* runtime identity (run label, seed, rung label):
+unlike instrumentation artifacts, a checkpoint is only meaningful for
+the exact run that produced it.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cache import ArtifactCache, artifact_key
 
-# Bump when World.snapshot / ChaosRow pickle layout changes.
+# Bump when the World.snapshot pickle layout changes.
 # v2: cache payloads embed a SHA-256 digest of the pickled artifact.
 CHECKPOINT_SCHEMA_TAG = "ldx-checkpoint-v2"
 
 DEFAULT_CHECKPOINT_DIR = os.path.join(".repro-cache", "checkpoints")
-
-
-def chaos_cell_key(
-    name: str,
-    seeds: Sequence[int],
-    rate: float,
-    watchdog_deadline: float,
-    source: str = "",
-) -> str:
-    """Content address of one finished chaos (workload, seed-chunk) cell."""
-    return artifact_key(
-        source,
-        {
-            "kind": "chaos-cell",
-            "workload": name,
-            "seeds": tuple(seeds),
-            "rate": rate,
-            "watchdog_deadline": watchdog_deadline,
-        },
-        schema_tag=CHECKPOINT_SCHEMA_TAG,
-    )
 
 
 def world_key(label: str, seed: int, rung: str, source: str = "") -> str:
@@ -106,11 +80,6 @@ class CheckpointStore:
         """The payload under *key*, or None (missing/corrupt = None)."""
         return self._cache.load(key)
 
-    def load_or_run(self, key: str, builder):
-        """Completed-cell gate: return the stored payload, or run
-        *builder* and persist its result."""
-        return self._cache.lookup(key, builder)
-
     def prune(
         self,
         max_entries: Optional[int] = None,
@@ -129,9 +98,8 @@ class CheckpointStore:
 # -- garbage collection --------------------------------------------------------
 #
 # Checkpoints are runtime state: unlike instrumentation artifacts they
-# go stale (a finished sweep's cells, world snapshots of a long-fixed
-# stall) and a long-lived daemon or many chaos sweeps accumulate them
-# without bound.  ``prune_checkpoints`` enforces a TTL and an entry
+# go stale (world snapshots of a long-fixed stall) and a long-lived
+# daemon accumulates them without bound.  ``prune_checkpoints`` enforces a TTL and an entry
 # cap; schema-tag subdirectories from older layouts are swept whole
 # (their entries can never be loaded again), and orphaned ``.tmp``
 # files from crashed writers are always removed.

@@ -5,7 +5,7 @@ Usage::
     python -m repro leak program.mc --secret-file /etc/secret [options]
     python -m repro run  program.mc [--stdin TEXT] [--file PATH=CONTENT ...]
     python -m repro eval [--table4-runs N] [--check-static] [--no-store]
-    python -m repro chaos [--seeds N] [--fault-rate R] [--resume]
+    python -m repro chaos [--seeds N] [--fault-rate R] [--no-store]
     python -m repro report [--chaos | --trend [BENCH]] [--store-path PATH]
     python -m repro analyze program.mc | --workload NAME | --all [--dump-ir]
     python -m repro profile WORKLOAD [--top N] [--json PATH]
@@ -17,16 +17,15 @@ Usage::
 ``run`` executes it natively; ``eval`` regenerates the paper's tables
 (``--check-static`` adds Table 5 and the soundness-oracle check);
 ``chaos`` sweeps fault-injection seeds across the workloads and checks
-the robustness invariants (``--resume`` checkpoints finished cells and
-restarts an interrupted sweep where it left off; Ctrl-C exits cleanly
-with a resume hint); ``analyze`` runs the static causality analyzer
-and lints without executing anything; ``profile`` runs one workload
+the robustness invariants (Ctrl-C exits cleanly with a resume hint);
+``analyze`` runs the static causality analyzer and lints without
+executing anything; ``profile`` runs one workload
 with the opcode-level profiler and prints per-opcode count /
 virtual-time histograms; ``serve`` runs the causality-as-a-service
 daemon (stdin JSONL by default, localhost HTTP with ``--http``; see
 docs/SERVICE.md); ``serve-chaos`` storms a service with concurrent
 requests under injected faults and checks the service invariants;
-``checkpoints prune`` garbage-collects the checkpoint store;
+``checkpoints prune`` garbage-collects the world-checkpoint store;
 ``report`` re-renders the eval tables, the chaos sweep or the
 benchmark trend straight from the columnar results store — sub-second,
 nothing executes.
@@ -35,19 +34,18 @@ nothing executes.
 cell persists into the results store (``--store-path``, default
 ``.repro-cache/results.sqlite``) keyed by workload source × variant ×
 seeds × config, so a re-run executes only cells whose key is absent
-and still renders a byte-identical report.  ``--no-store`` opts out.
+and still renders a byte-identical report.  That is also how an
+interrupted run resumes: re-run the same command.  ``--no-store`` opts
+out.
 
 ``run``, ``eval``, ``chaos`` and ``profile`` accept ``--interp-backend
 {switch,threaded}`` to pick the interpreter dispatch strategy (default
 ``threaded``).  Events, verdicts, clocks and reports are byte-identical
 across backends; only wall-clock speed differs.
 
-``eval``, ``chaos`` and ``serve-chaos`` accept ``--executor
-{serial,local,multihost}`` / ``--nodes HOST,HOST,...`` to pick *where*
-experiment cells run: in process, over a local process pool, or fanned
-out to worker nodes on other machines (``localhost`` entries spawn
-subprocess nodes; see docs/DISTRIBUTED.md).  Reports are byte-identical
-across executors, node counts, and node failures mid-sweep.
+``eval``, ``chaos`` and ``serve-chaos`` accept ``--jobs N``: one job
+runs every experiment cell in process, more fan the cells out over a
+local process pool.  Reports are byte-identical for any job count.
 """
 
 from __future__ import annotations
@@ -136,14 +134,22 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="world seed")
 
 
-def _jobs(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid job count {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be >= 1, got {text}")
-    return value
+def _at_least_one(what: str):
+    """An argparse ``type`` for a count that must be an integer >= 1;
+    *what* names the count in the error (argparse prefixes the option)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be >= 1, got {text}"
+            )
+        return value
+
+    return parse
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
@@ -186,50 +192,15 @@ def _open_store(args):
     return ResultsStore(args.store_path)
 
 
-def _add_executor_options(parser: argparse.ArgumentParser) -> None:
-    from repro.eval.executors import EXECUTOR_NAMES
-
-    parser.add_argument(
-        "--executor",
-        choices=EXECUTOR_NAMES,
-        default=None,
-        help="cell execution backend (default: serial for --jobs 1, a "
-        "local process pool otherwise; multihost fans out to --nodes — "
-        "output is byte-identical across all of them)",
-    )
-    parser.add_argument(
-        "--nodes",
-        metavar="HOST,HOST*N,...",
-        default=None,
-        help="worker nodes for --executor multihost (implies it): "
-        "'localhost' spawns a subprocess node on this machine, anything "
-        "else is reached over ssh; HOST*N repeats a host N times",
-    )
-
-
-def _make_executor(args):
-    """The CellExecutor the flags ask for, or None (jobs-based default)."""
-    from repro.eval.executors import make_executor
-
-    return make_executor(
-        getattr(args, "executor", None),
-        jobs=getattr(args, "jobs", 1),
-        nodes=getattr(args, "nodes", None),
-        cache_dir=None if args.no_cache else args.cache_dir,
-        cache_enabled=not args.no_cache,
-    )
-
-
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=_jobs,
+        type=_at_least_one("job count"),
         default=1,
         metavar="N",
         help="worker processes for the evaluation fan-out (1 = serial; "
         "output is byte-identical for any value)",
     )
-    _add_executor_options(parser)
     _add_cache_options(parser)
 
 
@@ -411,7 +382,6 @@ def _cmd_eval(args) -> int:
 
     _apply_backend(args)
     _configure_cache(args)
-    executor = _make_executor(args)
     try:
         result = run_all(
             table4_runs=args.table4_runs,
@@ -421,7 +391,6 @@ def _cmd_eval(args) -> int:
             check_static=args.check_static,
             table5_path=args.table5_json,
             store_path=None if args.no_store else args.store_path,
-            executor=executor,
         )
     except KeyboardInterrupt:
         # Graceful Ctrl-C: with a results store every finished cell was
@@ -441,9 +410,6 @@ def _cmd_eval(args) -> int:
                 file=sys.stderr,
             )
         return 130
-    finally:
-        if executor is not None:
-            executor.close()
     print(result.report)
     if not result.static_ok:
         print(
@@ -575,16 +541,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.checkpoint import DEFAULT_CHECKPOINT_DIR
     from repro.eval.robustness import chaos_ok, render_chaos, run_chaos
 
     _apply_backend(args)
     _configure_cache(args)
-    checkpoint_dir = args.checkpoint_dir
-    if args.resume and checkpoint_dir is None:
-        checkpoint_dir = DEFAULT_CHECKPOINT_DIR
     store = _open_store(args)
-    executor = _make_executor(args)
     try:
         rows = run_chaos(
             names=args.workload or None,
@@ -592,38 +553,27 @@ def _cmd_chaos(args) -> int:
             rate=args.fault_rate,
             watchdog_deadline=args.watchdog_deadline,
             jobs=args.jobs,
-            checkpoint_dir=checkpoint_dir,
             store=store,
-            executor=executor,
         )
     except KeyboardInterrupt:
-        # Graceful Ctrl-C: finished cells are already on disk (when
-        # checkpointing), so tell the user how to pick the sweep back
-        # up instead of dumping a traceback.
-        if checkpoint_dir is not None:
-            print(
-                "\nchaos: interrupted — finished cells are checkpointed "
-                f"under {checkpoint_dir}; rerun with --resume to continue "
-                "where the sweep left off",
-                file=sys.stderr,
-            )
-        elif store is not None:
+        # Graceful Ctrl-C: with a results store every finished cell was
+        # persisted as it streamed back, so tell the user how to pick
+        # the sweep back up instead of dumping a traceback.
+        if store is not None:
             print(
                 "\nchaos: interrupted — finished cells are persisted in the "
                 f"results store ({store.path}); rerun the same command to "
-                "reuse them",
+                "reuse finished cells",
                 file=sys.stderr,
             )
         else:
             print(
-                "\nchaos: interrupted — nothing was checkpointed (use "
-                "--resume to make interruptions resumable)",
+                "\nchaos: interrupted — nothing was persisted (the results "
+                "store was disabled with --no-store)",
                 file=sys.stderr,
             )
         return 130
     finally:
-        if executor is not None:
-            executor.close()
         if store is not None:
             store.close()
     print(render_chaos(rows, args.seeds, args.fault_rate))
@@ -698,23 +648,17 @@ def _cmd_serve_chaos(args) -> int:
 
     _apply_backend(args)
     _configure_cache(args)
-    executor = _make_executor(args)
-    try:
-        outcome = run_storm(
-            requests=args.requests,
-            workers=args.workers,
-            queue_capacity=args.queue_capacity,
-            fault_rate=args.fault_rate,
-            fault_seed=args.fault_seed,
-            tiny_deadline_every=args.tiny_deadline_every,
-            poison_every=args.poison_every,
-            url=args.url,
-            jobs=args.jobs,
-            executor=executor,
-        )
-    finally:
-        if executor is not None:
-            executor.close()
+    outcome = run_storm(
+        requests=args.requests,
+        workers=args.workers,
+        queue_capacity=args.queue_capacity,
+        fault_rate=args.fault_rate,
+        fault_seed=args.fault_seed,
+        tiny_deadline_every=args.tiny_deadline_every,
+        poison_every=args.poison_every,
+        url=args.url,
+        jobs=args.jobs,
+    )
     store = _open_store(args)
     if store is not None and store.enabled:
         store.record_bench(
@@ -769,7 +713,13 @@ def main(argv: List[str] = None) -> int:
     leak_parser.set_defaults(handler=_cmd_leak)
 
     eval_parser = commands.add_parser("eval", help="regenerate the paper's tables")
-    eval_parser.add_argument("--table4-runs", type=int, default=100)
+    eval_parser.add_argument(
+        "--table4-runs",
+        type=_at_least_one("run count"),
+        default=100,
+        metavar="N",
+        help="seeded runs per concurrent workload in Table 4 (default: 100)",
+    )
     eval_parser.add_argument(
         "--check-static",
         action="store_true",
@@ -890,27 +840,17 @@ def main(argv: List[str] = None) -> int:
         "chaos", help="sweep fault-injection seeds and check robustness invariants"
     )
     chaos_parser.add_argument(
-        "--seeds", type=int, default=50, help="number of fault seeds to sweep"
+        "--seeds",
+        type=_at_least_one("seed count"),
+        default=50,
+        metavar="N",
+        help="number of fault seeds to sweep",
     )
     chaos_parser.add_argument(
         "--workload",
         action="append",
         metavar="NAME",
         help="restrict the sweep to a workload (repeatable; default: all)",
-    )
-    chaos_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="persist finished (workload, seed-chunk) cells and resume an "
-        "interrupted sweep at the first incomplete cell (report "
-        "byte-identical to an uninterrupted run)",
-    )
-    chaos_parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=None,
-        help="where checkpoints live (default: .repro-cache/checkpoints; "
-        "implies --resume)",
     )
     _add_fault_options(chaos_parser, default_rate=0.1)
     _add_parallel_options(chaos_parser)
@@ -931,7 +871,7 @@ def main(argv: List[str] = None) -> int:
         "ephemeral; the bound port is announced on stdout)",
     )
     serve_parser.add_argument(
-        "--workers", type=_jobs, default=2, metavar="N",
+        "--workers", type=_at_least_one("worker count"), default=2, metavar="N",
         help="worker threads draining the admission queue",
     )
     serve_parser.add_argument(
@@ -973,7 +913,7 @@ def main(argv: List[str] = None) -> int:
         help="requests in the storm",
     )
     serve_chaos_parser.add_argument(
-        "--workers", type=_jobs, default=2, metavar="N",
+        "--workers", type=_at_least_one("worker count"), default=2, metavar="N",
         help="service worker threads (in-process mode)",
     )
     serve_chaos_parser.add_argument(
@@ -1001,11 +941,10 @@ def main(argv: List[str] = None) -> int:
         help="transient-fault probability per eligible syscall (0 disables)",
     )
     serve_chaos_parser.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
+        "--jobs", type=_at_least_one("job count"), default=1, metavar="N",
         help="worker processes for the post-storm baseline verification "
         "(1 = serial; the outcome is identical for any value)",
     )
-    _add_executor_options(serve_chaos_parser)
     _add_cache_options(serve_chaos_parser)
     _add_store_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)

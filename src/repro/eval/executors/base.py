@@ -2,53 +2,45 @@
 
 :mod:`repro.eval.parallel` decomposes every experiment into
 deterministic cells; this package decides where those cells execute.
-The contract is deliberately tiny — three methods — so backends can
-range from a plain in-process loop to a multi-machine fan-out without
-the planners or the results store caring:
+The contract is deliberately tiny — three methods — so a backend can
+be anything from a plain in-process loop to a fan-out across machines
+without the planners or the results store caring:
 
 * :meth:`CellExecutor.submit` opens a **round**: the executor takes
   ownership of a cell list.  A new round may start once the previous
-  one is drained, so one executor (and its warm workers) serves every
-  ``run_cells`` call of an invocation.
+  one is drained.
 * :meth:`CellExecutor.stream` yields ``(index, result)`` pairs in
   **completion order**, where *index* is the cell's position in the
   submitted list.  Streaming is the interrupt-safety contract: the
   caller persists each completed cell the moment it arrives, so a
-  Ctrl-C or a dead worker node never discards finished work.  Callers
-  reassemble in plan order, so completion order never leaks into
-  reports.
+  Ctrl-C never discards finished work.  Callers reassemble in plan
+  order, so completion order never leaks into reports.
 * :meth:`CellExecutor.close` releases workers.  It is idempotent and
   safe mid-round (the round is abandoned).
 
 Backends: :class:`~repro.eval.executors.local.SerialExecutor` (in
-process), :class:`~repro.eval.executors.local.LocalPoolExecutor`
-(process pool, the old ``fan_out`` behavior) and
-:class:`~repro.eval.executors.multihost.MultiHostExecutor` (worker
-nodes over subprocess/SSH with work stealing and dead-node
-re-dispatch).  All three produce byte-identical reports: cells are
-pure functions of their spec.
+process) and :class:`~repro.eval.executors.local.LocalPoolExecutor`
+(a process pool on this machine); ``--jobs`` picks between them in
+:func:`repro.eval.parallel.run_cells`.  Both produce byte-identical
+reports: cells are pure functions of their spec.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro.errors import ReproError
 
 # A cell is (kind, payload-of-primitives); see repro.eval.parallel.
 Cell = Tuple[str, tuple]
 
-EXECUTOR_NAMES = ("serial", "local", "multihost")
-
 
 class ExecutorError(ReproError):
-    """An executor could not run its cells (bad spec, all nodes lost)."""
+    """An executor could not run its cells (bad spec, round misuse)."""
 
 
 class CellExecutor:
     """Abstract cell-execution backend; see the module docstring."""
-
-    name = "abstract"
 
     def submit(self, cells: Sequence[Cell]) -> None:
         """Open a round over *cells* (the previous round must be drained)."""
@@ -62,101 +54,8 @@ class CellExecutor:
     def close(self) -> None:
         """Release workers; idempotent, safe mid-round."""
 
-    def run(self, cells: Sequence[Cell]) -> List[object]:
-        """Submit one round and drain it; results in plan order."""
-        self.submit(cells)
-        results: List[object] = [None] * len(cells)
-        for index, result in self.stream():
-            results[index] = result
-        return results
-
     def __enter__(self) -> "CellExecutor":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def parse_nodes(spec: str) -> List[str]:
-    """``host,host*N,...`` -> one entry per worker node.
-
-    ``localhost`` (or ``local``) names a subprocess node on this
-    machine; anything else is reached over SSH.  ``HOST*N`` repeats a
-    host N times (N worker processes on that machine).
-    """
-    nodes: List[str] = []
-    for chunk in spec.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        host, star, count_text = chunk.partition("*")
-        count = 1
-        if star:
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise ExecutorError(
-                    f"bad node multiplier {chunk!r} (want HOST*N)"
-                ) from None
-            if count < 1:
-                raise ExecutorError(f"node multiplier must be >= 1: {chunk!r}")
-        if not host:
-            raise ExecutorError(f"empty host in --nodes entry {chunk!r}")
-        nodes.extend([host] * count)
-    if not nodes:
-        raise ExecutorError(f"--nodes {spec!r} names no worker nodes")
-    return nodes
-
-
-def make_executor(
-    spec: Optional[str],
-    jobs: int = 1,
-    nodes: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-) -> Optional[CellExecutor]:
-    """Build the executor a CLI invocation asked for.
-
-    Returns None when neither ``--executor`` nor ``--nodes`` was given:
-    the caller keeps the historical auto behavior (serial for one job,
-    local pool otherwise), chosen per fan-out.
-    """
-    if spec is None and nodes is None:
-        return None
-    if spec is None:
-        spec = "multihost"  # --nodes alone implies the multihost backend
-    if nodes is not None and spec != "multihost":
-        # Silently ignoring --nodes would run a "distributed" sweep on
-        # one machine without a word of warning.
-        raise ExecutorError(
-            f"--nodes only applies to the multihost executor, "
-            f"not --executor {spec}"
-        )
-    if spec == "serial":
-        return _serial()
-    if spec == "local":
-        from repro.eval.executors.local import LocalPoolExecutor
-
-        return LocalPoolExecutor(
-            jobs=jobs, cache_dir=cache_dir, cache_enabled=cache_enabled
-        )
-    if spec == "multihost":
-        if nodes is None:
-            raise ExecutorError(
-                "--executor multihost needs --nodes HOST,HOST,... "
-                "(use --nodes localhost,localhost for local worker nodes)"
-            )
-        from repro.eval.executors.multihost import MultiHostExecutor
-
-        return MultiHostExecutor(
-            parse_nodes(nodes), cache_dir=cache_dir, cache_enabled=cache_enabled
-        )
-    raise ExecutorError(
-        f"unknown executor {spec!r} (choices: {', '.join(EXECUTOR_NAMES)})"
-    )
-
-
-def _serial() -> CellExecutor:
-    from repro.eval.executors.local import SerialExecutor
-
-    return SerialExecutor()

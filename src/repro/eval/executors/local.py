@@ -1,16 +1,15 @@
 """Single-host executors: in-process serial and the process pool.
 
 :class:`SerialExecutor` runs each cell in the calling process and
-yields it immediately — the natural backend for ``--jobs 1`` and the
-reference implementation of the streaming contract (an interrupt loses
-at most the cell currently executing).
+yields it immediately — the backend for ``--jobs 1`` and the reference
+implementation of the streaming contract (an interrupt loses at most
+the cell currently executing).
 
-:class:`LocalPoolExecutor` is the historical ``fan_out`` behavior
-behind the executor interface: a :class:`ProcessPoolExecutor` whose
+:class:`LocalPoolExecutor` is a :class:`ProcessPoolExecutor` whose
 workers configure their process-global artifact cache and interpreter
-backend once at spawn, then pull cells one at a time.  Unlike the old
-``pool.map`` path it streams futures as they complete, so the caller
-can persist finished cells while slower ones are still running.
+backend once at spawn, then pull cells one at a time.  It streams
+futures as they complete, so the caller can persist finished cells
+while slower ones are still running.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ from repro.eval.executors.base import Cell, CellExecutor, ExecutorError
 
 class SerialExecutor(CellExecutor):
     """Run cells in the calling process, one at a time, in plan order."""
-
-    name = "serial"
 
     def __init__(self) -> None:
         self._cells: Optional[List[Cell]] = None
@@ -47,21 +44,16 @@ class LocalPoolExecutor(CellExecutor):
 
     The pool is created lazily at the first submit (so its workers
     inherit the cache/backend configuration current at run time, not at
-    construction) and persists across rounds — warm workers serve every
-    ``run_cells`` call of an invocation.
+    construction) and persists across rounds until :meth:`close`.
     """
-
-    name = "local"
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
+        jobs: int,
         cache_dir: Optional[str] = None,
         cache_enabled: Optional[bool] = None,
     ) -> None:
-        from repro.eval.parallel import default_jobs
-
-        self.jobs = default_jobs() if jobs is None else jobs
+        self.jobs = jobs
         if self.jobs < 1:
             raise ExecutorError(f"jobs must be >= 1, got {self.jobs}")
         self._cache_dir = cache_dir

@@ -19,15 +19,16 @@ artifacts served by :mod:`repro.cache` (each worker holds its own
 cache instance, warmed from the same on-disk layer when one is
 configured).
 
-*Where* cells run is pluggable (:mod:`repro.eval.executors`): in
-process, over a process pool on this machine, or across worker nodes
-on other machines.  Executors stream ``(index, result)`` pairs back in
-completion order; this module persists each completed cell the moment
-it arrives and reassembles **in plan order**, so per-table rows come
-back in exactly the order the serial path produces them and the
-rendered report is byte-identical for any job count, node count or
-interleaving — and an interrupt or a dead node never discards
-finished work.
+*Where* cells run is an executor (:mod:`repro.eval.executors`):
+:func:`run_cells` — the one submit/stream loop — runs them in process
+for one job and over a process pool otherwise.  Executors stream
+``(index, result)`` pairs back in completion order; :func:`run_cells`
+persists each completed cell in the results store the moment it
+arrives and reassembles **in plan order**, so per-table rows come back
+in exactly the order the serial path produces them, the rendered
+report is byte-identical for any job count or interleaving, and an
+interrupt never discards finished work — re-running the same command
+reuses every persisted cell.
 """
 
 from __future__ import annotations
@@ -110,29 +111,11 @@ def _cell_mutation(strategy: str, names: Tuple[str, ...]):
 
 
 def _cell_chaos(
-    name: str,
-    seeds: Tuple[int, ...],
-    rate: float,
-    watchdog_deadline: float,
-    checkpoint_dir: Optional[str] = None,
+    name: str, seeds: Tuple[int, ...], rate: float, watchdog_deadline: float
 ):
     from repro.eval.robustness import chaos_workload
 
-    if checkpoint_dir is None:
-        return chaos_workload(name, seeds, rate, watchdog_deadline)
-    # Resume mode: a completed cell is served from its checkpoint, an
-    # incomplete one runs and persists.  The key hashes the workload's
-    # source, so editing a workload orphans its stale cells.
-    from repro.checkpoint import CheckpointStore, chaos_cell_key
-    from repro.workloads import get_workload
-
-    store = CheckpointStore(checkpoint_dir)
-    key = chaos_cell_key(
-        name, seeds, rate, watchdog_deadline, get_workload(name).source
-    )
-    return store.load_or_run(
-        key, lambda: chaos_workload(name, seeds, rate, watchdog_deadline)
-    )
+    return chaos_workload(name, seeds, rate, watchdog_deadline)
 
 
 def _cell_table5(name: str):
@@ -193,14 +176,14 @@ def _cache_settings(
     return cache_dir, cache_enabled
 
 
-def _default_executor(
+def _executor_for(
     cells: Sequence[Cell],
     jobs: int,
     cache_dir: Optional[str],
     cache_enabled: Optional[bool],
 ):
-    """The historical auto choice: in-process for one job or one cell,
-    a local process pool otherwise."""
+    """The one executor choice: in process for one job or one cell, a
+    local process pool otherwise."""
     from repro.eval.executors import LocalPoolExecutor, SerialExecutor
 
     if jobs <= 1 or len(cells) <= 1:
@@ -212,43 +195,6 @@ def _default_executor(
     )
 
 
-def fan_out(
-    cells: Sequence[Cell],
-    jobs: int,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    executor=None,
-) -> List[object]:
-    """Run *cells*, results in cell order regardless of completion order.
-
-    With *executor* (a :class:`repro.eval.executors.CellExecutor`) the
-    cells run wherever it says — serial, local pool, or multihost
-    worker nodes; without one the historical jobs-based choice applies.
-    A provided executor is left open for further rounds (the caller
-    owns its lifecycle) except on interrupt, where it is closed so
-    queued cells are abandoned rather than awaited.
-    """
-    owned = executor is None
-    if owned:
-        executor = _default_executor(cells, jobs, cache_dir, cache_enabled)
-    results: List[object] = [None] * len(cells)
-    try:
-        executor.submit(cells)
-        for index, result in executor.stream():
-            results[index] = result
-    except KeyboardInterrupt:
-        # Ctrl-C: abandon queued cells instead of waiting for them.
-        # Cells that already finished were flushed by their workers
-        # (the chaos checkpoint store persists per cell), so a --resume
-        # rerun restarts at the first incomplete cell.
-        executor.close()
-        raise
-    finally:
-        if owned:
-            executor.close()
-    return results
-
-
 def run_cells(
     cells: Sequence[Cell],
     jobs: int,
@@ -256,73 +202,69 @@ def run_cells(
     cache_enabled: Optional[bool] = None,
     store=None,
     label: str = "eval",
-    executor=None,
 ) -> Tuple[List[object], Dict[str, int]]:
-    """Run *cells* incrementally against a results store.
+    """Run *cells*; results in cell order regardless of completion order.
 
-    Cells whose content-address key is already present in *store* are
-    served from it; only absent (or superseded-fingerprint) cells
-    execute, and every freshly executed cell **persists the moment its
-    result streams back** — an interrupt or node loss mid-run keeps
-    every finished cell, and the re-run reuses them.  Returns the
-    in-order results plus {planned, executed, reused} counts, and
-    prints the counts to stderr — CI greps that line to prove a warm
-    re-run executed zero cells.  With no store this is plain
-    :func:`fan_out`.
+    With a results *store*, cells whose content-address key is already
+    present are served from it; only absent (or superseded-fingerprint)
+    cells execute, and every freshly executed cell **persists the
+    moment its result streams back** — an interrupt mid-run keeps every
+    finished cell, and re-running the same command reuses them.  The
+    {planned, executed, reused} counts are returned and, with a store,
+    printed to stderr — CI greps that line to prove a warm re-run
+    executed zero cells.  With no (or a disabled) store every cell is a
+    miss and nothing is written.
     """
-    if store is None or not store.enabled:
-        return (
-            fan_out(cells, jobs, cache_dir, cache_enabled, executor),
-            {"planned": len(cells), "executed": len(cells), "reused": 0},
-        )
-    from repro.results import spec_for_cell
+    if store is not None and not store.enabled:
+        store = None
+    results: List[object] = [None] * len(cells)
+    if store is not None:
+        from repro.results import spec_for_cell
 
-    specs = [spec_for_cell(cell) for cell in cells]
-    found = store.get_cells([spec.key for spec in specs])
-    results: List[object] = [found.get(spec.key) for spec in specs]
+        specs = [spec_for_cell(cell) for cell in cells]
+        found = store.get_cells([spec.key for spec in specs])
+        results = [found.get(spec.key) for spec in specs]
     miss_indices = [i for i, result in enumerate(results) if result is None]
     reused = len(cells) - len(miss_indices)
     executed = 0
     if miss_indices:
         miss_cells = [cells[i] for i in miss_indices]
-        owned = executor is None
-        if owned:
-            executor = _default_executor(
-                miss_cells, jobs, cache_dir, cache_enabled
-            )
+        executor = _executor_for(miss_cells, jobs, cache_dir, cache_enabled)
         try:
             executor.submit(miss_cells)
             for position, result in executor.stream():
                 index = miss_indices[position]
                 results[index] = result
-                store.put_cell(specs[index], result)
+                if store is not None:
+                    store.put_cell(specs[index], result)
                 executed += 1
         except KeyboardInterrupt:
             # Every cell that finished is already in the store; account
             # for the partial run before re-raising so the user knows
             # what a re-run will reuse.
-            print(
-                f"{label}: results store: interrupted — {executed} executed, "
-                f"{reused} reused of {len(cells)} cells persisted "
-                f"({store.path})",
-                file=sys.stderr,
-            )
-            executor.close()
+            if store is not None:
+                print(
+                    f"{label}: results store: interrupted — {executed} "
+                    f"executed, {reused} reused of {len(cells)} cells "
+                    f"persisted ({store.path})",
+                    file=sys.stderr,
+                )
             raise
         finally:
-            if owned:
-                executor.close()
+            # Abandons queued cells on an interrupt instead of awaiting them.
+            executor.close()
     stats = {
         "planned": len(cells),
         "executed": len(miss_indices),
         "reused": reused,
     }
-    print(
-        f"{label}: results store: {stats['executed']} executed, "
-        f"{stats['reused']} reused of {stats['planned']} cells "
-        f"({store.path})",
-        file=sys.stderr,
-    )
+    if store is not None:
+        print(
+            f"{label}: results store: {stats['executed']} executed, "
+            f"{stats['reused']} reused of {stats['planned']} cells "
+            f"({store.path})",
+            file=sys.stderr,
+        )
     return results, stats
 
 
@@ -375,7 +317,6 @@ def plan_chaos_cells(
     rate: float,
     watchdog_deadline: float,
     seed_chunk: int = CHAOS_CHUNK,
-    checkpoint_dir: Optional[str] = None,
 ) -> List[Cell]:
     """Decompose a chaos sweep into (workload, seed-chunk) cells.
 
@@ -385,16 +326,7 @@ def plan_chaos_cells(
     for name in names:
         for start, stop in _chunks(seeds, seed_chunk):
             cells.append(
-                (
-                    "chaos",
-                    (
-                        name,
-                        tuple(range(start, stop)),
-                        rate,
-                        watchdog_deadline,
-                        checkpoint_dir,
-                    ),
-                )
+                ("chaos", (name, tuple(range(start, stop)), rate, watchdog_deadline))
             )
     return cells
 
@@ -447,33 +379,6 @@ def assemble_report(
     return "\n\n\n".join(sections)
 
 
-def run_all_parallel(
-    table4_runs: int = 100,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    table4_chunk: int = TABLE4_CHUNK,
-    store=None,
-    executor=None,
-) -> str:
-    """The full evaluation, fanned out; report identical to ``run_all``.
-
-    With *store* (a :class:`repro.results.ResultsStore`) the run is
-    incremental: cells already stored are reused, fresh cells persist.
-    (:func:`repro.eval.runner.run_all` additionally records the run so
-    ``repro report`` can re-render it with zero execution.)  With
-    *executor* the cells run on that backend instead of the jobs-based
-    default.
-    """
-    jobs = default_jobs() if jobs is None else jobs
-    cells = plan_eval_cells(table4_runs, table4_chunk)
-    results, _stats = run_cells(
-        cells, jobs, cache_dir, cache_enabled, store=store, label="eval",
-        executor=executor,
-    )
-    return assemble_report(cells, results, table4_runs)
-
-
 def run_chaos_parallel(
     names: Optional[List[str]] = None,
     seeds: int = 50,
@@ -483,32 +388,26 @@ def run_chaos_parallel(
     cache_dir: Optional[str] = None,
     cache_enabled: Optional[bool] = None,
     seed_chunk: int = CHAOS_CHUNK,
-    checkpoint_dir: Optional[str] = None,
     store=None,
-    executor=None,
 ):
     """The chaos sweep, fanned out; rows identical to a serial sweep.
 
-    With *checkpoint_dir* each finished (workload, seed-chunk) cell is
-    persisted there, and already-persisted cells are loaded instead of
-    re-run — an interrupted sweep resumes at the first incomplete cell.
-    Loaded or re-run, cells merge in the same planned order, so the
-    resumed report is byte-identical to an uninterrupted one.  With
-    *store* cells additionally persist into the columnar results store
-    (keys exclude the checkpoint dir), making re-runs incremental and
-    the sweep reportable via ``repro report --chaos``.
+    With *store* (a :class:`repro.results.ResultsStore`) each finished
+    (workload, seed-chunk) cell persists as it streams back and cells
+    already stored are reused instead of re-run — an interrupted sweep
+    re-run with the same arguments executes only the missing cells.
+    Reused or re-run, cells merge in the same planned order, so the
+    report is byte-identical to an uninterrupted sweep, and the sweep
+    is reportable via ``repro report --chaos``.
     """
     from repro.eval.robustness import ChaosRow
     from repro.workloads import ALL_WORKLOADS
 
     jobs = default_jobs() if jobs is None else jobs
     names = names or [workload.name for workload in ALL_WORKLOADS]
-    cells = plan_chaos_cells(
-        names, seeds, rate, watchdog_deadline, seed_chunk, checkpoint_dir
-    )
+    cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
     results, stats = run_cells(
-        cells, jobs, cache_dir, cache_enabled, store=store, label="chaos",
-        executor=executor,
+        cells, jobs, cache_dir, cache_enabled, store=store, label="chaos"
     )
     if store is not None and store.enabled:
         store.record_run(

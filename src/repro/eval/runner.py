@@ -43,15 +43,12 @@ def run_all(
     check_static: bool = False,
     table5_path: Optional[str] = None,
     store_path: Optional[str] = None,
-    executor=None,
 ) -> EvalResult:
     """Run every experiment; return the combined plain-text report.
 
     With ``jobs > 1`` the experiments fan out over a process pool
-    (``repro.eval.parallel``) — or over whatever backend *executor*
-    (a :class:`repro.eval.executors.CellExecutor`) names, including
-    multihost worker nodes; the report is byte-identical to the serial
-    path for any job count or node count.
+    (``repro.eval.parallel``); the report is byte-identical to the
+    serial path for any job count.
 
     With ``store_path`` the run is **incremental** against the columnar
     results store (``repro.results``): every completed cell persists
@@ -76,7 +73,7 @@ def run_all(
         store = ResultsStore(store_path)
 
     stats = {"planned": 0, "executed": 0, "reused": 0}
-    if jobs > 1 or store is not None or executor is not None:
+    if jobs > 1 or store is not None:
         from repro.eval.parallel import (
             TABLE4_CHUNK,
             assemble_report,
@@ -86,8 +83,7 @@ def run_all(
 
         cells = plan_eval_cells(table4_runs, TABLE4_CHUNK)
         results, stats = run_cells(
-            cells, jobs, cache_dir, use_cache, store=store, label="eval",
-            executor=executor,
+            cells, jobs, cache_dir, use_cache, store=store, label="eval"
         )
         result = EvalResult(assemble_report(cells, results, table4_runs))
     else:

@@ -136,7 +136,7 @@ def baseline_for(
     """The batch verdict (serialized) for one well-formed request:
     exactly what `repro leak` / `repro eval` would compute.  A pure
     function of its primitive arguments, so it doubles as the
-    ``serve_baseline`` executor cell."""
+    ``serve_baseline`` eval cell."""
     from repro.workloads import get_workload
 
     workload = get_workload(name)
@@ -176,18 +176,17 @@ def _prefill_baselines(
     baseline_cache: Dict[str, str],
     faultfree_cache: Dict[str, str],
     jobs: int,
-    executor,
 ) -> None:
-    """Fan the storm's baseline verification out as executor cells.
+    """Fan the storm's baseline verification out as eval cells.
 
     Verifying invariants 2 and 3 needs one batch ``run_dual`` per
     distinct well-formed request shape plus one fault-free run per
     (workload, seed) — independent pure computations, so they
     decompose into ``serve_baseline`` / ``serve_faultfree`` cells and
-    run wherever ``--executor``/``--jobs`` says.  The request plan is
+    run over ``--jobs`` worker processes.  The request plan is
     deterministic, so the cell list is too.
     """
-    from repro.eval.parallel import fan_out
+    from repro.eval.parallel import run_cells
 
     targets: List[Tuple[Dict[str, str], str]] = []  # (cache, key) per cell
     cells: List[Tuple[str, tuple]] = []
@@ -210,7 +209,8 @@ def _prefill_baselines(
             cells.append(
                 ("serve_faultfree", (payload["workload"], payload["seed"]))
             )
-    for (cache, key), result in zip(targets, fan_out(cells, jobs, executor=executor)):
+    results, _stats = run_cells(cells, jobs)
+    for (cache, key), result in zip(targets, results):
         cache[key] = result
 
 
@@ -251,13 +251,11 @@ def run_storm(
     poison_every: int = 11,
     url: Optional[str] = None,
     jobs: int = 1,
-    executor=None,
 ) -> StormOutcome:
     """Throw one storm; see the module docstring for the invariants.
 
-    ``jobs``/``executor`` parallelize the post-storm baseline
-    verification (one batch ``run_dual`` per distinct request shape)
-    over the eval cell executor — including multihost worker nodes.
+    ``jobs`` parallelizes the post-storm baseline verification (one
+    batch ``run_dual`` per distinct request shape) over a process pool.
     """
     plan = plan_storm(
         requests, fault_rate, fault_seed, tiny_deadline_every, poison_every
@@ -320,8 +318,8 @@ def run_storm(
     # Baselines, computed once per distinct well-formed request shape.
     baseline_cache: Dict[str, str] = {}
     faultfree_cache: Dict[str, str] = {}
-    if executor is not None or jobs > 1:
-        _prefill_baselines(plan, baseline_cache, faultfree_cache, jobs, executor)
+    if jobs > 1:
+        _prefill_baselines(plan, baseline_cache, faultfree_cache, jobs)
 
     for index, record in enumerate(results):
         if record is None:

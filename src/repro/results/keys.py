@@ -5,8 +5,7 @@ Every experiment cell produced by :mod:`repro.eval.parallel` maps to a
 :func:`repro.cache.result_cell_key` over:
 
 * the MiniC **source** of the workload(s) the cell executes — editing
-  a program orphans its cells, exactly like the artifact cache and the
-  checkpoint store;
+  a program orphans its cells, exactly like the artifact cache;
 * the cell's **coordinates** (workload, variant, schedule-seed chunk,
   fault-seed chunk) — each slice of a sweep is its own cell;
 * the cell's **config fingerprint** — the non-coordinate parameters
@@ -101,9 +100,7 @@ def spec_for_cell(cell: Tuple[str, tuple]) -> CellSpec:
                      {"workload": name, "seed": seed}, {},
                      schedule_seed=seed)
     if kind == "chaos":
-        # payload carries checkpoint_dir last; a storage *location*
-        # never participates in result identity.
-        name, seeds, rate, watchdog_deadline = payload[:4]
+        name, seeds, rate, watchdog_deadline = payload
         return _spec(kind, _sources_for([name]), name, "chaos",
                      {"workload": name, "seeds": tuple(seeds)},
                      {"rate": rate, "watchdog_deadline": watchdog_deadline},

@@ -1,13 +1,13 @@
 """Integration tests: world checkpointing and chaos-sweep resume.
 
-The two acceptance invariants of the checkpoint layer:
+The two acceptance invariants:
 
 1. snapshot → restore → continue is invisible — a dual run on a world
    restored from a snapshot produces a result byte-identical to a run
    on the world the snapshot was taken from, for every workload in the
    registry;
-2. an interrupted ``repro chaos`` sweep resumed with ``--resume``
-   renders a report byte-identical to an uninterrupted sweep.
+2. an interrupted ``repro chaos`` sweep re-run against the same results
+   store renders a report byte-identical to an uninterrupted sweep.
 """
 
 import pytest
@@ -15,7 +15,9 @@ import pytest
 from repro.checkpoint import CheckpointStore
 from repro.core import run_dual
 from repro.core.supervisor import Checkpointer
+from repro.eval import robustness
 from repro.eval.robustness import render_chaos, run_chaos
+from repro.results import ResultsStore
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 WORKLOAD_NAMES = [w.name for w in ALL_WORKLOADS]
@@ -120,7 +122,7 @@ def test_clean_run_takes_no_checkpoints(tmp_path):
     assert "checkpoints" not in result.degradation.summary()
 
 
-# -- chaos --resume ------------------------------------------------------------
+# -- chaos resume through the results store -----------------------------------
 
 CHAOS_NAMES = ["gzip", "mcf"]
 CHAOS_SEEDS = 4  # spans a chunk boundary (CHAOS_CHUNK = 5 → 1 cell each)
@@ -131,60 +133,47 @@ def _render(rows):
     return render_chaos(rows, CHAOS_SEEDS, CHAOS_RATE)
 
 
+def _sweep(names, store):
+    return run_chaos(names, seeds=CHAOS_SEEDS, rate=CHAOS_RATE, store=store)
+
+
 def test_resumed_chaos_report_is_byte_identical(tmp_path):
-    checkpoint_dir = str(tmp_path / "checkpoints")
+    # The --no-store reference: the plain serial sweep.
     reference = _render(run_chaos(CHAOS_NAMES, seeds=CHAOS_SEEDS, rate=CHAOS_RATE))
 
-    # "Interrupted" sweep: only the first workload's cells complete.
-    interrupted = run_chaos(
-        CHAOS_NAMES[:1],
-        seeds=CHAOS_SEEDS,
-        rate=CHAOS_RATE,
-        checkpoint_dir=checkpoint_dir,
-    )
-    assert len(interrupted) == 1
+    store = ResultsStore(str(tmp_path / "results.sqlite"))
+    try:
+        # "Interrupted" sweep: only the first workload's cells complete.
+        assert len(_sweep(CHAOS_NAMES[:1], store)) == 1
 
-    # Resume: the finished cells load from disk, the rest run fresh.
-    resumed = run_chaos(
-        CHAOS_NAMES,
-        seeds=CHAOS_SEEDS,
-        rate=CHAOS_RATE,
-        checkpoint_dir=checkpoint_dir,
-    )
-    assert _render(resumed) == reference
+        # Re-run: the finished cells come from the store, the rest run.
+        assert _render(_sweep(CHAOS_NAMES, store)) == reference
+        assert store.latest_run("chaos")["reused"] == 1
 
-    # A second resume serves everything from checkpoints — still
-    # byte-identical (no double-merge of cached rows).
-    again = run_chaos(
-        CHAOS_NAMES,
-        seeds=CHAOS_SEEDS,
-        rate=CHAOS_RATE,
-        checkpoint_dir=checkpoint_dir,
-    )
-    assert _render(again) == reference
+        # A second re-run serves everything from the store — still
+        # byte-identical (no double-merge of stored rows).
+        assert _render(_sweep(CHAOS_NAMES, store)) == reference
+        assert store.latest_run("chaos")["executed"] == 0
+    finally:
+        store.close()
 
 
-def test_resume_skips_completed_cells(tmp_path):
-    """Completed cells are loaded, not re-run: a poisoned builder
-    proves the second sweep never re-executes them."""
-    from repro.checkpoint import chaos_cell_key
+def test_resume_skips_completed_cells(tmp_path, monkeypatch):
+    """Completed cells are loaded, not re-run: a poisoned
+    ``chaos_workload`` proves the re-run never re-executes them."""
+    store = ResultsStore(str(tmp_path / "results.sqlite"))
+    try:
+        _sweep(["gzip"], store)
+        real_chaos_workload = robustness.chaos_workload
 
-    checkpoint_dir = str(tmp_path / "checkpoints")
-    run_chaos(
-        ["gzip"], seeds=CHAOS_SEEDS, rate=CHAOS_RATE, checkpoint_dir=checkpoint_dir
-    )
-    store = CheckpointStore(checkpoint_dir)
-    key = chaos_cell_key(
-        "gzip",
-        tuple(range(CHAOS_SEEDS)),
-        CHAOS_RATE,
-        25_000.0,
-        get_workload("gzip").source,
-    )
-    assert store.load(key) is not None
+        def poisoned(name, *args, **kwargs):
+            if name == "gzip":
+                raise AssertionError("completed cell was re-run")
+            return real_chaos_workload(name, *args, **kwargs)
 
-    def poisoned():
-        raise AssertionError("completed cell was re-run")
-
-    row = store.load_or_run(key, poisoned)
-    assert row.name == "gzip"
+        monkeypatch.setattr(robustness, "chaos_workload", poisoned)
+        rows = _sweep(CHAOS_NAMES, store)
+    finally:
+        store.close()
+    assert [row.name for row in rows] == CHAOS_NAMES
+    assert rows[0].runs > 0

@@ -10,8 +10,8 @@ import pytest
 
 from repro.eval.parallel import (
     assemble_report,
-    fan_out,
     plan_eval_cells,
+    run_cells,
     run_chaos_parallel,
 )
 from repro.eval.robustness import render_chaos, run_chaos
@@ -46,7 +46,7 @@ def test_cell_plan_covers_every_section():
 def test_serial_fan_out_matches_pool(serial_report):
     """jobs=1 exercises the same cell decomposition without a pool."""
     cells = plan_eval_cells(TABLE4_RUNS)
-    results = fan_out(cells, jobs=1)
+    results, _stats = run_cells(cells, jobs=1)
     assert assemble_report(cells, results, TABLE4_RUNS) == serial_report
 
 
@@ -65,3 +65,42 @@ def test_chaos_jobs_flag_routes_through_parallel():
     # gzip has no no-leak variant: 2 variants x 3 seeds = 6 runs.
     rows = run_chaos(names=["gzip"], seeds=3, jobs=2)
     assert rows[0].runs == 2 * 3
+
+
+# -- the local pool against the serial chaos sweep -----------------------------
+
+POOL_NAMES = ["gzip", "bzip2"]
+POOL_SEEDS = 4
+
+
+@pytest.fixture(scope="module")
+def serial_chaos_text():
+    return render_chaos(run_chaos(names=POOL_NAMES, seeds=POOL_SEEDS), POOL_SEEDS, 0.1)
+
+
+def test_local_pool_executor_matches_serial(serial_chaos_text):
+    rows = run_chaos(names=POOL_NAMES, seeds=POOL_SEEDS, jobs=2)
+    assert render_chaos(rows, POOL_SEEDS, 0.1) == serial_chaos_text
+
+
+def test_local_pool_store_streaming_matches_serial(tmp_path, serial_chaos_text):
+    """With a results store each cell persists as it streams back from
+    the pool; a warm re-run executes nothing and renders identically."""
+    from repro.results import ResultsStore
+
+    store = ResultsStore(str(tmp_path / "cells.sqlite"))
+    try:
+        rows = run_chaos_parallel(
+            names=POOL_NAMES, seeds=POOL_SEEDS, jobs=2, seed_chunk=1,
+            store=store,
+        )
+        assert render_chaos(rows, POOL_SEEDS, 0.1) == serial_chaos_text
+        assert store.latest_run("chaos")["executed"] == 2 * POOL_SEEDS
+        warm = run_chaos_parallel(
+            names=POOL_NAMES, seeds=POOL_SEEDS, jobs=1, seed_chunk=1,
+            store=store,
+        )
+        assert render_chaos(warm, POOL_SEEDS, 0.1) == serial_chaos_text
+        assert store.latest_run("chaos")["executed"] == 0
+    finally:
+        store.close()

@@ -6,7 +6,6 @@ import pickle
 from repro.checkpoint import (
     CHECKPOINT_SCHEMA_TAG,
     CheckpointStore,
-    chaos_cell_key,
     world_key,
 )
 from repro.core.supervisor import Checkpointer
@@ -14,17 +13,6 @@ from repro.vos.world import World
 
 
 # -- keys ----------------------------------------------------------------------
-
-
-def test_chaos_cell_keys_distinguish_every_dimension():
-    base = chaos_cell_key("gzip", (0, 1), 0.1, 25_000.0, "src")
-    assert chaos_cell_key("gzip", (0, 1), 0.1, 25_000.0, "src") == base
-    assert chaos_cell_key("bzip2", (0, 1), 0.1, 25_000.0, "src") != base
-    assert chaos_cell_key("gzip", (2, 3), 0.1, 25_000.0, "src") != base
-    assert chaos_cell_key("gzip", (0, 1), 0.2, 25_000.0, "src") != base
-    assert chaos_cell_key("gzip", (0, 1), 0.1, 30_000.0, "src") != base
-    # Editing the workload's source orphans its cells.
-    assert chaos_cell_key("gzip", (0, 1), 0.1, 25_000.0, "edited") != base
 
 
 def test_world_keys_distinguish_rungs():
@@ -47,7 +35,7 @@ def test_store_roundtrip_and_missing(tmp_path):
 
 
 def test_store_loads_are_fresh_objects(tmp_path):
-    """No memory layer: resumed chaos rows are merged destructively, so
+    """No memory layer: a loaded snapshot is restored and run on, so
     two loads of the same key must never alias one object."""
     store = CheckpointStore(str(tmp_path))
     store.save("key" * 4, {"rows": [1]})
@@ -57,19 +45,6 @@ def test_store_loads_are_fresh_objects(tmp_path):
     assert first is not second
     first["rows"].append(2)
     assert store.load("key" * 4) == {"rows": [1]}
-
-
-def test_store_load_or_run_skips_builder_when_cached(tmp_path):
-    store = CheckpointStore(str(tmp_path))
-    calls = []
-
-    def build():
-        calls.append(1)
-        return {"built": len(calls)}
-
-    assert store.load_or_run("cell" * 4, build) == {"built": 1}
-    assert store.load_or_run("cell" * 4, build) == {"built": 1}
-    assert len(calls) == 1
 
 
 def test_store_corrupt_entry_degrades_to_rerun(tmp_path):

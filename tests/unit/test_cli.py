@@ -143,6 +143,26 @@ def test_eval_rejects_bad_job_counts():
         main(["eval", "--jobs", "zero"])
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["chaos", "--workload", "gzip", "--no-store", "--seeds"],
+     ["eval", "--no-store", "--table4-runs"]],
+    ids=["chaos-seeds", "eval-table4-runs"],
+)
+def test_counts_below_one_are_rejected(argv, value, capsys):
+    # An empty sweep must not reach the runners: the serial and store
+    # paths would render it differently (or crash on an empty Table 4).
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"must be >= 1, got {value}" in errors[0]
+
+
 # -- maintenance and service verbs ---------------------------------------------
 
 
@@ -183,13 +203,16 @@ def test_chaos_interrupt_prints_resume_hint(tmp_path, monkeypatch, capsys):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(robustness, "run_chaos", interrupted)
-    code = main(
-        ["chaos", "--checkpoint-dir", str(tmp_path), "--workload", "gzip"]
-    )
+    store_path = str(tmp_path / "results.sqlite")
+    code = main(["chaos", "--store-path", store_path, "--workload", "gzip"])
     assert code == 130
     err = capsys.readouterr().err
     assert "interrupted" in err
-    assert "--resume" in err
+    assert "rerun the same command to reuse finished cells" in err
+
+    code = main(["chaos", "--no-store", "--workload", "gzip"])
+    assert code == 130
+    assert "nothing was persisted" in capsys.readouterr().err
 
 
 def test_serve_chaos_smoke(capsys):

@@ -190,13 +190,13 @@ def test_cell_keys_are_stable_and_source_sensitive():
     assert spec_for_cell(("table2", ("gzip",))).key != spec1.key
 
 
-def test_chaos_keys_ignore_checkpoint_dir_but_not_config():
-    base = ("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0, None))
-    elsewhere = ("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0, "/tmp/ckpt"))
-    assert spec_for_cell(base).key == spec_for_cell(elsewhere).key
-    other_rate = ("chaos", ("gzip", (0, 1, 2), 0.2, 25_000.0, None))
+def test_chaos_keys_track_config_and_seeds():
+    base = ("chaos", ("gzip", (0, 1, 2), 0.1, 25_000.0))
+    other_deadline = ("chaos", ("gzip", (0, 1, 2), 0.1, 30_000.0))
+    assert spec_for_cell(other_deadline).key != spec_for_cell(base).key
+    other_rate = ("chaos", ("gzip", (0, 1, 2), 0.2, 25_000.0))
     assert spec_for_cell(other_rate).key != spec_for_cell(base).key
-    other_seeds = ("chaos", ("gzip", (3, 4, 5), 0.1, 25_000.0, None))
+    other_seeds = ("chaos", ("gzip", (3, 4, 5), 0.1, 25_000.0))
     assert spec_for_cell(other_seeds).key != spec_for_cell(base).key
     # Config changes move the fingerprint; coordinate changes don't.
     assert spec_for_cell(other_rate).fingerprint != spec_for_cell(base).fingerprint
