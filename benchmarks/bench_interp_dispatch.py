@@ -14,6 +14,9 @@ Records (as ``extra_info`` in the pytest-benchmark JSON):
   interleaved on/off timings are recorded for trend tracking);
 * cold vs warm closure-compile timings through the module memo — a
   warm lookup must be at least 10x cheaper than compiling;
+* cold vs warm region code: every region the 28 workloads' drives
+  land, compiled into a fresh on-disk code namespace and then loaded
+  back from it — a warm load must be at least 5x cheaper;
 * the profiler's off-path cost: with ``profile=False`` the driver
   loop memoized by ``Machine._run_thread`` must *be* the plain
   threaded loop (asserted structurally); the wall-clock delta against
@@ -24,11 +27,13 @@ Figure 6 numbers are about executing instructions, so the clock starts
 at the first ``next_event`` call.
 """
 
+import marshal
 import math
 import time
 
 import pytest
 
+from repro import cache
 from repro.instrument import instrument_module
 from repro.interp.compile import clear_compile_memo, compiled_for_module
 from repro.interp.machine import Machine
@@ -41,6 +46,7 @@ from repro.workloads import ALL_WORKLOADS
 REPS = 15
 SPEEDUP_FLOOR = 3.2
 WARM_COMPILE_RATIO = 10.0
+WARM_CODE_RATIO = 5.0
 
 
 def _drive(machine):
@@ -162,6 +168,74 @@ def test_compile_cache_cold_vs_warm(benchmark):
     assert warm_seconds * WARM_COMPILE_RATIO < cold_seconds, (
         f"warm compile lookups ({warm_seconds * 1000:.2f}ms) not at least "
         f"{WARM_COMPILE_RATIO}x cheaper than cold compiles "
+        f"({cold_seconds * 1000:.2f}ms)"
+    )
+
+
+@pytest.mark.paper
+def test_region_code_cache_cold_vs_warm(benchmark, monkeypatch, tmp_path):
+    """Region code is compiled once, then loaded from the code namespace.
+
+    Records the generated source of every region the 28 workloads'
+    threaded drives land, then acquires each one's code object twice
+    through the compiler's own path: cold (``compile()`` + store into a
+    fresh cache dir) and warm (a fresh process-equivalent, every region
+    a disk hit).  Region emission is identical on both sides and not
+    timed.
+    """
+    from repro.interp import compile as compile_mod
+
+    real_compile = compile
+    sources = []
+
+    def recording(source, filename, mode, *args, **kwargs):
+        sources.append(source)
+        return real_compile(source, filename, mode, *args, **kwargs)
+
+    monkeypatch.setattr(compile_mod, "compile", recording, raising=False)
+    cache.configure()
+    clear_compile_memo()
+    for workload in ALL_WORKLOADS:
+        _drive(_build(workload, "threaded"))
+    monkeypatch.undo()
+    assert sources and len(set(sources)) == len(sources)
+
+    def land_all():
+        for source in sources:
+            marshal.loads(compile_mod._region_code(source))
+
+    try:
+        cache.configure(cache_dir=str(tmp_path))
+        start = time.perf_counter()
+        land_all()
+        cold_seconds = time.perf_counter() - start
+        assert cache.get_compiled_cache().stats.stores == len(sources)
+
+        cache.configure(cache_dir=str(tmp_path))
+        benchmark.pedantic(land_all, rounds=1, iterations=1)
+        warm_seconds = benchmark.stats.stats.total
+        warm = cache.get_compiled_cache().stats
+        assert warm.disk_hits == len(sources)
+        assert warm.misses == 0
+    finally:
+        cache.configure()
+        clear_compile_memo()
+
+    ratio = cold_seconds / warm_seconds
+    benchmark.extra_info["regions"] = len(sources)
+    benchmark.extra_info["source_kb"] = round(sum(map(len, sources)) / 1024, 1)
+    benchmark.extra_info["cold_ms"] = round(cold_seconds * 1000, 3)
+    benchmark.extra_info["warm_ms"] = round(warm_seconds * 1000, 3)
+    benchmark.extra_info["warm_speedup"] = round(ratio, 2)
+    print(
+        f"\nregion code cold {cold_seconds * 1000:.1f}ms  "
+        f"warm {warm_seconds * 1000:.1f}ms  ({ratio:.1f}x) over "
+        f"{len(sources)} regions"
+    )
+
+    assert warm_seconds * WARM_CODE_RATIO < cold_seconds, (
+        f"warm region code loads ({warm_seconds * 1000:.2f}ms) not at "
+        f"least {WARM_CODE_RATIO}x cheaper than cold compiles "
         f"({cold_seconds * 1000:.2f}ms)"
     )
 

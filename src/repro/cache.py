@@ -1,4 +1,5 @@
-"""Content-addressed artifact caches (instrumentation + static analysis).
+"""Content-addressed artifact caches (instrumentation, static analysis,
+region code).
 
 Every dual execution needs an :class:`~repro.instrument.pipeline.
 InstrumentedModule` — the IR module, its :class:`ModulePlan` and the
@@ -26,29 +27,48 @@ miss: the artifact is recompiled and the entry rewritten.
 **Concurrent writers are safe.**  The serve daemon's worker threads
 and the eval harness's pool processes share these caches:
 
-* every disk publish goes through a private temp file, ``fsync`` and
-  an atomic ``os.replace`` — a reader sees either the old entry, the
+* every disk publish goes through a private temp file, ``fsync``
+  (skipped only by the region code namespace, below) and an atomic
+  ``os.replace`` — a reader sees either the old entry, the
   new entry, or nothing, never a torn write;
 * every stored payload embeds a SHA-256 digest of the pickled
   artifact, verified on load — an entry corrupted *after* publish
   (bit rot, a partial copy, an interrupted writer from a foreign
   version) is detected, unlinked and rebuilt instead of deserialized
   into a wrong artifact;
-* the in-process memory LRU takes a lock around every mutation, so
-  concurrent daemon workers can share one cache instance.
+* the in-process memory LRU and the stats counters take a lock
+  around every mutation, so concurrent daemon workers can share one
+  cache instance.
 
-The same two-layer machinery also backs the **static analysis cache**
-(:data:`ANALYSIS_SCHEMA_TAG`): ``repro analyze`` summaries are pure
-functions of source text plus the analysis seed fingerprint, so they
-content-address the same way.  The two caches share a directory but
-never a namespace — each schema tag owns a subdirectory.
+The same two-layer machinery backs two more namespaces:
+
+* the **static analysis cache** (:data:`ANALYSIS_SCHEMA_TAG`):
+  ``repro analyze`` summaries are pure functions of source text plus
+  the analysis seed fingerprint, so they content-address the same way;
+* the **region code cache** (:func:`code_schema_tag`): the threaded
+  backend's generated region source, compiled once and stored as
+  ``marshal`` bytes of the code object, keyed by the source text.
+  Marshal is specific to a Python bytecode version, so the tag embeds
+  :data:`importlib.util.MAGIC_NUMBER` and each version owns its own
+  directory.  Its entries skip the per-entry ``fsync``: they are still
+  published by temp file and ``os.replace`` and digest-checked on
+  load, so a torn entry after a power loss is a miss, and a miss costs
+  one ``compile()``.
+
+All namespaces share a directory but never a subdirectory — each
+schema tag owns one.  Nothing collects orphaned entries (a code entry
+whose region the emitter no longer generates, or one written by
+another Python version); deleting any ``ldx-*`` subdirectory is always
+safe and only costs rebuilds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import os
 import pickle
+import sys
 import tempfile
 import threading
 from collections import OrderedDict
@@ -72,14 +92,25 @@ SCHEMA_TAG = "ldx-artifact-v4"
 # v4: relevance rows/totals carry prunable counter-update counts.
 ANALYSIS_SCHEMA_TAG = "ldx-analysis-v4"
 
-# Bump when the threaded-code compiler's closure layout / fusion rules
-# change.  Compiled modules are arrays of Python closures and cannot be
-# pickled, so this cache is memory-only — the tag still participates in
-# the content address to keep keys disjoint from other artifact kinds.
-# v2: relevance-guided widened regions with path-local register caching.
-# v3: hoisted int-type guards + induction-variable specialization for
-# self-reentering regions; pruned plans fold ElidedAdd ghosts.
-COMPILED_SCHEMA_TAG = "ldx-threaded-v3"
+# The region code namespace needs no bump when the emitter changes:
+# its key is the generated source itself, so new emission is a new key.
+# Bump the version when the payload (marshal bytes of a module code
+# object) changes meaning.
+CODE_SCHEMA_VERSION = "ldx-code-v1"
+
+# Generated region source per entry is ~3 KB marshalled; one chaos
+# sweep over the 28 workloads lands ~510 unique regions.
+CODE_CAPACITY = 1024
+
+
+def code_schema_tag() -> str:
+    """Schema tag of the region code namespace for this interpreter.
+
+    Read at configure time, so an entry written by another bytecode
+    version lives in another directory and, copied into this one,
+    fails the envelope's schema check.
+    """
+    return f"{CODE_SCHEMA_VERSION}-{importlib.util.MAGIC_NUMBER.hex()}"
 
 # Bump when the pickled result-row layout of any eval/chaos cell class
 # changes.  Shared by the columnar results store (repro.results): a tag
@@ -159,8 +190,8 @@ class ArtifactCache:
     """A two-layer (memory LRU + optional disk) artifact cache.
 
     The payload is opaque: :meth:`lookup` takes the content-address key
-    and a builder thunk, so one class serves both the instrumentation
-    cache and the analysis cache.  ``payload_type``, when given, guards
+    and a builder thunk, so one class serves the instrumentation, analysis
+    and region code namespaces.  ``payload_type``, when given, guards
     disk loads against entries written by a different cache that shares
     the directory.
     """
@@ -173,6 +204,7 @@ class ArtifactCache:
         schema_tag: str = SCHEMA_TAG,
         payload_type: Optional[type] = InstrumentedModule,
         use_memory: bool = True,
+        fsync: bool = True,
     ) -> None:
         self.capacity = max(1, capacity)
         self.cache_dir = cache_dir
@@ -183,6 +215,9 @@ class ArtifactCache:
         # restored world snapshots) disable the memory layer so every
         # load is a fresh unpickle, never a shared object.
         self.use_memory = use_memory
+        # Namespaces whose entries are cheap to rebuild skip the
+        # per-entry fsync; publish stays atomic and loads digest-checked.
+        self.fsync = fsync
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
         # Guards the memory LRU and the stats counters: one instance is
@@ -324,7 +359,8 @@ class ArtifactCache:
             return artifact
         except Exception:
             # Corrupted or stale entry: drop it and recompile.
-            self.stats.disk_errors += 1
+            with self._lock:
+                self.stats.disk_errors += 1
             try:
                 os.unlink(path)
             except OSError:
@@ -350,8 +386,9 @@ class ArtifactCache:
             try:
                 with os.fdopen(fd, "wb") as handle:
                     handle.write(payload)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                    if self.fsync:
+                        handle.flush()
+                        os.fsync(handle.fileno())
                 os.replace(temp_path, path)
             except BaseException:
                 try:
@@ -359,24 +396,37 @@ class ArtifactCache:
                 except OSError:
                     pass
                 raise
-            self.stats.stores += 1
+            with self._lock:
+                self.stats.stores += 1
         except Exception:
             # The cache is an accelerator, never a correctness
             # dependency: disk trouble only costs future recompiles.
-            self.stats.disk_errors += 1
+            with self._lock:
+                self.stats.disk_errors += 1
 
 
 # -- process-global caches -----------------------------------------------------
 #
 # The workload registry and the pool workers all route through shared
 # instances so hit statistics and the LRUs are coherent within a
-# process.  ``configure`` swaps both (e.g. per the CLI's --cache-dir /
-# --no-cache flags, or inside a freshly spawned worker).
+# process.  ``configure`` swaps all three (e.g. per the CLI's
+# --cache-dir / --no-cache flags, or inside a freshly spawned worker).
+
+
+def _code_cache(cache_dir: Optional[str] = None, enabled: bool = True) -> ArtifactCache:
+    return ArtifactCache(
+        capacity=CODE_CAPACITY,
+        cache_dir=cache_dir,
+        enabled=enabled,
+        schema_tag=code_schema_tag(),
+        payload_type=bytes,
+        fsync=False,
+    )
+
 
 _GLOBAL = ArtifactCache()
 _ANALYSIS = ArtifactCache(schema_tag=ANALYSIS_SCHEMA_TAG, payload_type=None)
-# Closures are unpicklable: no cache_dir, ever.
-_COMPILED = ArtifactCache(schema_tag=COMPILED_SCHEMA_TAG, payload_type=None)
+_CODE = _code_cache()
 
 
 def configure(
@@ -385,7 +435,7 @@ def configure(
     capacity: int = 128,
 ) -> ArtifactCache:
     """Replace the process-global caches; returns the artifact one."""
-    global _GLOBAL, _ANALYSIS, _COMPILED
+    global _GLOBAL, _ANALYSIS, _CODE
     _GLOBAL = ArtifactCache(capacity=capacity, cache_dir=cache_dir, enabled=enabled)
     _ANALYSIS = ArtifactCache(
         capacity=capacity,
@@ -394,14 +444,7 @@ def configure(
         schema_tag=ANALYSIS_SCHEMA_TAG,
         payload_type=None,
     )
-    # Deliberately ignores cache_dir: closures never round-trip pickle.
-    _COMPILED = ArtifactCache(
-        capacity=capacity,
-        cache_dir=None,
-        enabled=enabled,
-        schema_tag=COMPILED_SCHEMA_TAG,
-        payload_type=None,
-    )
+    _CODE = _code_cache(cache_dir, enabled)
     return _GLOBAL
 
 
@@ -414,7 +457,8 @@ def get_analysis_cache() -> ArtifactCache:
 
 
 def get_compiled_cache() -> ArtifactCache:
-    return _COMPILED
+    """The region code namespace (threaded-backend generated code)."""
+    return _CODE
 
 
 def instrumented_for(
@@ -424,32 +468,19 @@ def instrumented_for(
     return _GLOBAL.instrumented(source, config)
 
 
-def compiled_for(
-    source: str,
-    config: Optional[Dict[str, object]] = None,
-    fuse: bool = True,
-):
-    """Content-addressed threaded-code compilation of *source*.
+def code_for(source: str, filename: str, builder) -> bytes:
+    """Marshalled code object of generated *source*, cached.
 
-    Key: source text + instrumentation config + backend schema tag +
-    the fusion switch.  Routes through the instrumentation cache first
-    (the compiled artifact is a pure function of the instrumented
-    module), then through the per-module weak memo inside the compiler,
-    so repeated lookups within one process never recompile.
+    *builder* compiles on a miss and returns ``marshal.dumps`` of the
+    code object.  The optimization level joins the key: ``-O`` changes
+    what ``compile()`` emits for asserts and ``__debug__``.
     """
-    from repro.interp.compile import compiled_for_module  # cycle-free local import
-
-    full_config = dict(config or {})
-    full_config["fuse"] = fuse
-    # The relevance switch selects the plan variant (pruned/full) the
-    # compilation is built from, so it must join the key.
-    full_config["relevance_pruning"] = relevance_enabled()
-    key = artifact_key(source, full_config, schema_tag=COMPILED_SCHEMA_TAG)
-    instrumented = instrumented_for(source, config)
-    return _COMPILED.lookup(
-        key,
-        lambda: compiled_for_module(instrumented.module, instrumented.plan, fuse=fuse),
+    key = artifact_key(
+        source,
+        {"filename": filename, "optimize": sys.flags.optimize},
+        schema_tag=_CODE.schema_tag,
     )
+    return _CODE.lookup(key, builder)
 
 
 def analysis_for(source: str, fingerprint: str, builder):

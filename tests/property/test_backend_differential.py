@@ -7,15 +7,18 @@ counts, counter stacks, dual-execution verdicts.  These properties
 drive both backends over the same random structured programs (reusing
 the generators from the counter and fault-tolerance suites), including
 under instrumentation, injected transient faults, and thread
-interleavings, and assert exact equality.
+interleavings, and with region code loaded back from the artifact
+cache's code namespace, and assert exact equality.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from repro import cache
 from repro.baselines.native import run_native
 from repro.core import FaultConfig, LdxConfig, SinkSpec, SourceSpec, run_dual
 from repro.instrument import instrument_module
 from repro.interp import relevance_enabled, set_relevance_enabled
+from repro.interp.compile import clear_compile_memo
 from repro.ir import compile_source
 from repro.vos.world import World
 
@@ -177,3 +180,34 @@ def test_relevance_toggle_identical_dual(source):
     finally:
         set_relevance_enabled(saved)
     assert _dual_observables(results[0]) == _dual_observables(results[1])
+
+
+@given(random_programs())
+@settings(max_examples=25, deadline=None)
+def test_persisted_region_code_identical(tmp_path_factory, source):
+    # Region code loaded from the on-disk code namespace behaves exactly
+    # like freshly compiled code: a cold run fills a fresh cache dir, a
+    # second "process" (cleared memo and memory layer) loads every
+    # region from disk, and both match the switch interpreter.
+    module = compile_source(source)
+    plan = instrument_module(module).plan
+    switch = run_native(module, World(seed=1), plan=plan, backend="switch")
+    cache_dir = str(tmp_path_factory.mktemp("code"))
+    runs, stats = [], []
+    try:
+        for _ in range(2):
+            cache.configure(cache_dir=cache_dir)
+            clear_compile_memo()
+            runs.append(
+                run_native(module, World(seed=1), plan=plan, backend="threaded")
+            )
+            stats.append(cache.get_compiled_cache().stats)
+    finally:
+        cache.configure()
+        clear_compile_memo()
+    cold, warm = stats
+    assert warm.misses == 0
+    assert warm.disk_hits == cold.stores == cold.misses
+    assert cold.disk_errors == warm.disk_errors == 0
+    for threaded in runs:
+        assert _native_observables(threaded) == _native_observables(switch)

@@ -252,3 +252,53 @@ def test_concurrent_instances_share_the_disk_entry_safely(tmp_path):
     assert isinstance(artifact, InstrumentedModule)
     assert fresh.stats.disk_hits == 1
     assert fresh.stats.disk_errors == 0
+
+
+def test_concurrent_stores_count_every_store(tmp_path):
+    """Stats counters are updated under the lock: serve worker threads
+    storing into one shared instance lose no increment."""
+    import sys
+    import threading
+
+    store = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes, fsync=False)
+    threads_n, per_thread = 8, 40
+    barrier = threading.Barrier(threads_n)
+
+    def hammer(worker):
+        barrier.wait()
+        for index in range(per_thread):
+            store.store(f"{worker}-{index}", b"payload %d" % index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(worker,))
+            for worker in range(threads_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert store.stats.stores == threads_n * per_thread
+    assert store.stats.disk_errors == 0
+    assert len(list(tmp_path.rglob("*.pkl"))) == threads_n * per_thread
+
+
+def test_fsync_is_per_namespace(tmp_path, monkeypatch):
+    """Only instances built with ``fsync=False`` skip the per-entry
+    fsync; publish stays atomic and the entry loads back verified."""
+    synced = []
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
+    ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes).store("a", b"x")
+    assert len(synced) == 1
+    unsynced = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes, fsync=False)
+    unsynced.store("b", b"y")
+    assert len(synced) == 1
+    reopened = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    assert reopened.load("b") == b"y"
+    assert reopened.stats.disk_hits == 1
+    assert not list(tmp_path.rglob("*.tmp"))

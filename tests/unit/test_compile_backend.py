@@ -116,25 +116,166 @@ def test_compile_memo_reuses_compilations():
     assert third is not first
 
 
-def test_compiled_for_cache_content_addresses():
-    compiled = cache.compiled_for(LOOP)
-    again = cache.compiled_for(LOOP)
-    assert compiled is again
-    unfused = cache.compiled_for(LOOP, fuse=False)
-    assert unfused is not compiled
-    assert compiled.fused_count > 0
-    assert unfused.fused_count == 0
+# -- region code namespace --------------------------------------------------------
+#
+# Generated region code persists in the artifact cache's code namespace:
+# one compile() per unique region source, loaded back by later
+# processes.  ``configure`` plus ``clear_compile_memo`` stands in for a
+# fresh process over the same cache directory.
+
+CODE_WORKLOADS = ("gzip", "bzip2", "mcf", "tnftp")
 
 
-def test_compiled_cache_is_memory_only():
-    # Closures never round-trip pickle; configure() must keep the
-    # compiled layer off disk even when a cache_dir is given.
-    cache.configure(cache_dir="/tmp/ldx-test-should-not-be-used")
-    try:
-        assert cache.get_compiled_cache().cache_dir is None
-    finally:
-        cache.configure()
+def _fresh_process(cache_dir=None, enabled=True):
+    cache.configure(cache_dir=cache_dir, enabled=enabled)
+    clear_compile_memo()
 
+
+def _threaded_observables():
+    """Observables of an instrumented threaded run of each workload."""
+    from repro.workloads import get_workload
+
+    rows = []
+    for name in CODE_WORKLOADS:
+        workload = get_workload(name)
+        instrumented = workload.instrumented
+        result = run_native(
+            instrumented.module,
+            workload.build_world(1),
+            plan=instrumented.plan,
+            backend="threaded",
+        )
+        rows.append((
+            name,
+            result.stdout,
+            result.time,
+            result.output_log,
+            result.stats.instructions,
+            result.stats.edge_actions,
+            result.stats.syscalls,
+            result.sink_values(),
+        ))
+    return rows
+
+
+def _code_entries(root):
+    return sorted(root.glob("ldx-code-*/*.pkl"))
+
+
+def test_warm_code_cache_compiles_nothing(tmp_path, monkeypatch):
+    from repro.interp import compile as compile_mod
+
+    _fresh_process(str(tmp_path))
+    cold = _threaded_observables()
+    entries = _code_entries(tmp_path)
+    assert entries
+    assert cache.get_compiled_cache().stats.stores == len(entries)
+
+    _fresh_process(str(tmp_path))
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a warm code cache compiled a region")
+
+    monkeypatch.setattr(compile_mod, "compile", no_compile, raising=False)
+    warm = _threaded_observables()
+    stats = cache.get_compiled_cache().stats
+    assert warm == cold
+    assert stats.misses == 0
+    assert stats.disk_errors == 0
+    assert stats.disk_hits == len(entries)
+
+
+def test_identical_region_sources_compile_once(monkeypatch):
+    # Two plan objects for one module are two compilations; their
+    # regions emit identical source, which one process compiles once.
+    _fresh_process()
+    sources = _count_compiles(monkeypatch, keep_source=True)
+    module = compile_source(LOOP)
+    plans = [instrument_module(module).plan for _ in range(2)]
+    first = run_native(module, World(), plan=plans[0], backend="threaded")
+    compiled = len(sources)
+    second = run_native(module, World(), plan=plans[1], backend="threaded")
+    assert compiled
+    assert len(sources) == compiled == len(set(sources))
+    assert cache.get_compiled_cache().stats.memory_hits == compiled
+    assert (first.stdout, first.time) == (second.stdout, second.time)
+
+
+def test_corrupt_code_entries_heal(tmp_path, monkeypatch):
+    _fresh_process(str(tmp_path))
+    cold = _threaded_observables()
+    entries = _code_entries(tmp_path)
+    assert len(entries) >= 2
+    truncated, flipped = entries[0], entries[1]
+    truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
+    blob = bytearray(flipped.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    flipped.write_bytes(bytes(blob))
+
+    _fresh_process(str(tmp_path))
+    calls = _count_compiles(monkeypatch)
+    healed = _threaded_observables()
+    stats = cache.get_compiled_cache().stats
+    assert healed == cold
+    assert stats.disk_errors == 2
+    assert calls == ["<ldx-region>"] * 2
+    assert stats.stores == 2
+
+    # Both entries were rewritten: the next process compiles nothing.
+    _fresh_process(str(tmp_path))
+    calls.clear()
+    assert _threaded_observables() == cold
+    assert calls == []
+    assert cache.get_compiled_cache().stats.disk_errors == 0
+
+
+def test_foreign_magic_code_entries_never_load(tmp_path, monkeypatch):
+    import importlib.util
+    import shutil
+    import sys
+
+    from repro.cache import artifact_key, code_schema_tag
+
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.util, "MAGIC_NUMBER", b"\xff\xff\r\n")
+        foreign_tag = code_schema_tag()
+        _fresh_process(str(tmp_path))
+        emitted = _count_compiles(patch, keep_source=True)
+        cold = _threaded_observables()
+    sources = set(emitted)
+    native_tag = code_schema_tag()
+    assert foreign_tag != native_tag
+    assert len(_code_entries(tmp_path)) == len(sources) > 0
+
+    # The foreign directory is never read; copy every entry to where
+    # this interpreter looks for the same source as well, so the
+    # envelope's schema check must reject each one.
+    config = {"filename": "<ldx-region>", "optimize": sys.flags.optimize}
+    (tmp_path / native_tag).mkdir()
+    for source in sources:
+        shutil.copy(
+            tmp_path / foreign_tag / (artifact_key(source, config, foreign_tag) + ".pkl"),
+            tmp_path / native_tag / (artifact_key(source, config, native_tag) + ".pkl"),
+        )
+
+    _fresh_process(str(tmp_path))
+    calls = _count_compiles(monkeypatch)
+    native = _threaded_observables()
+    stats = cache.get_compiled_cache().stats
+    assert native == cold
+    assert stats.disk_hits == 0
+    assert stats.disk_errors == len(calls) == len(sources)
+
+
+def test_no_cache_writes_no_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for cache_dir in (None, str(tmp_path)):
+        _fresh_process(cache_dir, enabled=False)
+        calls = _count_compiles(monkeypatch)
+        _threaded_observables()
+        assert calls, "no region was generated"
+        assert not list(tmp_path.rglob("ldx-code-*"))
+        assert cache.get_compiled_cache().stats.stores == 0
 
 # -- identity of observable behaviour -------------------------------------------
 
