@@ -1,5 +1,5 @@
 """Content-addressed artifact caches (instrumentation, static analysis,
-region code).
+region code) and the SQLite persistence primitive every store uses.
 
 Every dual execution needs an :class:`~repro.instrument.pipeline.
 InstrumentedModule` — the IR module, its :class:`ModulePlan` and the
@@ -11,55 +11,40 @@ instrumentation configuration:
 
 * an **in-process LRU layer** bounds memory and serves repeat lookups
   within one process (the parent *and* each pool worker keep one);
-* an optional **on-disk layer** (``.repro-cache/`` by default when the
-  CLI enables it) persists pickled artifacts across processes and
-  runs, so a warm cache skips compilation entirely.
+* an optional **on-disk layer** (``<cache_dir>/blobs.sqlite``, with
+  ``.repro-cache/`` the CLI default) persists pickled artifacts across
+  processes and runs, so a warm cache skips compilation entirely.
 
-Keys never include runtime state (worlds, seeds, fault plans): the
-artifact is a pure function of source text and instrumentation config.
-The disk layout is versioned by :data:`SCHEMA_TAG` — bumping the tag
-when the artifact format changes orphans old entries instead of
-deserializing them wrongly — and every stored payload embeds the tag
-again so a stray file from another version is treated as a miss.
-Corrupted entries (truncated writes, bad pickles) also degrade to a
-miss: the artifact is recompiled and the entry rewritten.
+Keys never include runtime state (worlds, seeds, fault plans).  The
+file holds one table, ``blobs(namespace, key, payload, digest,
+created_at)``; the namespace is the schema tag, so bumping a tag when
+a payload format changes orphans old rows instead of deserializing
+them wrongly.  Besides :data:`SCHEMA_TAG` the same machinery serves
+the **static analysis cache** (:data:`ANALYSIS_SCHEMA_TAG`: summaries
+keyed by source plus seed fingerprint) and the **region code cache**
+(:func:`code_schema_tag`: ``marshal`` bytes of the threaded backend's
+compiled region source, keyed by the source; the tag embeds
+:data:`importlib.util.MAGIC_NUMBER`, so each bytecode version owns
+its own namespace).
 
-**Concurrent writers are safe.**  The serve daemon's worker threads
-and the eval harness's pool processes share these caches:
+**One persistence primitive.**  :class:`SqliteFile` backs the blob
+files of this cache and of :mod:`repro.checkpoint`, and the results
+store (:mod:`repro.results.store`): WAL, a busy timeout, a 256 KiB
+page cache and the owner's ``synchronous`` level (``NORMAL`` for
+rebuildable blobs, since WAL's checksummed frames leave the old entry,
+the new one or nothing after a crash; ``FULL`` for results).  Each
+write is one ``BEGIN IMMEDIATE`` transaction, so concurrent writers
+(serve threads, pool workers, two CLI runs) queue instead of tearing
+an entry.  Each payload's SHA-256 digest is checked before unpickling:
+a damaged row is counted, deleted and a miss.  A corrupt file is
+unlinked (with its ``-wal``/``-shm``/``-journal``) and recreated
+empty; a busy or locked one is another process at work and only
+counts an error.  Each process holds one connection per file, behind
+a lock, and closes them all before ``fork()``.
 
-* every disk publish goes through a private temp file, ``fsync``
-  (skipped only by the region code namespace, below) and an atomic
-  ``os.replace`` — a reader sees either the old entry, the
-  new entry, or nothing, never a torn write;
-* every stored payload embeds a SHA-256 digest of the pickled
-  artifact, verified on load — an entry corrupted *after* publish
-  (bit rot, a partial copy, an interrupted writer from a foreign
-  version) is detected, unlinked and rebuilt instead of deserialized
-  into a wrong artifact;
-* the in-process memory LRU and the stats counters take a lock
-  around every mutation, so concurrent daemon workers can share one
-  cache instance.
-
-The same two-layer machinery backs two more namespaces:
-
-* the **static analysis cache** (:data:`ANALYSIS_SCHEMA_TAG`):
-  ``repro analyze`` summaries are pure functions of source text plus
-  the analysis seed fingerprint, so they content-address the same way;
-* the **region code cache** (:func:`code_schema_tag`): the threaded
-  backend's generated region source, compiled once and stored as
-  ``marshal`` bytes of the code object, keyed by the source text.
-  Marshal is specific to a Python bytecode version, so the tag embeds
-  :data:`importlib.util.MAGIC_NUMBER` and each version owns its own
-  directory.  Its entries skip the per-entry ``fsync``: they are still
-  published by temp file and ``os.replace`` and digest-checked on
-  load, so a torn entry after a power loss is a miss, and a miss costs
-  one ``compile()``.
-
-All namespaces share a directory but never a subdirectory — each
-schema tag owns one.  Nothing collects orphaned entries (a code entry
-whose region the emitter no longer generates, or one written by
-another Python version); deleting any ``ldx-*`` subdirectory is always
-safe and only costs rebuilds.
+Nothing collects orphaned rows (say, region code of another Python
+version); deleting ``blobs.sqlite`` only costs rebuilds, as does
+deleting the per-entry ``ldx-*/`` directories older versions wrote.
 """
 
 from __future__ import annotations
@@ -68,11 +53,13 @@ import hashlib
 import importlib.util
 import os
 import pickle
+import sqlite3
 import sys
-import tempfile
 import threading
+import time
+import weakref
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.instrument import InstrumentedModule, instrument_module, relevance_enabled
 from repro.ir import compile_source
@@ -117,6 +104,195 @@ def code_schema_tag() -> str:
 # bump orphans every stored cell, so a re-run recomputes them instead
 # of unpickling rows from an incompatible layout.
 RESULTS_SCHEMA_TAG = "ldx-results-v1"
+
+
+# -- the persistence primitive -------------------------------------------------
+
+# Seconds an operation waits for another writer's lock before it counts
+# an error and degrades to a miss or a no-op.
+BUSY_TIMEOUT_S = 5.0
+
+# SQLite's default 2 MB page cache measured +2.3 MB of eval peak RSS.
+PAGE_CACHE_PRAGMA = "PRAGMA cache_size = -256"  # KiB
+
+BLOB_FILE = "blobs.sqlite"
+
+BLOB_SCHEMA = """
+CREATE TABLE IF NOT EXISTS blobs (
+    namespace  TEXT NOT NULL,
+    key        TEXT NOT NULL,
+    payload    BLOB NOT NULL,
+    digest     TEXT NOT NULL,
+    created_at REAL NOT NULL,
+    PRIMARY KEY (namespace, key)
+);
+"""
+
+
+def _digest(payload: bytes, namespace: str) -> str:
+    return hashlib.sha256(namespace.encode() + payload).hexdigest()
+
+
+def seal(obj, namespace: str = "") -> Optional[Tuple[bytes, str]]:
+    """``(payload, digest)`` to store *obj* under *namespace*, or None
+    if it cannot be pickled."""
+    try:
+        payload = pickle.dumps(obj)
+    except Exception:
+        return None
+    return payload, _digest(payload, namespace)
+
+
+def unseal(payload, digest, namespace: str = "", payload_type=None):
+    """The object a stored row holds, or None if the row is damaged:
+    verified before unpickling, so a corrupt payload (or one copied in
+    from another namespace) is a miss, never a wrong object."""
+    try:
+        if _digest(payload, namespace) == digest:
+            obj = pickle.loads(payload)
+            if payload_type is None or isinstance(obj, payload_type):
+                return obj
+    except Exception:
+        pass
+    return None
+
+
+class SqliteFile:
+    """One SQLite database file, as this process sees it.
+
+    :meth:`execute` returns None (a miss or a no-op to its owner) when
+    an operation did not happen.  ``healed`` counts discarded corrupt
+    files; ``broken`` says why the file cannot be opened at all.  A
+    file whose *check* query does not return ``(1,)`` at open is of
+    another schema version and heals like a corrupt one.
+    """
+
+    def __init__(
+        self, path: str, schema: str, synchronous: str, check: str = ""
+    ) -> None:
+        self.path = path
+        self.schema = schema
+        self.synchronous = synchronous
+        self.check = check
+        self.healed = 0
+        self.broken: Optional[str] = None
+        self._conn: Optional[sqlite3.Connection] = None
+        self._lock = threading.RLock()
+        _LIVE_FILES.add(self)
+
+    def execute(self, query: str, params=(), *more) -> Optional[List[tuple]]:
+        """Run *query*, then any further ``(query, params)`` pairs, as
+        one transaction; the rows they return, or None."""
+        with self._lock:
+            try:
+                conn = self._connect()
+                if conn is None:
+                    return None
+                if not more and query.startswith("SELECT"):
+                    return conn.execute(query, params).fetchall()
+                rows: List[tuple] = []
+                conn.execute("BEGIN IMMEDIATE")
+                try:
+                    for statement in ((query, params),) + more:
+                        rows += conn.execute(*statement).fetchall()
+                    conn.execute("COMMIT")
+                finally:
+                    if conn.in_transaction:
+                        conn.execute("ROLLBACK")
+                return rows
+            except sqlite3.Error as error:
+                # Heal only on corruption, which raises DatabaseError
+                # itself; busy or locked (OperationalError) is a writer.
+                if type(error) is sqlite3.DatabaseError:
+                    self._heal()
+                return None
+
+    def close(self) -> None:
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+    def _connect(self) -> Optional[sqlite3.Connection]:
+        if self._conn is not None or self.broken is not None:
+            return self._conn
+        try:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            conn = sqlite3.connect(
+                self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None,
+                check_same_thread=False,
+            )
+        except (OSError, sqlite3.Error) as error:
+            self.broken = f"cannot open: {error}"
+            return None
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            conn.execute(f"PRAGMA synchronous = {self.synchronous}")
+            conn.execute(PAGE_CACHE_PRAGMA)
+            conn.executescript(self.schema)
+            if self.check and conn.execute(self.check).fetchone() != (1,):
+                raise sqlite3.DatabaseError("foreign schema version")
+        except sqlite3.Error:
+            conn.close()
+            raise
+        self._conn = conn
+        return conn
+
+    def _heal(self) -> None:
+        """Discard the damaged file; the next operation recreates it
+        empty, so every lookup degrades to a miss."""
+        self.close()
+        self.healed += 1
+        for suffix in ("", "-wal", "-shm", "-journal"):
+            try:
+                os.unlink(self.path + suffix)
+            except OSError:
+                pass
+
+
+# No SQLite state may cross fork(): a child that opens a file while it
+# inherits the parent's connection loses writes once the parent closes
+# it.  So every connection closes before a fork, with all locks held so
+# no thread reopens one; both sides reopen on first use.
+_LIVE_FILES: "weakref.WeakSet[SqliteFile]" = weakref.WeakSet()
+_FORKING: List[SqliteFile] = []
+
+
+def _close_before_fork() -> None:
+    _FORKING[:] = list(_LIVE_FILES)
+    for db in _FORKING:
+        db._lock.acquire()
+        db.close()
+
+
+def _release_after_fork() -> None:
+    for db in _FORKING:
+        db._lock.release()
+    _FORKING.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_close_before_fork,
+        after_in_parent=_release_after_fork,
+        after_in_child=_release_after_fork,
+    )
+
+_BLOB_FILES: "weakref.WeakValueDictionary[str, SqliteFile]" = (
+    weakref.WeakValueDictionary()
+)
+_BLOB_FILES_LOCK = threading.Lock()
+
+
+def blob_file(directory: str) -> SqliteFile:
+    """This process's handle on ``<directory>/blobs.sqlite``, shared by
+    every namespace stored there."""
+    path = os.path.abspath(os.path.join(directory, BLOB_FILE))
+    with _BLOB_FILES_LOCK:
+        db = _BLOB_FILES.get(path)
+        if db is None:
+            db = _BLOB_FILES[path] = SqliteFile(path, BLOB_SCHEMA, "NORMAL")
+    return db
 
 
 class CacheStats:
@@ -192,8 +368,7 @@ class ArtifactCache:
     The payload is opaque: :meth:`lookup` takes the content-address key
     and a builder thunk, so one class serves the instrumentation, analysis
     and region code namespaces.  ``payload_type``, when given, guards
-    disk loads against entries written by a different cache that shares
-    the directory.
+    disk loads against rows of the wrong type.
     """
 
     def __init__(
@@ -204,7 +379,6 @@ class ArtifactCache:
         schema_tag: str = SCHEMA_TAG,
         payload_type: Optional[type] = InstrumentedModule,
         use_memory: bool = True,
-        fsync: bool = True,
     ) -> None:
         self.capacity = max(1, capacity)
         self.cache_dir = cache_dir
@@ -215,10 +389,10 @@ class ArtifactCache:
         # restored world snapshots) disable the memory layer so every
         # load is a fresh unpickle, never a shared object.
         self.use_memory = use_memory
-        # Namespaces whose entries are cheap to rebuild skip the
-        # per-entry fsync; publish stays atomic and loads digest-checked.
-        self.fsync = fsync
         self.stats = CacheStats()
+        self._blobs = (
+            blob_file(cache_dir) if enabled and cache_dir is not None else None
+        )
         self._memory: "OrderedDict[str, object]" = OrderedDict()
         # Guards the memory LRU and the stats counters: one instance is
         # shared by all of the serve daemon's worker threads.
@@ -231,24 +405,14 @@ class ArtifactCache:
         it on a miss."""
         if not self.enabled:
             return builder()
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                self.stats.memory_hits += 1
-                return cached
-        # Build outside the lock: compilation is slow and two racing
-        # builders produce content-identical artifacts anyway.
-        artifact = self._disk_load(key)
-        if artifact is not None:
-            with self._lock:
-                self.stats.disk_hits += 1
-        else:
-            with self._lock:
-                self.stats.misses += 1
+        artifact = self.load(key)
+        if artifact is None:
+            # Build outside the lock: compilation is slow and two racing
+            # builders produce content-identical artifacts anyway.
             artifact = builder()
             self._disk_store(key, artifact)
-        return self._remember(key, artifact)
+            artifact = self._remember(key, artifact)
+        return artifact
 
     def load(self, key: str):
         """The artifact stored under *key*, or None — no builder.
@@ -327,82 +491,45 @@ class ArtifactCache:
 
     # -- disk layer ------------------------------------------------------------
 
-    def _entry_path(self, key: str) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir, self.schema_tag, key + ".pkl")
-
     def _disk_load(self, key: str):
-        path = self._entry_path(key)
-        if path is None or not os.path.exists(path):
+        if self._blobs is None:
             return None
-        try:
-            with open(path, "rb") as handle:
-                payload = pickle.load(handle)
-            if (
-                not isinstance(payload, dict)
-                or payload.get("schema") != self.schema_tag
-            ):
-                raise ValueError("schema tag mismatch")
-            blob = payload["artifact"]
-            if not isinstance(blob, bytes):
-                raise ValueError("artifact blob must be bytes")
-            # Verify before deserializing: a corrupt blob must become a
-            # miss, never a plausible-but-wrong artifact.
-            if hashlib.sha256(blob).hexdigest() != payload.get("digest"):
-                raise ValueError("payload digest mismatch")
-            artifact = pickle.loads(blob)
-            if self.payload_type is not None and not isinstance(
-                artifact, self.payload_type
-            ):
-                raise ValueError("payload has the wrong type")
-            return artifact
-        except Exception:
-            # Corrupted or stale entry: drop it and recompile.
+        where = (self.schema_tag, key)
+        rows = self._blobs.execute(
+            "SELECT payload, digest FROM blobs WHERE namespace = ? AND key = ?",
+            where,
+        )
+        if rows == []:
+            return None
+        artifact = rows and unseal(*rows[0], self.schema_tag, self.payload_type)
+        if artifact is None:
+            # A damaged row (dropped, unless a writer replaced it since),
+            # or a busy, healed or unusable file.
+            if rows:
+                self._blobs.execute(
+                    "DELETE FROM blobs WHERE namespace = ? AND key = ? "
+                    "AND digest = ?",
+                    where + rows[0][1:],
+                )
             with self._lock:
                 self.stats.disk_errors += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
+        return artifact
 
     def _disk_store(self, key: str, artifact) -> None:
-        path = self._entry_path(key)
-        if path is None:
+        if self._blobs is None:
             return
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            blob = pickle.dumps(artifact)
-            payload = pickle.dumps({
-                "schema": self.schema_tag,
-                "digest": hashlib.sha256(blob).hexdigest(),
-                "artifact": blob,
-            })
-            # Atomic publish: a reader never sees a half-written entry.
-            fd, temp_path = tempfile.mkstemp(
-                dir=os.path.dirname(path), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(payload)
-                    if self.fsync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-            with self._lock:
-                self.stats.stores += 1
-        except Exception:
-            # The cache is an accelerator, never a correctness
-            # dependency: disk trouble only costs future recompiles.
-            with self._lock:
+        # The cache is an accelerator, never a correctness dependency:
+        # a failed store only costs a future rebuild.
+        sealed = seal(artifact, self.schema_tag)
+        written = sealed and self._blobs.execute(
+            "INSERT OR REPLACE INTO blobs VALUES (?, ?, ?, ?, ?)",
+            (self.schema_tag, key) + sealed + (time.time(),),
+        )
+        with self._lock:
+            if written is None:
                 self.stats.disk_errors += 1
+            else:
+                self.stats.stores += 1
 
 
 # -- process-global caches -----------------------------------------------------
@@ -420,7 +547,6 @@ def _code_cache(cache_dir: Optional[str] = None, enabled: bool = True) -> Artifa
         enabled=enabled,
         schema_tag=code_schema_tag(),
         payload_type=bytes,
-        fsync=False,
     )
 
 

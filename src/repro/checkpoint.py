@@ -1,6 +1,6 @@
 """Checkpoint persistence for dual executions.
 
-**World checkpoints** land under ``.repro-cache/checkpoints/``:
+**World checkpoints** land in ``.repro-cache/checkpoints/blobs.sqlite``:
 :meth:`World.snapshot` dicts saved by the engine supervisor at each
 degradation-ladder rung (before a thread is abandoned, or when the
 engine fails terminally).  These make the slave's overlay delta
@@ -10,13 +10,13 @@ execution point.  (Resuming an interrupted ``repro chaos`` or
 finished cell persists there and a re-run reuses it.)
 
 Storage reuses :class:`repro.cache.ArtifactCache` (content-addressed
-keys, schema-versioned directory, atomic writes, corrupt-entry
-recovery) with two deliberate differences: its own schema tag — a
-checkpoint is runtime state, never mixed with instrumentation
-artifacts — and **no memory layer**.  A loaded snapshot is restored
-into a world that then runs on; a shared in-memory object would carry
-one caller's mutations into the next load.  Every load is a fresh
-unpickle.
+keys, one ``blobs`` table in a SQLite file, one transaction per save,
+digest-verified loads, corrupt-row and corrupt-file recovery) with two
+deliberate differences: its own namespace — a checkpoint is runtime
+state, never mixed with instrumentation artifacts — and **no memory
+layer**.  A loaded snapshot is restored into a world that then runs
+on; a shared in-memory object would carry one caller's mutations into
+the next load.  Every load is a fresh unpickle.
 
 Keying *includes* runtime identity (run label, seed, rung label):
 unlike instrumentation artifacts, a checkpoint is only meaningful for
@@ -25,11 +25,12 @@ the exact run that produced it.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from typing import Optional
 
-from repro.cache import ArtifactCache, artifact_key
+from repro.cache import BLOB_FILE, ArtifactCache, artifact_key, blob_file
 
 # Bump when the World.snapshot pickle layout changes.
 # v2: cache payloads embed a SHA-256 digest of the pickled artifact.
@@ -73,7 +74,7 @@ class CheckpointStore:
         return self._cache.stats
 
     def save(self, key: str, payload) -> None:
-        """Persist *payload* under *key* (atomic publish)."""
+        """Persist *payload* under *key* (one transaction)."""
         self._cache.store(key, payload)
 
     def load(self, key: str):
@@ -97,16 +98,18 @@ class CheckpointStore:
 
 # -- garbage collection --------------------------------------------------------
 #
-# Checkpoints are runtime state: unlike instrumentation artifacts they
-# go stale (world snapshots of a long-fixed stall) and a long-lived
-# daemon accumulates them without bound.  ``prune_checkpoints`` enforces a TTL and an entry
-# cap; schema-tag subdirectories from older layouts are swept whole
-# (their entries can never be loaded again), and orphaned ``.tmp``
-# files from crashed writers are always removed.
+# Checkpoints are runtime state: they go stale and a long-lived daemon
+# accumulates them without bound.  ``prune_checkpoints`` enforces a TTL
+# and an entry cap, and drops every row of an older checkpoint
+# namespace; other namespaces in the file are never touched.
 
-
-def _is_stale_schema_dir(name: str) -> bool:
-    return name.startswith("ldx-checkpoint-") and name != CHECKPOINT_SCHEMA_TAG
+# Rows of an older checkpoint namespace, past the TTL, or outside the
+# newest N of those the TTL keeps.
+_PRUNABLE = (
+    "namespace GLOB 'ldx-checkpoint-*' AND (namespace != ? OR created_at < ?"
+    " OR key NOT IN (SELECT key FROM blobs WHERE namespace = ?"
+    " AND created_at >= ? ORDER BY created_at DESC, key DESC LIMIT ?))"
+)
 
 
 def prune_checkpoints(
@@ -117,60 +120,28 @@ def prune_checkpoints(
 ) -> dict:
     """Delete stale checkpoint entries; returns a summary dict.
 
-    *max_age_seconds* removes entries whose mtime is older than the
-    TTL; *max_entries* then keeps only the newest N.  Either may be
-    None (no limit on that axis).  *now* is injectable for tests.
-    Returns ``{"scanned", "removed", "kept", "reclaimed_bytes"}``.
+    *max_age_seconds* removes entries stored longer ago than the TTL;
+    *max_entries* then keeps only the newest N.  Either may be None (no
+    limit on that axis).  *now* is injectable for tests.  Returns
+    ``{"scanned", "removed", "kept", "reclaimed_bytes"}``, where
+    ``reclaimed_bytes`` sums the removed payloads.
     """
-    summary = {"scanned": 0, "removed": 0, "kept": 0, "reclaimed_bytes": 0}
-    if checkpoint_dir is None or not os.path.isdir(checkpoint_dir):
-        return summary
-    if now is None:
-        now = time.time()
-
-    def _remove(path: str, size: int) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            return
-        summary["removed"] += 1
-        summary["reclaimed_bytes"] += size
-
-    entries = []  # (mtime, path, size) for current-schema entries
-    for schema_name in sorted(os.listdir(checkpoint_dir)):
-        schema_dir = os.path.join(checkpoint_dir, schema_name)
-        if not os.path.isdir(schema_dir):
-            continue
-        stale = _is_stale_schema_dir(schema_name)
-        if not stale and schema_name != CHECKPOINT_SCHEMA_TAG:
-            continue  # not ours: never touch foreign directories
-        for file_name in sorted(os.listdir(schema_dir)):
-            path = os.path.join(schema_dir, file_name)
-            try:
-                stat = os.stat(path)
-            except OSError:
-                continue
-            summary["scanned"] += 1
-            if stale or file_name.endswith(".tmp"):
-                _remove(path, stat.st_size)
-            else:
-                entries.append((stat.st_mtime, path, stat.st_size))
-        if stale:
-            try:
-                os.rmdir(schema_dir)
-            except OSError:
-                pass
-
-    entries.sort()  # oldest first
-    kept = []
-    for mtime, path, size in entries:
-        if max_age_seconds is not None and now - mtime > max_age_seconds:
-            _remove(path, size)
-        else:
-            kept.append((mtime, path, size))
-    if max_entries is not None and len(kept) > max_entries:
-        excess, kept = kept[: len(kept) - max_entries], kept[len(kept) - max_entries:]
-        for mtime, path, size in excess:
-            _remove(path, size)
-    summary["kept"] = len(kept)
-    return summary
+    rows = None
+    if checkpoint_dir is not None and os.path.exists(
+        os.path.join(checkpoint_dir, BLOB_FILE)
+    ):
+        cutoff = -math.inf
+        if max_age_seconds is not None:
+            cutoff = (time.time() if now is None else now) - max_age_seconds
+        limit = -1 if max_entries is None else max_entries  # -1: no LIMIT
+        params = (CHECKPOINT_SCHEMA_TAG, cutoff) * 2 + (limit,)
+        rows = blob_file(checkpoint_dir).execute(
+            "SELECT (SELECT COUNT(*) FROM blobs"
+            " WHERE namespace GLOB 'ldx-checkpoint-*'),"
+            f" COUNT(*), TOTAL(length(payload)) FROM blobs WHERE {_PRUNABLE}",
+            params,
+            (f"DELETE FROM blobs WHERE {_PRUNABLE}", params),
+        )
+    scanned, removed, reclaimed = rows[0] if rows else (0, 0, 0)
+    return {"scanned": scanned, "removed": removed,
+            "kept": scanned - removed, "reclaimed_bytes": int(reclaimed)}

@@ -134,18 +134,19 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="world seed")
 
 
-def _at_least_one(what: str):
-    """An argparse ``type`` for a count that must be an integer >= 1;
-    *what* names the count in the error (argparse prefixes the option)."""
+def _at_least(minimum, what: str, number=int):
+    """An argparse ``type`` for a finite *number* (``int`` or ``float``)
+    that must be >= *minimum*; *what* names the value in the error
+    (argparse prefixes the option)."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = number(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if value < 1:
+        if not minimum <= value < float("inf"):  # also rejects nan
             raise argparse.ArgumentTypeError(
-                f"{what} must be >= 1, got {text}"
+                f"{what} must be >= {minimum}, got {text}"
             )
         return value
 
@@ -195,7 +196,7 @@ def _open_store(args):
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=_at_least_one("job count"),
+        type=_at_least(1, "job count"),
         default=1,
         metavar="N",
         help="worker processes for the evaluation fan-out (1 = serial; "
@@ -715,7 +716,7 @@ def main(argv: List[str] = None) -> int:
     eval_parser = commands.add_parser("eval", help="regenerate the paper's tables")
     eval_parser.add_argument(
         "--table4-runs",
-        type=_at_least_one("run count"),
+        type=_at_least(1, "run count"),
         default=100,
         metavar="N",
         help="seeded runs per concurrent workload in Table 4 (default: 100)",
@@ -841,7 +842,7 @@ def main(argv: List[str] = None) -> int:
     )
     chaos_parser.add_argument(
         "--seeds",
-        type=_at_least_one("seed count"),
+        type=_at_least(1, "seed count"),
         default=50,
         metavar="N",
         help="number of fault seeds to sweep",
@@ -871,7 +872,7 @@ def main(argv: List[str] = None) -> int:
         "ephemeral; the bound port is announced on stdout)",
     )
     serve_parser.add_argument(
-        "--workers", type=_at_least_one("worker count"), default=2, metavar="N",
+        "--workers", type=_at_least(1, "worker count"), default=2, metavar="N",
         help="worker threads draining the admission queue",
     )
     serve_parser.add_argument(
@@ -913,7 +914,7 @@ def main(argv: List[str] = None) -> int:
         help="requests in the storm",
     )
     serve_chaos_parser.add_argument(
-        "--workers", type=_at_least_one("worker count"), default=2, metavar="N",
+        "--workers", type=_at_least(1, "worker count"), default=2, metavar="N",
         help="service worker threads (in-process mode)",
     )
     serve_chaos_parser.add_argument(
@@ -941,7 +942,7 @@ def main(argv: List[str] = None) -> int:
         help="transient-fault probability per eligible syscall (0 disables)",
     )
     serve_chaos_parser.add_argument(
-        "--jobs", type=_at_least_one("job count"), default=1, metavar="N",
+        "--jobs", type=_at_least(1, "job count"), default=1, metavar="N",
         help="worker processes for the post-storm baseline verification "
         "(1 = serial; the outcome is identical for any value)",
     )
@@ -969,12 +970,12 @@ def main(argv: List[str] = None) -> int:
         help=f"checkpoint store location (default: {DEFAULT_CHECKPOINT_DIR})",
     )
     prune_parser.add_argument(
-        "--max-entries", type=int, default=None, metavar="N",
-        help="keep at most the newest N entries",
+        "--max-entries", type=_at_least(0, "entry count"), default=None,
+        metavar="N", help="keep at most the newest N entries",
     )
     prune_parser.add_argument(
-        "--max-age-hours", type=float, default=None, metavar="H",
-        help="delete entries older than H hours",
+        "--max-age-hours", type=_at_least(0, "age", float), default=None,
+        metavar="H", help="delete entries older than H hours",
     )
     prune_parser.set_defaults(handler=_cmd_checkpoints)
 

@@ -23,36 +23,33 @@ The store fixes both with one SQLite database (default
   the benchmark harness and the serve-chaos storm: the perf trajectory
   as a query instead of ad-hoc ``BENCH_*.json`` files.
 
-Robustness mirrors the artifact cache's contract: the store is an
-accelerator, never a correctness dependency.  A torn write (the
+Robustness mirrors the artifact cache's contract, through the same
+persistence primitive (:class:`repro.cache.SqliteFile`): the store is
+an accelerator, never a correctness dependency.  A torn write (the
 database truncated mid-transaction), a corrupt pickle, a digest
 mismatch or a foreign schema tag all **heal to a miss** — the damaged
 state is discarded (row or whole file) and the cell is simply
-recomputed.  No store failure ever fails an experiment; writes degrade
-to no-ops after reporting one stderr warning.
-
-Only the parent process touches the store: pool workers return their
-cell results over the executor pipe and the parent persists them, so
-there are no concurrent writers to coordinate.
+recomputed; a busy or locked database only counts an error.  No store
+failure ever fails an experiment; a store that cannot be opened at all
+degrades to no-ops after one stderr warning.  With ``synchronous=FULL``
+a committed cell survives a power loss, and since each ``put_cell`` is
+one transaction, concurrent runs may share a store.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import pickle
-import sqlite3
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
-from repro.cache import RESULTS_SCHEMA_TAG
+from repro.cache import RESULTS_SCHEMA_TAG, SqliteFile, seal, unseal
 from repro.errors import ReproError
 
 DEFAULT_STORE_PATH = os.path.join(".repro-cache", "results.sqlite")
 
-_SCHEMA = """
+_SCHEMA = f"""
 CREATE TABLE IF NOT EXISTS meta (
     name  TEXT PRIMARY KEY,
     value TEXT NOT NULL
@@ -89,7 +86,12 @@ CREATE TABLE IF NOT EXISTS bench_history (
     created_at REAL NOT NULL
 );
 CREATE INDEX IF NOT EXISTS bench_by_name ON bench_history (bench, metric);
+INSERT OR IGNORE INTO meta (name, value) VALUES ('schema', '{RESULTS_SCHEMA_TAG}');
 """
+
+# A store of another schema version is orphaned wholesale instead of
+# unpickling incompatible rows.
+_SAME_SCHEMA = f"SELECT value = '{RESULTS_SCHEMA_TAG}' FROM meta WHERE name = 'schema'"
 
 
 class ResultsError(ReproError):
@@ -155,120 +157,25 @@ class ResultsStore:
         self.path = path
         self.enabled = enabled
         self.stats = StoreStats()
-        self._conn: Optional[sqlite3.Connection] = None
+        self._db = SqliteFile(path, _SCHEMA, "FULL", check=_SAME_SCHEMA)
 
-    # -- connection lifecycle --------------------------------------------------
-
-    def _connect(self) -> Optional[sqlite3.Connection]:
+    def _execute(self, query: str, params=(), *more) -> Optional[list]:
+        """:meth:`SqliteFile.execute` plus this store's accounting; None
+        means a miss or a no-op."""
         if not self.enabled:
             return None
-        if self._conn is not None:
-            return self._conn
-        try:
-            self._conn = self._open()
-        except Exception:
-            # Unopenable even after healing (e.g. unwritable directory):
-            # disable this instance rather than fail the experiment.
-            self._report_disable("cannot open results store")
-        return self._conn
-
-    def _open(self) -> sqlite3.Connection:
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        try:
-            conn = self._init_schema(sqlite3.connect(self.path))
-        except sqlite3.Error:
-            # A torn write can leave the file unreadable at open time;
-            # heal to an empty store (every cell becomes a miss).
-            self._heal()
-            conn = self._init_schema(sqlite3.connect(self.path))
-        return conn
-
-    def _init_schema(self, conn: sqlite3.Connection) -> sqlite3.Connection:
-        try:
-            with conn:
-                conn.executescript(_SCHEMA)
-                row = conn.execute(
-                    "SELECT value FROM meta WHERE name = 'schema'"
-                ).fetchone()
-                if row is None:
-                    conn.execute(
-                        "INSERT INTO meta (name, value) VALUES ('schema', ?)",
-                        (RESULTS_SCHEMA_TAG,),
-                    )
-                elif row[0] != RESULTS_SCHEMA_TAG:
-                    # A store from another schema version: orphan it
-                    # wholesale instead of unpickling incompatible rows.
-                    conn.close()
-                    self._heal()
-                    return self._init_schema(sqlite3.connect(self.path))
-        except sqlite3.Error:
-            try:
-                conn.close()
-            except Exception:
-                pass
-            raise
-        return conn
-
-    def _heal(self) -> None:
-        """Discard the damaged database file; the next open recreates
-        it empty, so every lookup degrades to a miss."""
-        self.stats.healed += 1
-        for suffix in ("", "-journal", "-wal", "-shm"):
-            try:
-                os.unlink(self.path + suffix)
-            except OSError:
-                pass
-
-    def _report_disable(self, reason: str) -> None:
-        self.stats.errors += 1
-        self.enabled = False
-        self._conn = None
-        print(f"results store: {reason} ({self.path}); continuing without it",
-              file=sys.stderr)
-
-    def _execute(self, query: str, params: Sequence = ()) -> Optional[list]:
-        """Run one query, healing the store on database corruption.
-
-        Returns the fetched rows, or None when the store is unusable
-        (the caller treats None as a miss / no-op).
-        """
-        conn = self._connect()
-        if conn is None:
-            return None
-        try:
-            with conn:
-                return conn.execute(query, params).fetchall()
-        except sqlite3.DatabaseError:
-            # Corruption discovered mid-use (torn write landed after
-            # open): drop the file and reopen empty.
-            try:
-                conn.close()
-            except Exception:
-                pass
-            self._conn = None
-            self._heal()
-            retry = self._connect()
-            if retry is None:
-                return None
-            try:
-                with retry:
-                    return retry.execute(query, params).fetchall()
-            except sqlite3.Error:
-                self._report_disable("persistent database error")
-                return None
-        except sqlite3.Error:
+        rows = self._db.execute(query, params, *more)
+        self.stats.healed = self._db.healed
+        if rows is None:
             self.stats.errors += 1
-            return None
+            if self._db.broken is not None:
+                self.enabled = False
+                print(f"results store: {self._db.broken} ({self.path}); "
+                      "continuing without it", file=sys.stderr)
+        return rows
 
     def close(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except Exception:
-                pass
-            self._conn = None
+        self._db.close()
 
     def __enter__(self) -> "ResultsStore":
         return self
@@ -284,23 +191,19 @@ class ResultsStore:
         rows = self._execute(
             "SELECT payload, digest, schema FROM cells WHERE key = ?", (key,)
         )
-        if not rows:
+        result = None
+        if rows:
+            payload, digest, schema = rows[0]
+            if schema == RESULTS_SCHEMA_TAG:
+                result = unseal(payload, digest)
+            if result is None:
+                # A damaged row must become a miss, never a wrong result.
+                self.stats.errors += 1
+                self._execute("DELETE FROM cells WHERE key = ?", (key,))
+        if result is None:
             self.stats.misses += 1
-            return None
-        payload, digest, schema = rows[0]
-        try:
-            if schema != RESULTS_SCHEMA_TAG:
-                raise ValueError("schema tag mismatch")
-            if hashlib.sha256(payload).hexdigest() != digest:
-                raise ValueError("payload digest mismatch")
-            result = pickle.loads(payload)
-        except Exception:
-            # A damaged row must become a miss, never a wrong result.
-            self.stats.errors += 1
-            self._execute("DELETE FROM cells WHERE key = ?", (key,))
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
+        else:
+            self.stats.hits += 1
         return result
 
     def get_cells(self, keys: Iterable[str]) -> Dict[str, object]:
@@ -313,32 +216,29 @@ class ResultsStore:
         return found
 
     def put_cell(self, spec: CellSpec, result) -> None:
-        """Persist one completed cell; supersedes any row that shares
-        the cell's coordinates under a stale fingerprint (the old
-        config's result can never be reported again)."""
+        """Persist one completed cell, in one transaction; supersedes
+        any row that shares the cell's coordinates under a stale
+        fingerprint (the old config's result can never be reported
+        again)."""
         if not self.enabled:
             return
-        try:
-            payload = pickle.dumps(result)
-        except Exception:
+        sealed = seal(result)
+        if sealed is None:
             self.stats.errors += 1
             return
-        digest = hashlib.sha256(payload).hexdigest()
-        self._execute(
+        written = self._execute(
             "DELETE FROM cells WHERE kind = ? AND workload = ? AND variant = ? "
             "AND COALESCE(schedule_seed, -1) = COALESCE(?, -1) "
             "AND COALESCE(fault_seed, -1) = COALESCE(?, -1) AND key != ?",
             (spec.kind, spec.workload, spec.variant, spec.schedule_seed,
              spec.fault_seed, spec.key),
-        )
-        written = self._execute(
-            "INSERT OR REPLACE INTO cells "
-            "(key, kind, workload, variant, schedule_seed, fault_seed, "
-            " fingerprint, schema, payload, digest, created_at) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (spec.key, spec.kind, spec.workload, spec.variant,
-             spec.schedule_seed, spec.fault_seed, spec.fingerprint,
-             RESULTS_SCHEMA_TAG, payload, digest, time.time()),
+            ("INSERT OR REPLACE INTO cells "
+             "(key, kind, workload, variant, schedule_seed, fault_seed, "
+             " fingerprint, schema, payload, digest, created_at) "
+             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+             (spec.key, spec.kind, spec.workload, spec.variant,
+              spec.schedule_seed, spec.fault_seed, spec.fingerprint,
+              RESULTS_SCHEMA_TAG) + sealed + (time.time(),)),
         )
         if written is not None:
             self.stats.stores += 1

@@ -1,13 +1,14 @@
 """Unit tests for the content-addressed instrumentation artifact cache."""
 
 import os
-import pickle
+import sqlite3
+import time
 
 import pytest
 
 from repro import cache
-from repro.cache import SCHEMA_TAG, ArtifactCache, artifact_key
-from repro.instrument import InstrumentedModule
+from repro.cache import BLOB_FILE, SCHEMA_TAG, ArtifactCache, artifact_key
+from repro.instrument import InstrumentedModule, relevance_enabled
 
 SOURCE = """
 fn main() {
@@ -93,20 +94,34 @@ def test_disk_roundtrip_across_instances(tmp_path):
     assert loaded.static_stats() == artifact.static_stats()
 
 
+def _edit_rows(cache_dir, query, params=()):
+    """Run one statement against ``blobs.sqlite`` from a second
+    connection, as another process would."""
+    conn = sqlite3.connect(os.path.join(str(cache_dir), BLOB_FILE))
+    with conn:
+        rows = conn.execute(query, params).fetchall()
+    conn.close()
+    return rows
+
+
 def test_schema_tag_mismatch_invalidates_entry(tmp_path):
-    store = ArtifactCache(cache_dir=str(tmp_path))
-    store.instrumented(SOURCE)
-    (entry,) = list((tmp_path / SCHEMA_TAG).iterdir())
-    payload = pickle.loads(entry.read_bytes())
-    payload["schema"] = "ldx-artifact-v0-stale"
-    entry.write_bytes(pickle.dumps(payload))
+    stale = ArtifactCache(cache_dir=str(tmp_path), schema_tag="ldx-artifact-v0-stale")
+    stale.instrumented(SOURCE)
+    # Moved under the current namespace and key, the row fails its
+    # digest, which covers the namespace it was written under.
+    config = {"relevance_pruning": relevance_enabled()}
+    _edit_rows(
+        tmp_path,
+        "UPDATE blobs SET namespace = ?, key = ?",
+        (SCHEMA_TAG, artifact_key(SOURCE, config, SCHEMA_TAG)),
+    )
 
     reopened = ArtifactCache(cache_dir=str(tmp_path))
     reopened.instrumented(SOURCE)
     assert reopened.stats.disk_hits == 0
     assert reopened.stats.misses == 1
     assert reopened.stats.disk_errors == 1
-    # The stale entry was replaced by a fresh, loadable one.
+    # The stale row was replaced by a fresh, loadable one.
     rewritten = ArtifactCache(cache_dir=str(tmp_path))
     rewritten.instrumented(SOURCE)
     assert rewritten.stats.disk_hits == 1
@@ -115,14 +130,14 @@ def test_schema_tag_mismatch_invalidates_entry(tmp_path):
 def test_corrupted_entry_falls_back_to_recompile(tmp_path):
     store = ArtifactCache(cache_dir=str(tmp_path))
     store.instrumented(SOURCE)
-    (entry,) = list((tmp_path / SCHEMA_TAG).iterdir())
-    entry.write_bytes(b"\x80\x04 truncated garbage")
+    _edit_rows(tmp_path, "UPDATE blobs SET payload = ?", (b"\x80\x04 garbage",))
 
     reopened = ArtifactCache(cache_dir=str(tmp_path))
     artifact = reopened.instrumented(SOURCE)
     assert isinstance(artifact, InstrumentedModule)
     assert reopened.stats.disk_errors == 1
     assert reopened.stats.misses == 1
+    assert _edit_rows(tmp_path, "SELECT COUNT(*) FROM blobs") == [(1,)]
 
 
 def test_unwritable_disk_layer_degrades_gracefully(tmp_path):
@@ -165,16 +180,14 @@ def test_workload_property_routes_through_global_cache():
 
 
 def test_digest_mismatch_is_a_miss_and_heals(tmp_path):
-    """Silent bit-rot inside the artifact blob (outer pickle still
-    valid) must be caught by the payload digest, never unpickled."""
+    """Silent bit-rot inside a stored payload must be caught by the
+    digest, never unpickled."""
     store = ArtifactCache(cache_dir=str(tmp_path))
     store.instrumented(SOURCE)
-    (entry,) = list((tmp_path / SCHEMA_TAG).iterdir())
-    payload = pickle.loads(entry.read_bytes())
-    blob = bytearray(payload["artifact"])
-    blob[len(blob) // 2] ^= 0xFF
-    payload["artifact"] = bytes(blob)
-    entry.write_bytes(pickle.dumps(payload))  # digest now stale
+    ((payload,),) = _edit_rows(tmp_path, "SELECT payload FROM blobs")
+    flipped = bytearray(payload)
+    flipped[len(flipped) // 2] ^= 0xFF
+    _edit_rows(tmp_path, "UPDATE blobs SET payload = ?", (bytes(flipped),))
 
     reopened = ArtifactCache(cache_dir=str(tmp_path))
     artifact = reopened.instrumented(SOURCE)
@@ -189,18 +202,41 @@ def test_digest_mismatch_is_a_miss_and_heals(tmp_path):
 
 
 def test_torn_partial_write_is_a_miss(tmp_path):
-    """A torn write (file cut mid-payload) is a miss, not a crash."""
+    """A torn database file (cut mid-page) is discarded, not a crash:
+    one miss, then the rebuilt entry persists in a fresh file."""
     store = ArtifactCache(cache_dir=str(tmp_path))
     store.instrumented(SOURCE)
-    (entry,) = list((tmp_path / SCHEMA_TAG).iterdir())
-    whole = entry.read_bytes()
-    entry.write_bytes(whole[: len(whole) // 2])
+    cache.blob_file(str(tmp_path)).close()  # checkpoints the WAL
+    path = tmp_path / BLOB_FILE
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
     reopened = ArtifactCache(cache_dir=str(tmp_path))
     artifact = reopened.instrumented(SOURCE)
     assert isinstance(artifact, InstrumentedModule)
     assert reopened.stats.disk_errors == 1
     assert reopened.stats.misses == 1
+    assert reopened.stats.stores == 1
+    rebuilt = ArtifactCache(cache_dir=str(tmp_path))
+    rebuilt.instrumented(SOURCE)
+    assert rebuilt.stats.disk_hits == 1
+
+
+def test_busy_file_is_a_miss_not_a_heal(tmp_path, monkeypatch):
+    """Another process holding the write lock is not corruption: the
+    store is lost, the file and its rows are not."""
+    monkeypatch.setattr(cache, "BUSY_TIMEOUT_S", 0.05)
+    store = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    store.store("kept", b"old")
+    other = sqlite3.connect(str(tmp_path / BLOB_FILE), isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    store.store("blocked", b"new")
+    other.execute("COMMIT")
+    other.close()
+    assert store.stats.disk_errors == 1
+    assert cache.blob_file(str(tmp_path)).healed == 0
+    fresh = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    assert fresh.load("kept") == b"old"
+    assert fresh.load("blocked") is None
 
 
 def test_concurrent_lookups_converge_on_one_artifact(tmp_path):
@@ -260,7 +296,7 @@ def test_concurrent_stores_count_every_store(tmp_path):
     import sys
     import threading
 
-    store = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes, fsync=False)
+    store = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
     threads_n, per_thread = 8, 40
     barrier = threading.Barrier(threads_n)
 
@@ -285,20 +321,97 @@ def test_concurrent_stores_count_every_store(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     assert store.stats.stores == threads_n * per_thread
     assert store.stats.disk_errors == 0
-    assert len(list(tmp_path.rglob("*.pkl"))) == threads_n * per_thread
+    rows = _edit_rows(tmp_path, "SELECT COUNT(*) FROM blobs")
+    assert rows == [(threads_n * per_thread,)]
 
 
-def test_fsync_is_per_namespace(tmp_path, monkeypatch):
-    """Only instances built with ``fsync=False`` skip the per-entry
-    fsync; publish stays atomic and the entry loads back verified."""
-    synced = []
-    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-    ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes).store("a", b"x")
-    assert len(synced) == 1
-    unsynced = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes, fsync=False)
-    unsynced.store("b", b"y")
-    assert len(synced) == 1
-    reopened = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
-    assert reopened.load("b") == b"y"
-    assert reopened.stats.disk_hits == 1
-    assert not list(tmp_path.rglob("*.tmp"))
+def test_durability_pragmas_per_file(tmp_path):
+    """Blob files are rebuildable (WAL, synchronous=NORMAL); the
+    results file is not (WAL, synchronous=FULL)."""
+    from repro.results import ResultsStore
+
+    blobs = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    blobs.store("a", b"x")
+    db = cache.blob_file(str(tmp_path))
+    assert db.execute("PRAGMA journal_mode") == [("wal",)]
+    assert db.execute("PRAGMA synchronous") == [(1,)]
+    assert db.execute("PRAGMA cache_size") == [(-256,)]
+    results = ResultsStore(str(tmp_path / "results.sqlite"))
+    assert results._db.execute("PRAGMA journal_mode") == [("wal",)]
+    assert results._db.execute("PRAGMA synchronous") == [(2,)]
+    results.close()
+
+
+# -- processes sharing one cache dir -------------------------------------------
+
+
+def _store_range(cache_dir, prefix, count, start, report):
+    start.wait()
+    store = ArtifactCache(cache_dir=cache_dir, payload_type=bytes)
+    for index in range(count):
+        store.store(f"{prefix}-{index}", b"%s %d" % (prefix.encode(), index))
+    report.put(store.stats.as_dict())
+
+
+def test_two_processes_store_into_one_cache_dir(tmp_path):
+    import multiprocessing
+
+    context = multiprocessing.get_context("spawn")
+    start, report = context.Event(), context.Queue()
+    count = 150
+    workers = [
+        context.Process(
+            target=_store_range, args=(str(tmp_path), name, count, start, report)
+        )
+        for name in ("first", "second")
+    ]
+    for worker in workers:
+        worker.start()
+    start.set()
+    stats = [report.get(timeout=120) for _ in workers]
+    for worker in workers:
+        worker.join(timeout=60)
+    assert [worker.exitcode for worker in workers] == [0, 0]
+    assert [entry["disk_errors"] for entry in stats] == [0, 0]
+    assert [entry["stores"] for entry in stats] == [count, count]
+    fresh = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    for name in ("first", "second"):
+        for index in range(count):
+            assert fresh.load(f"{name}-{index}") == b"%s %d" % (name.encode(), index)
+    assert fresh.stats.disk_errors == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
+def test_forked_child_uses_its_own_connection(tmp_path):
+    """The parent's connection is open across fork(); the child's
+    lookups and stores work, while the parent writes and reopens."""
+    parent = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    parent.store("before-fork", b"parent")
+    db = cache.blob_file(str(tmp_path))
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - child
+        code = 1
+        try:
+            child = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+            if child.load("before-fork") == b"parent":
+                for index in range(200):
+                    child.store(f"child-{index}", b"%d" % index)
+                if child.stats.disk_errors == 0 and child.stats.stores == 200:
+                    code = 0
+        finally:
+            os._exit(code)
+    for index in range(40):
+        parent.store(f"parent-{index}", b"%d" % index)
+        db.close()
+    deadline = time.monotonic() + 60
+    while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+    assert db.execute("PRAGMA integrity_check") == [("ok",)]
+    fresh = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
+    assert all(fresh.load(f"child-{index}") == b"%d" % index for index in range(200))
+    assert all(fresh.load(f"parent-{index}") == b"%d" % index for index in range(40))
+    assert parent.stats.disk_errors == fresh.stats.disk_errors == 0

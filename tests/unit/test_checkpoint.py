@@ -2,7 +2,9 @@
 
 import os
 import pickle
+import sqlite3
 
+from repro.cache import BLOB_FILE
 from repro.checkpoint import (
     CHECKPOINT_SCHEMA_TAG,
     CheckpointStore,
@@ -30,8 +32,11 @@ def test_store_roundtrip_and_missing(tmp_path):
     assert store.load("absent" * 8) is None
     store.save("k" * 8, {"payload": [1, 2]})
     assert store.load("k" * 8) == {"payload": [1, 2]}
-    # Entries land under the checkpoint schema's own directory.
-    assert os.path.isdir(os.path.join(str(tmp_path), CHECKPOINT_SCHEMA_TAG))
+    # Rows land in the directory's blob file, under the checkpoint
+    # namespace.
+    assert _rows(tmp_path, "SELECT namespace, key FROM blobs") == [
+        (CHECKPOINT_SCHEMA_TAG, "k" * 8)
+    ]
 
 
 def test_store_loads_are_fresh_objects(tmp_path):
@@ -50,20 +55,17 @@ def test_store_loads_are_fresh_objects(tmp_path):
 def test_store_corrupt_entry_degrades_to_rerun(tmp_path):
     store = CheckpointStore(str(tmp_path))
     store.save("bad" * 4, {"ok": True})
-    entry = os.path.join(
-        str(tmp_path), CHECKPOINT_SCHEMA_TAG, "bad" * 4 + ".pkl"
-    )
-    with open(entry, "wb") as handle:
-        handle.write(b"garbage")
+    _rows(tmp_path, "UPDATE blobs SET payload = ?", (b"garbage",))
     assert store.load("bad" * 4) is None
     assert store.stats.disk_errors == 1
+    assert _rows(tmp_path, "SELECT COUNT(*) FROM blobs") == [(0,)]
 
 
 def test_store_disabled_is_inert(tmp_path):
     store = CheckpointStore(str(tmp_path), enabled=False)
     store.save("k" * 4, {"x": 1})
     assert store.load("k" * 4) is None
-    assert not os.path.exists(os.path.join(str(tmp_path), CHECKPOINT_SCHEMA_TAG))
+    assert not os.listdir(str(tmp_path))
 
 
 # -- the supervisor's checkpointer ---------------------------------------------
@@ -117,14 +119,27 @@ def test_snapshot_payload_is_picklable_without_scripts():
 # -- garbage collection --------------------------------------------------------
 
 
+def _rows(checkpoint_dir, query, params=()):
+    """Run one statement against the store's file from a second
+    connection."""
+    conn = sqlite3.connect(os.path.join(str(checkpoint_dir), BLOB_FILE))
+    with conn:
+        rows = conn.execute(query, params).fetchall()
+    conn.close()
+    return rows
+
+
 def _aged_store(tmp_path, ages):
-    """A store with one entry per (key, age-seconds) pair, mtimes
-    pinned relative to now=1000.0."""
+    """A store with one entry per (key, age-seconds) pair, creation
+    times pinned relative to now=1000.0."""
     store = CheckpointStore(str(tmp_path))
     for key, age in ages:
         store.save(key, {"k": key})
-        entry = store._cache._entry_path(key)
-        os.utime(entry, (1000.0 - age, 1000.0 - age))
+        _rows(
+            tmp_path,
+            "UPDATE blobs SET created_at = ? WHERE key = ?",
+            (1000.0 - age, key),
+        )
     return store
 
 
@@ -154,25 +169,25 @@ def test_prune_max_entries_keeps_the_newest(tmp_path):
     assert store.load("c0000000") is not None
 
 
-def test_prune_sweeps_stale_schemas_and_tmp_but_not_foreign_dirs(tmp_path):
+def test_prune_sweeps_stale_namespaces_but_not_foreign_ones(tmp_path):
     store = CheckpointStore(str(tmp_path))
     store.save("keep0000", {"x": 1})
-    schema_dir = os.path.join(str(tmp_path), CHECKPOINT_SCHEMA_TAG)
-    with open(os.path.join(schema_dir, "crashed-writer.tmp"), "wb") as handle:
-        handle.write(b"partial")
-    stale_dir = os.path.join(str(tmp_path), "ldx-checkpoint-v1")
-    os.makedirs(stale_dir)
-    with open(os.path.join(stale_dir, "ancient"), "wb") as handle:
-        handle.write(b"unloadable forever")
-    foreign_dir = os.path.join(str(tmp_path), "user-data")
-    os.makedirs(foreign_dir)
-    with open(os.path.join(foreign_dir, "precious"), "wb") as handle:
-        handle.write(b"not ours")
+    for namespace, key in (("ldx-checkpoint-v1", "ancient0"),
+                           ("ldx-artifact-v4", "precious")):
+        _rows(
+            tmp_path,
+            "INSERT INTO blobs VALUES (?, ?, ?, '', 0)",
+            (namespace, key, b"not loadable here"),
+        )
 
     summary = store.prune()
-    assert summary["removed"] == 2  # the .tmp and the stale entry
-    assert not os.path.exists(stale_dir)  # swept whole
-    assert os.path.exists(os.path.join(foreign_dir, "precious"))
+    assert summary == {
+        "scanned": 2, "removed": 1, "kept": 1,
+        "reclaimed_bytes": len(b"not loadable here"),
+    }
+    assert _rows(tmp_path, "SELECT namespace FROM blobs ORDER BY namespace") == [
+        ("ldx-artifact-v4",), (CHECKPOINT_SCHEMA_TAG,)
+    ]
     assert store.load("keep0000") is not None
 
 

@@ -188,6 +188,28 @@ def test_checkpoints_prune_reports_summary(tmp_path, capsys):
     assert "kept 2" in out
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--max-entries", "-1"), ("--max-age-hours", "-5"),
+     ("--max-age-hours", "nan")],
+)
+def test_checkpoints_prune_rejects_negative_limits(tmp_path, capsys, option, value):
+    # A negative cap or TTL used to delete every checkpoint and exit 0.
+    from repro.checkpoint import CheckpointStore
+
+    store = CheckpointStore(str(tmp_path))
+    for index in range(3):
+        store.save(f"entry{index:03d}", {"i": index})
+    with pytest.raises(SystemExit) as excinfo:
+        main(["checkpoints", "prune", "--checkpoint-dir", str(tmp_path),
+              option, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert all(store.load(f"entry{index:03d}") == {"i": index} for index in range(3))
+
+
 def test_checkpoints_prune_missing_dir_is_ok(tmp_path, capsys):
     code = main(
         ["checkpoints", "prune", "--checkpoint-dir", str(tmp_path / "absent")]

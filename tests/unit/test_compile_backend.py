@@ -158,8 +158,22 @@ def _threaded_observables():
     return rows
 
 
-def _code_entries(root):
-    return sorted(root.glob("ldx-code-*/*.pkl"))
+def _blob_rows(root, query, params=()):
+    """Run one statement against ``root/blobs.sqlite`` from a second
+    connection, as another process would."""
+    import sqlite3
+
+    conn = sqlite3.connect(str(root / "blobs.sqlite"))
+    with conn:
+        rows = conn.execute(query, params).fetchall()
+    conn.close()
+    return rows
+
+
+def _code_keys(root):
+    return _blob_rows(
+        root, "SELECT key FROM blobs WHERE namespace GLOB 'ldx-code-*' ORDER BY key"
+    )
 
 
 def test_warm_code_cache_compiles_nothing(tmp_path, monkeypatch):
@@ -167,7 +181,7 @@ def test_warm_code_cache_compiles_nothing(tmp_path, monkeypatch):
 
     _fresh_process(str(tmp_path))
     cold = _threaded_observables()
-    entries = _code_entries(tmp_path)
+    entries = _code_keys(tmp_path)
     assert entries
     assert cache.get_compiled_cache().stats.stores == len(entries)
 
@@ -204,13 +218,23 @@ def test_identical_region_sources_compile_once(monkeypatch):
 def test_corrupt_code_entries_heal(tmp_path, monkeypatch):
     _fresh_process(str(tmp_path))
     cold = _threaded_observables()
-    entries = _code_entries(tmp_path)
+    entries = _code_keys(tmp_path)
     assert len(entries) >= 2
-    truncated, flipped = entries[0], entries[1]
-    truncated.write_bytes(truncated.read_bytes()[: truncated.stat().st_size // 2])
-    blob = bytearray(flipped.read_bytes())
+    (truncated,), (flipped,) = entries[:2]
+    _blob_rows(
+        tmp_path,
+        "UPDATE blobs SET payload = substr(payload, 1, length(payload) / 2)"
+        " WHERE key = ?",
+        (truncated,),
+    )
+    ((blob,),) = _blob_rows(
+        tmp_path, "SELECT payload FROM blobs WHERE key = ?", (flipped,)
+    )
+    blob = bytearray(blob)
     blob[len(blob) // 2] ^= 0x01
-    flipped.write_bytes(bytes(blob))
+    _blob_rows(
+        tmp_path, "UPDATE blobs SET payload = ? WHERE key = ?", (bytes(blob), flipped)
+    )
 
     _fresh_process(str(tmp_path))
     calls = _count_compiles(monkeypatch)
@@ -231,7 +255,6 @@ def test_corrupt_code_entries_heal(tmp_path, monkeypatch):
 
 def test_foreign_magic_code_entries_never_load(tmp_path, monkeypatch):
     import importlib.util
-    import shutil
     import sys
 
     from repro.cache import artifact_key, code_schema_tag
@@ -245,18 +268,21 @@ def test_foreign_magic_code_entries_never_load(tmp_path, monkeypatch):
     sources = set(emitted)
     native_tag = code_schema_tag()
     assert foreign_tag != native_tag
-    assert len(_code_entries(tmp_path)) == len(sources) > 0
+    assert len(_code_keys(tmp_path)) == len(sources) > 0
 
-    # The foreign directory is never read; copy every entry to where
-    # this interpreter looks for the same source as well, so the
-    # envelope's schema check must reject each one.
+    # The foreign namespace is never read; copy every row to where this
+    # interpreter looks for the same source as well, so the digest,
+    # which covers the namespace, must reject each one.
     config = {"filename": "<ldx-region>", "optimize": sys.flags.optimize}
-    (tmp_path / native_tag).mkdir()
     for source in sources:
-        shutil.copy(
-            tmp_path / foreign_tag / (artifact_key(source, config, foreign_tag) + ".pkl"),
-            tmp_path / native_tag / (artifact_key(source, config, native_tag) + ".pkl"),
+        _blob_rows(
+            tmp_path,
+            "INSERT INTO blobs SELECT ?, ?, payload, digest, created_at"
+            " FROM blobs WHERE namespace = ? AND key = ?",
+            (native_tag, artifact_key(source, config, native_tag),
+             foreign_tag, artifact_key(source, config, foreign_tag)),
         )
+    assert len(_code_keys(tmp_path)) == 2 * len(sources)
 
     _fresh_process(str(tmp_path))
     calls = _count_compiles(monkeypatch)
@@ -274,7 +300,7 @@ def test_no_cache_writes_no_code(tmp_path, monkeypatch):
         calls = _count_compiles(monkeypatch)
         _threaded_observables()
         assert calls, "no region was generated"
-        assert not list(tmp_path.rglob("ldx-code-*"))
+        assert not list(tmp_path.iterdir())
         assert cache.get_compiled_cache().stats.stores == 0
 
 # -- identity of observable behaviour -------------------------------------------

@@ -107,6 +107,33 @@ def test_garbage_file_heals_at_open(store):
     reopened.close()
 
 
+def test_busy_lock_is_an_error_never_a_heal(tmp_path, monkeypatch):
+    """A second writer holding the lock past the busy timeout costs this
+    put, nothing else: the store must not delete a file another
+    connection is writing."""
+    from repro import cache
+
+    monkeypatch.setattr(cache, "BUSY_TIMEOUT_S", 0.05)
+    store = ResultsStore(str(tmp_path / "results.sqlite"))
+    store.put_cell(_spec("kept"), "earlier")
+    other = sqlite3.connect(store.path, isolation_level=None)
+    other.execute("BEGIN IMMEDIATE")
+    other.execute(
+        "INSERT INTO runs (kind, params, planned, executed, reused, created_at)"
+        " VALUES ('other', '{}', 7, 7, 0, 0)"
+    )
+    store.put_cell(_spec("blocked", workload="bzip2"), "lost")
+    other.execute("COMMIT")
+    other.close()
+    assert store.stats.healed == 0
+    assert store.stats.errors == 1
+    assert store.enabled
+    assert store.get_cell("kept") == "earlier"
+    assert store.get_cell("blocked") is None
+    assert store.latest_run("other")["planned"] == 7
+    store.close()
+
+
 def test_foreign_schema_tag_orphans_the_store(store):
     store.put_cell(_spec(), "old")
     store.close()
