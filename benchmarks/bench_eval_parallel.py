@@ -43,7 +43,7 @@ def test_parallel_eval_speedup(benchmark):
     parallel_seconds = benchmark.stats.stats.total
 
     # The fan-out contract: reassembled output is byte-identical.
-    assert parallel_report == serial_report
+    assert parallel_report.report == serial_report.report
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0
     benchmark.extra_info["serial_seconds"] = round(serial_seconds, 3)

@@ -250,12 +250,6 @@ def _rate(text: str) -> float:
 
 def _add_fault_options(parser: argparse.ArgumentParser, default_rate: float) -> None:
     parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed for the deterministic fault-injection plan",
-    )
-    parser.add_argument(
         "--fault-rate",
         type=_rate,
         default=default_rate,
@@ -387,8 +381,6 @@ def _cmd_eval(args) -> int:
         result = run_all(
             table4_runs=args.table4_runs,
             jobs=args.jobs,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            use_cache=not args.no_cache,
             check_static=args.check_static,
             table5_path=args.table5_json,
             store_path=None if args.no_store else args.store_path,
@@ -710,6 +702,13 @@ def main(argv: List[str] = None) -> int:
     leak_parser.add_argument(
         "--sinks", choices=("network", "file"), default="network"
     )
+    # Only leak takes one fault seed; a chaos sweep runs seeds 0..N-1.
+    leak_parser.add_argument(
+        "--fault-seed",
+        type=int,
+        default=0,
+        help="seed for the deterministic fault-injection plan",
+    )
     _add_fault_options(leak_parser, default_rate=0.0)
     leak_parser.set_defaults(handler=_cmd_leak)
 
@@ -876,15 +875,18 @@ def main(argv: List[str] = None) -> int:
         help="worker threads draining the admission queue",
     )
     serve_parser.add_argument(
-        "--queue-capacity", type=int, default=64, metavar="N",
+        "--queue-capacity", type=_at_least(1, "queue capacity"), default=64,
+        metavar="N",
         help="admission queue bound (beyond it requests shed as overloaded)",
     )
     serve_parser.add_argument(
-        "--high-watermark", type=int, default=None, metavar="N",
+        "--high-watermark", type=_at_least(1, "high watermark"), default=None,
+        metavar="N",
         help="queue depth above which cold requests shed (default: 3/4 capacity)",
     )
     serve_parser.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
+        "--breaker-threshold", type=_at_least(1, "breaker threshold"),
+        default=3, metavar="N",
         help="consecutive engine failures before a workload's breaker opens",
     )
     serve_parser.add_argument(
@@ -892,7 +894,8 @@ def main(argv: List[str] = None) -> int:
         help="open-breaker cooldown before a half-open probe is admitted",
     )
     serve_parser.add_argument(
-        "--max-factories", type=int, default=32, metavar="N",
+        "--max-factories", type=_at_least(1, "factory count"), default=32,
+        metavar="N",
         help="warm engine-factory LRU capacity",
     )
     serve_parser.add_argument(
@@ -910,7 +913,8 @@ def main(argv: List[str] = None) -> int:
         "always explicit)",
     )
     serve_chaos_parser.add_argument(
-        "--requests", type=int, default=60, metavar="N",
+        "--requests", type=_at_least(1, "request count"), default=60,
+        metavar="N",
         help="requests in the storm",
     )
     serve_chaos_parser.add_argument(
@@ -918,7 +922,8 @@ def main(argv: List[str] = None) -> int:
         help="service worker threads (in-process mode)",
     )
     serve_chaos_parser.add_argument(
-        "--queue-capacity", type=int, default=8, metavar="N",
+        "--queue-capacity", type=_at_least(1, "queue capacity"), default=8,
+        metavar="N",
         help="admission queue bound (small by default to exercise shedding)",
     )
     serve_chaos_parser.add_argument(

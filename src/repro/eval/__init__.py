@@ -2,7 +2,6 @@
 
 from repro.eval.figure6 import Figure6Row, render_figure6, run_figure6
 from repro.eval.mutation_study import render_mutation_study, run_mutation_study
-from repro.eval.parallel import run_chaos_parallel
 from repro.eval.reporting import arithmetic_mean, format_table, geometric_mean
 from repro.eval.runner import run_all
 from repro.eval.table1 import Table1Row, render_table1, run_table1
@@ -20,7 +19,6 @@ __all__ = [
     "format_table",
     "geometric_mean",
     "run_all",
-    "run_chaos_parallel",
     "Table1Row",
     "render_table1",
     "run_table1",

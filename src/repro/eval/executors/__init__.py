@@ -1,16 +1,10 @@
-"""Pluggable cell-execution backends for the eval/chaos fan-out.
+"""Cell-execution backends for the eval/chaos fan-out.
 
-See :mod:`repro.eval.executors.base` for the ``submit/stream/close``
-contract and :mod:`.local` for the serial and process-pool backends.
+See :mod:`.local` for the serial and process-pool backends and their
+``stream/close`` contract; :func:`repro.eval.parallel.run_cells` picks
+one from ``--jobs``.
 """
 
-from repro.eval.executors.base import Cell, CellExecutor, ExecutorError
 from repro.eval.executors.local import LocalPoolExecutor, SerialExecutor
 
-__all__ = [
-    "Cell",
-    "CellExecutor",
-    "ExecutorError",
-    "LocalPoolExecutor",
-    "SerialExecutor",
-]
+__all__ = ["LocalPoolExecutor", "SerialExecutor"]

@@ -1,14 +1,15 @@
-"""Parallel evaluation: fan eval/chaos cells out over an executor.
+"""The eval path: every report is plan → :func:`run_cells` → assemble.
 
 Every experiment in the harness decomposes into independent cells:
 
-* Table 1 / Figure 6 / Table 2 / Table 3 — one cell per workload;
+* Table 1 / Figure 6 / Table 2 / Table 3 / Table 5 — one cell per
+  workload;
 * Table 4 — one cell per (workload, chunk of seeded runs): the
   schedule seeds are a pure function of the run index, so any chunk
-  reproduces its slice of the serial sweep exactly;
+  reproduces its slice of the whole sweep exactly;
 * the mutation study — one cell per strategy (the stateful ``random``
   mutator's RNG stream flows across workloads *within* a strategy, so
-  a strategy is the smallest split that preserves serial results);
+  a strategy is the smallest split that preserves its results);
 * the chaos sweep — one cell per (workload, chunk of fault seeds).
 
 Cells are plain tuples of primitives.  Workers rebuild everything they
@@ -20,20 +21,18 @@ cache instance, warmed from the same on-disk layer when one is
 configured).
 
 *Where* cells run is an executor (:mod:`repro.eval.executors`):
-:func:`run_cells` — the one submit/stream loop — runs them in process
-for one job and over a process pool otherwise.  Executors stream
-``(index, result)`` pairs back in completion order; :func:`run_cells`
-persists each completed cell in the results store the moment it
-arrives and reassembles **in plan order**, so per-table rows come back
-in exactly the order the serial path produces them, the rendered
-report is byte-identical for any job count or interleaving, and an
-interrupt never discards finished work — re-running the same command
-reuses every persisted cell.
+:func:`run_cells` — the one stream loop, with or without a results
+store — runs them in process for one job and over a process pool
+otherwise.  Executors stream ``(index, result)`` pairs back in
+completion order; :func:`run_cells` persists each completed cell in the
+results store the moment it arrives and reassembles **in plan order**,
+so the rendered report is byte-identical for any job count or
+interleaving, and an interrupt never discards finished work —
+re-running the same command reuses every persisted cell.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,10 +43,6 @@ Cell = Tuple[str, tuple]
 # load-balance across workers, large enough to amortize task dispatch.
 TABLE4_CHUNK = 10
 CHAOS_CHUNK = 5
-
-
-def default_jobs() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 # -- cell execution (runs inside pool workers) ---------------------------------
@@ -153,7 +148,7 @@ _CELL_RUNNERS = {
 
 
 def run_cell(cell: Cell):
-    """Execute one cell (the pool's task function; also the serial path)."""
+    """Execute one cell (the task function of every executor)."""
     kind, payload = cell
     return _CELL_RUNNERS[kind](*payload)
 
@@ -161,45 +156,19 @@ def run_cell(cell: Cell):
 # -- scheduling ----------------------------------------------------------------
 
 
-def _cache_settings(
-    cache_dir: Optional[str], cache_enabled: Optional[bool]
-) -> Tuple[Optional[str], bool]:
-    """Resolve worker cache settings, inheriting the parent's
-    process-global cache configuration for unspecified values."""
-    from repro import cache
-
-    current = cache.get_cache()
-    if cache_dir is None:
-        cache_dir = current.cache_dir
-    if cache_enabled is None:
-        cache_enabled = current.enabled
-    return cache_dir, cache_enabled
-
-
-def _executor_for(
-    cells: Sequence[Cell],
-    jobs: int,
-    cache_dir: Optional[str],
-    cache_enabled: Optional[bool],
-):
+def _executor_for(cells: Sequence[Cell], jobs: int):
     """The one executor choice: in process for one job or one cell, a
     local process pool otherwise."""
     from repro.eval.executors import LocalPoolExecutor, SerialExecutor
 
     if jobs <= 1 or len(cells) <= 1:
-        return SerialExecutor()
-    return LocalPoolExecutor(
-        jobs=min(jobs, len(cells)),
-        cache_dir=cache_dir,
-        cache_enabled=cache_enabled,
-    )
+        return SerialExecutor(cells)
+    return LocalPoolExecutor(cells, jobs=min(jobs, len(cells)))
 
 
 def run_cells(
     cells: Sequence[Cell],
     jobs: int,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
     store=None,
     label: str = "eval",
 ) -> Tuple[List[object], Dict[str, int]]:
@@ -228,10 +197,8 @@ def run_cells(
     reused = len(cells) - len(miss_indices)
     executed = 0
     if miss_indices:
-        miss_cells = [cells[i] for i in miss_indices]
-        executor = _executor_for(miss_cells, jobs, cache_dir, cache_enabled)
+        executor = _executor_for([cells[i] for i in miss_indices], jobs)
         try:
-            executor.submit(miss_cells)
             for position, result in executor.stream():
                 index = miss_indices[position]
                 results[index] = result
@@ -273,13 +240,14 @@ def _chunks(count: int, size: int) -> List[Tuple[int, int]]:
 
 
 def plan_eval_cells(
-    table4_runs: int = 100, table4_chunk: int = TABLE4_CHUNK
+    table4_runs: int = 100,
+    table4_chunk: int = TABLE4_CHUNK,
+    check_static: bool = False,
 ) -> List[Cell]:
     """Decompose the full evaluation into independent cells.
 
-    Cell order is the reassembly order; it mirrors the serial
-    ``run_all`` exactly (table order, then workload order, then run
-    order).
+    Cell order is the reassembly order: table order, then workload
+    order, then run order.  ``check_static`` appends the Table 5 cells.
     """
     from repro.eval.mutation_study import STUDY_WORKLOADS, strategies_under_study
     from repro.workloads import (
@@ -300,6 +268,8 @@ def plan_eval_cells(
             cells.append(("table4", (workload.name, start, stop)))
     for strategy in strategies_under_study():
         cells.append(("mutation", (strategy, tuple(STUDY_WORKLOADS))))
+    if check_static:
+        cells += plan_table5_cells()
     return cells
 
 
@@ -334,7 +304,10 @@ def plan_chaos_cells(
 def assemble_report(
     cells: Sequence[Cell], results: Sequence[object], table4_runs: int
 ) -> str:
-    """Reassemble per-cell results into the serial report, byte for byte."""
+    """Reassemble per-cell results into the report, byte for byte.
+
+    Table 5 is rendered when the plan holds table5 cells.
+    """
     from repro.eval.figure6 import render_figure6
     from repro.eval.mutation_study import render_mutation_study
     from repro.eval.table1 import render_table1
@@ -376,61 +349,16 @@ def assemble_report(
         render_table4(table4_rows, table4_runs),
         render_mutation_study(outcomes),
     ]
+    if "table5" in by_kind:
+        from repro.eval.table5 import render_table5
+
+        sections.append(render_table5(table5_rows(cells, results)))
     return "\n\n\n".join(sections)
 
 
-def run_chaos_parallel(
-    names: Optional[List[str]] = None,
-    seeds: int = 50,
-    rate: float = 0.1,
-    watchdog_deadline: float = 25_000.0,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    cache_enabled: Optional[bool] = None,
-    seed_chunk: int = CHAOS_CHUNK,
-    store=None,
-):
-    """The chaos sweep, fanned out; rows identical to a serial sweep.
-
-    With *store* (a :class:`repro.results.ResultsStore`) each finished
-    (workload, seed-chunk) cell persists as it streams back and cells
-    already stored are reused instead of re-run — an interrupted sweep
-    re-run with the same arguments executes only the missing cells.
-    Reused or re-run, cells merge in the same planned order, so the
-    report is byte-identical to an uninterrupted sweep, and the sweep
-    is reportable via ``repro report --chaos``.
-    """
-    from repro.eval.robustness import ChaosRow
-    from repro.workloads import ALL_WORKLOADS
-
-    jobs = default_jobs() if jobs is None else jobs
-    names = names or [workload.name for workload in ALL_WORKLOADS]
-    cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
-    results, stats = run_cells(
-        cells, jobs, cache_dir, cache_enabled, store=store, label="chaos"
-    )
-    if store is not None and store.enabled:
-        store.record_run(
-            "chaos",
-            {
-                "names": list(names),
-                "seeds": seeds,
-                "rate": rate,
-                "watchdog_deadline": watchdog_deadline,
-                "seed_chunk": seed_chunk,
-            },
-            **stats,
-        )
-
-    rows: List[ChaosRow] = []
-    by_name: Dict[str, ChaosRow] = {}
-    for (kind, payload), chunk_row in zip(cells, results):
-        name = payload[0]
-        if name not in by_name:
-            by_name[name] = chunk_row
-            rows.append(chunk_row)
-        else:
-            # Chunks were planned (and mapped back) in seed order, so
-            # merging in cell order reproduces the serial violations.
-            by_name[name].merge(chunk_row)
-    return rows
+def table5_rows(cells: Sequence[Cell], results: Sequence[object]) -> list:
+    """The Table 5 rows among *results*, in plan order."""
+    return [
+        result for (kind, _payload), result in zip(cells, results)
+        if kind == "table5"
+    ]

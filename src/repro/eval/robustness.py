@@ -28,10 +28,11 @@ workload:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import LdxConfig, SourceSpec
 from repro.core.engine import run_dual
+from repro.eval.parallel import CHAOS_CHUNK, Cell, plan_chaos_cells, run_cells
 from repro.eval.reporting import format_table
 from repro.vos.faults import FaultConfig
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -204,27 +205,57 @@ def run_chaos(
     watchdog_deadline: float = 25_000.0,
     jobs: int = 1,
     store=None,
+    seed_chunk: int = CHAOS_CHUNK,
 ) -> List[ChaosRow]:
     """Sweep fault seeds across workloads; one row per workload.
 
-    With ``jobs > 1`` the (workload, seed-chunk) cells fan out over a
-    process pool.  With *store* (a :class:`repro.results.ResultsStore`)
-    completed cells persist in the columnar results store as they
-    finish, and a re-run — after an interrupt, say — executes only the
-    missing cells.  Both go through the cell decomposition, whose merge
-    is byte-identical to this serial loop for any job count.
+    The sweep is planned as (workload, seed-chunk) cells and run by
+    :func:`repro.eval.parallel.run_cells`: in process for one job, over
+    a process pool for ``jobs > 1``.  With *store* (a
+    :class:`repro.results.ResultsStore`) each finished cell persists as
+    it streams back, cells already stored are reused instead of re-run —
+    an interrupted sweep re-run with the same arguments executes only
+    the missing cells — and the sweep is recorded for ``repro report
+    --chaos``.  Cells merge in plan order, so the rows are
+    byte-identical for any job count, chunk size or mix of reused and
+    executed cells.
     """
     names = names or [workload.name for workload in ALL_WORKLOADS]
-    if jobs > 1 or store is not None:
-        from repro.eval.parallel import run_chaos_parallel
-
-        return run_chaos_parallel(
-            names, seeds=seeds, rate=rate,
-            watchdog_deadline=watchdog_deadline, jobs=jobs, store=store,
+    cells = plan_chaos_cells(names, seeds, rate, watchdog_deadline, seed_chunk)
+    results, stats = run_cells(cells, jobs, store=store, label="chaos")
+    if store is not None and store.enabled:
+        store.record_run(
+            "chaos",
+            {
+                "names": list(names),
+                "seeds": seeds,
+                "rate": rate,
+                "watchdog_deadline": watchdog_deadline,
+                "seed_chunk": seed_chunk,
+            },
+            **stats,
         )
-    return [
-        chaos_workload(name, range(seeds), rate, watchdog_deadline) for name in names
-    ]
+    return merge_chaos_rows(cells, results)
+
+
+def merge_chaos_rows(
+    cells: Sequence[Cell], chunk_rows: Sequence[ChaosRow]
+) -> List[ChaosRow]:
+    """Fold per-chunk rows into one row per workload, in plan order.
+
+    Chunks were planned in seed order, so merging in plan order
+    reproduces a one-chunk sweep's violation list exactly.
+    """
+    rows: List[ChaosRow] = []
+    by_name: Dict[str, ChaosRow] = {}
+    for (_kind, payload), chunk_row in zip(cells, chunk_rows):
+        name = payload[0]
+        if name not in by_name:
+            by_name[name] = chunk_row
+            rows.append(chunk_row)
+        else:
+            by_name[name].merge(chunk_row)
+    return rows
 
 
 def chaos_ok(rows: List[ChaosRow]) -> bool:

@@ -51,9 +51,9 @@ def _load_cells(store: ResultsStore, cells, what: str) -> List[object]:
 def eval_report_from_store(store: ResultsStore) -> str:
     """The full eval report, byte-identical to the recorded run."""
     from repro.eval.parallel import (
+        TABLE4_CHUNK,
         assemble_report,
         plan_eval_cells,
-        plan_table5_cells,
     )
 
     run = store.latest_run("eval")
@@ -64,22 +64,19 @@ def eval_report_from_store(store: ResultsStore) -> str:
         )
     params = run["params"]
     table4_runs = int(params.get("table4_runs", 100))
-    table4_chunk = int(params.get("table4_chunk", 10))
-    cells = plan_eval_cells(table4_runs, table4_chunk)
+    cells = plan_eval_cells(
+        table4_runs,
+        int(params.get("table4_chunk", TABLE4_CHUNK)),
+        bool(params.get("check_static")),
+    )
     results = _load_cells(store, cells, "eval")
-    report = assemble_report(cells, results, table4_runs)
-    if params.get("check_static"):
-        from repro.eval.table5 import render_table5
-
-        rows = _load_cells(store, plan_table5_cells(), "eval")
-        report += "\n\n\n" + render_table5(rows)
-    return report
+    return assemble_report(cells, results, table4_runs)
 
 
 def chaos_report_from_store(store: ResultsStore) -> str:
     """The latest recorded chaos sweep, re-rendered from its cells."""
-    from repro.eval.parallel import plan_chaos_cells
-    from repro.eval.robustness import ChaosRow, render_chaos
+    from repro.eval.parallel import CHAOS_CHUNK, plan_chaos_cells
+    from repro.eval.robustness import merge_chaos_rows, render_chaos
 
     run = store.latest_run("chaos")
     if run is None:
@@ -93,18 +90,9 @@ def chaos_report_from_store(store: ResultsStore) -> str:
         seeds=int(params["seeds"]),
         rate=float(params["rate"]),
         watchdog_deadline=float(params["watchdog_deadline"]),
-        seed_chunk=int(params.get("seed_chunk", 5)),
+        seed_chunk=int(params.get("seed_chunk", CHAOS_CHUNK)),
     )
-    results = _load_cells(store, cells, "chaos")
-    rows: List[ChaosRow] = []
-    by_name = {}
-    for (kind, payload), chunk_row in zip(cells, results):
-        name = payload[0]
-        if name not in by_name:
-            by_name[name] = chunk_row
-            rows.append(chunk_row)
-        else:
-            by_name[name].merge(chunk_row)
+    rows = merge_chaos_rows(cells, _load_cells(store, cells, "chaos"))
     return render_chaos(rows, int(params["seeds"]), float(params["rate"]))
 
 

@@ -151,8 +151,7 @@ def test_eval_rejects_bad_job_counts():
     ids=["chaos-seeds", "eval-table4-runs"],
 )
 def test_counts_below_one_are_rejected(argv, value, capsys):
-    # An empty sweep must not reach the runners: the serial and store
-    # paths would render it differently (or crash on an empty Table 4).
+    # An empty sweep must not reach the runners.
     with pytest.raises(SystemExit) as excinfo:
         main(argv + [value])
     assert excinfo.value.code == 2
@@ -208,6 +207,42 @@ def test_checkpoints_prune_rejects_negative_limits(tmp_path, capsys, option, val
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert all(store.load(f"entry{index:03d}") == {"i": index} for index in range(3))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["serve", "--queue-capacity", "0"],
+     ["serve", "--high-watermark", "-1"],
+     ["serve", "--max-factories", "-3"],
+     ["serve", "--breaker-threshold", "0"],
+     ["serve-chaos", "--queue-capacity", "0"],
+     ["serve-chaos", "--requests", "-1"]],
+    ids=lambda argv: f"{argv[0]}{argv[1]}",
+)
+def test_serve_knobs_below_one_are_rejected(argv, capsys):
+    # These used to die with a traceback, start a daemon that sheds
+    # every cold request, storm nothing and report success, or clamp the
+    # value to 1 without a word.
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert f"must be >= 1, got {argv[2]}" in errors[0]
+
+
+def test_chaos_rejects_a_single_fault_seed(capsys):
+    # A sweep always runs fault seeds 0..N-1; --fault-seed used to be
+    # accepted there and silently ignored.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--fault-seed", "3", "--workload", "gzip", "--no-store"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "--fault-seed" in errors[0]
 
 
 def test_checkpoints_prune_missing_dir_is_ok(tmp_path, capsys):

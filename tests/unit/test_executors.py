@@ -1,9 +1,11 @@
-"""Unit tests for the cell-executor interface and its local backends.
+"""Unit tests for the local cell executors.
 
 Covered here: serial streaming (the reference implementation of the
-``submit/stream/close`` contract) and the one executor choice that
+``stream/close`` contract) and the one executor choice that
 ``run_cells`` makes from ``--jobs``.
 """
+
+import inspect
 
 import pytest
 
@@ -23,10 +25,15 @@ def square_cells(monkeypatch):
 
 
 def test_serial_executor_streams_in_plan_order(square_cells):
-    with SerialExecutor() as executor:
-        executor.submit(square_cells)
+    executor = SerialExecutor(square_cells)
+    try:
         pairs = list(executor.stream())
+    finally:
+        executor.close()
     assert pairs == [(n, n * n) for n in range(7)]
+    # The end-to-end tracer times each step of the stream; it must stay
+    # a generator.
+    assert inspect.isgeneratorfunction(SerialExecutor.stream)
 
 
 def test_serial_executor_run_reassembles(square_cells, capsys):
@@ -38,39 +45,20 @@ def test_serial_executor_run_reassembles(square_cells, capsys):
     assert "results store" not in capsys.readouterr().err
 
 
-def test_serial_executor_serves_multiple_rounds(square_cells):
-    with SerialExecutor() as executor:
-        executor.submit(square_cells[:3])
-        assert list(executor.stream()) == [(0, 0), (1, 1), (2, 4)]
-        executor.submit(square_cells[3:])
-        assert list(executor.stream()) == [(0, 9), (1, 16), (2, 25), (3, 36)]
-
-
-def test_serial_executor_close_mid_round_is_safe(square_cells):
-    executor = SerialExecutor()
-    executor.submit(square_cells)
-    next(executor.stream())
-    executor.close()
-    executor.close()  # idempotent
-
-
 # -- the executor choice -------------------------------------------------------
 
 
 def test_one_job_or_one_cell_runs_serially(square_cells):
+    assert isinstance(parallel._executor_for(square_cells, 1), SerialExecutor)
     assert isinstance(
-        parallel._executor_for(square_cells, 1, None, None), SerialExecutor
-    )
-    assert isinstance(
-        parallel._executor_for(square_cells[:1], 4, None, None), SerialExecutor
+        parallel._executor_for(square_cells[:1], 4), SerialExecutor
     )
 
 
 def test_several_jobs_use_a_pool_no_wider_than_the_round(square_cells):
-    executor = parallel._executor_for(square_cells[:3], 8, None, None)
+    executor = parallel._executor_for(square_cells[:3], 8)
     try:
         assert isinstance(executor, LocalPoolExecutor)
         assert executor.jobs == 3
     finally:
         executor.close()  # pool is lazy: close before it ever spawned
-
