@@ -28,8 +28,8 @@ compiled region source, keyed by the source; the tag embeds
 its own namespace).
 
 **One persistence primitive.**  :class:`SqliteFile` backs the blob
-files of this cache and of :mod:`repro.checkpoint`, and the results
-store (:mod:`repro.results.store`): WAL, a busy timeout, a 256 KiB
+file of this cache and the results store
+(:mod:`repro.results.store`): WAL, a busy timeout, a 256 KiB
 page cache and the owner's ``synchronous`` level (``NORMAL`` for
 rebuildable blobs, since WAL's checksummed frames leave the old entry,
 the new one or nothing after a crash; ``FULL`` for results).  Each
@@ -378,17 +378,12 @@ class ArtifactCache:
         enabled: bool = True,
         schema_tag: str = SCHEMA_TAG,
         payload_type: Optional[type] = InstrumentedModule,
-        use_memory: bool = True,
     ) -> None:
         self.capacity = max(1, capacity)
         self.cache_dir = cache_dir
         self.enabled = enabled
         self.schema_tag = schema_tag
         self.payload_type = payload_type
-        # Callers whose payloads are mutated after lookup (e.g.
-        # restored world snapshots) disable the memory layer so every
-        # load is a fresh unpickle, never a shared object.
-        self.use_memory = use_memory
         self.stats = CacheStats()
         self._blobs = (
             blob_file(cache_dir) if enabled and cache_dir is not None else None
@@ -417,9 +412,8 @@ class ArtifactCache:
     def load(self, key: str):
         """The artifact stored under *key*, or None — no builder.
 
-        Checks the memory layer first (when enabled), then disk.  Lets
-        callers distinguish "cached" from "must compute" (e.g. resume
-        logic skipping completed cells).
+        Checks the memory layer first, then disk; :meth:`lookup`'s
+        first step.
         """
         if not self.enabled:
             return None
@@ -468,8 +462,6 @@ class ArtifactCache:
         """Install *artifact* in the LRU; returns the canonical object
         for *key* (a racing thread's insert wins, so all callers share
         one in-memory artifact per key)."""
-        if not self.use_memory:
-            return artifact
         with self._lock:
             existing = self._memory.get(key)
             if existing is not None:

@@ -11,7 +11,6 @@ Usage::
     python -m repro profile WORKLOAD [--top N] [--json PATH]
     python -m repro serve [--http PORT] [--workers N] [--queue-capacity N]
     python -m repro serve-chaos [--requests N] [--fault-rate R] [--url URL]
-    python -m repro checkpoints prune [--max-entries N] [--max-age-hours H]
 
 ``leak`` dual-executes a MiniC program with LDX and reports causality;
 ``run`` executes it natively; ``eval`` regenerates the paper's tables
@@ -25,7 +24,6 @@ virtual-time histograms; ``serve`` runs the causality-as-a-service
 daemon (stdin JSONL by default, localhost HTTP with ``--http``; see
 docs/SERVICE.md); ``serve-chaos`` storms a service with concurrent
 requests under injected faults and checks the service invariants;
-``checkpoints prune`` garbage-collects the world-checkpoint store;
 ``report`` re-renders the eval tables, the chaos sweep or the
 benchmark trend straight from the columnar results store — sub-second,
 nothing executes.
@@ -594,25 +592,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_checkpoints(args) -> int:
-    from repro.checkpoint import prune_checkpoints
-
-    max_age = None
-    if args.max_age_hours is not None:
-        max_age = args.max_age_hours * 3600.0
-    summary = prune_checkpoints(
-        args.checkpoint_dir,
-        max_entries=args.max_entries,
-        max_age_seconds=max_age,
-    )
-    print(
-        f"checkpoints: scanned {summary['scanned']}, "
-        f"removed {summary['removed']}, kept {summary['kept']}, "
-        f"reclaimed {summary['reclaimed_bytes']} bytes"
-    )
-    return 0
-
-
 def _cmd_serve(args) -> int:
     from repro.serve import HttpTransport, LdxService, ServeConfig, StdioTransport
 
@@ -626,7 +605,6 @@ def _cmd_serve(args) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown=args.breaker_cooldown,
             max_factories=args.max_factories,
-            checkpoint_dir=args.serve_checkpoint_dir,
         )
     )
     if args.http is not None:
@@ -890,17 +868,14 @@ def main(argv: List[str] = None) -> int:
         help="consecutive engine failures before a workload's breaker opens",
     )
     serve_parser.add_argument(
-        "--breaker-cooldown", type=float, default=30.0, metavar="SECONDS",
+        "--breaker-cooldown", type=_at_least(0, "breaker cooldown", number=float),
+        default=30.0, metavar="SECONDS",
         help="open-breaker cooldown before a half-open probe is admitted",
     )
     serve_parser.add_argument(
         "--max-factories", type=_at_least(1, "factory count"), default=32,
         metavar="N",
         help="warm engine-factory LRU capacity",
-    )
-    serve_parser.add_argument(
-        "--serve-checkpoint-dir", metavar="DIR", default=None,
-        help="checkpoint degraded in-flight requests here (drain protocol)",
     )
     _add_cache_options(serve_parser)
     _add_backend_option(serve_parser)
@@ -955,34 +930,6 @@ def main(argv: List[str] = None) -> int:
     _add_store_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)
     serve_chaos_parser.set_defaults(handler=_cmd_serve_chaos)
-
-    checkpoints_parser = commands.add_parser(
-        "checkpoints", help="manage the on-disk checkpoint store"
-    )
-    checkpoint_actions = checkpoints_parser.add_subparsers(
-        dest="action", required=True
-    )
-    prune_parser = checkpoint_actions.add_parser(
-        "prune",
-        help="delete stale checkpoint entries (TTL and/or entry cap)",
-    )
-    from repro.checkpoint import DEFAULT_CHECKPOINT_DIR
-
-    prune_parser.add_argument(
-        "--checkpoint-dir",
-        metavar="DIR",
-        default=DEFAULT_CHECKPOINT_DIR,
-        help=f"checkpoint store location (default: {DEFAULT_CHECKPOINT_DIR})",
-    )
-    prune_parser.add_argument(
-        "--max-entries", type=_at_least(0, "entry count"), default=None,
-        metavar="N", help="keep at most the newest N entries",
-    )
-    prune_parser.add_argument(
-        "--max-age-hours", type=_at_least(0, "age", float), default=None,
-        metavar="H", help="delete entries older than H hours",
-    )
-    prune_parser.set_defaults(handler=_cmd_checkpoints)
 
     args = parser.parse_args(argv)
     try:

@@ -42,7 +42,7 @@ from repro.core.report import (
     Detection,
     DualResult,
 )
-from repro.core.supervisor import Checkpointer, EngineWatchdog
+from repro.core.supervisor import EngineWatchdog
 from repro.errors import BudgetExceededError, DualExecutionError, EngineStallError, InterpreterError
 from repro.instrument.pipeline import InstrumentedModule
 from repro.interp.costs import CostModel
@@ -90,7 +90,6 @@ class LdxEngine:
         faults: Optional[FaultConfig] = None,
         watchdog_deadline: float = 25_000.0,
         static_oracle=None,
-        checkpointer: Optional[Checkpointer] = None,
         profile: bool = False,
     ) -> None:
         module = instrumented.module
@@ -108,8 +107,6 @@ class LdxEngine:
         self.taints = ResourceTaintMap()
         self.locks = LockTaintMap()
         self._watchdog = EngineWatchdog(deadline=watchdog_deadline)
-        # Optional: snapshots the slave world at degradation rungs.
-        self._checkpointer = checkpointer
         # Each side draws an independent deterministic fault schedule.
         self._fault_config = faults
         master_faults = faults.plan_for(MASTER) if faults is not None else None
@@ -176,7 +173,6 @@ class LdxEngine:
             self.degradation.engine_failures.append(
                 f"{type(failure).__name__}: {failure}"
             )
-            self._checkpoint_slave("engine-failure")
             for side in (self._master, self._slave):
                 side.waiting.clear()
                 if not side.machine.finished:
@@ -204,12 +200,6 @@ class LdxEngine:
                 )
             if watchdog.exhausted():  # pragma: no cover - safety net
                 raise EngineStallError("stall-breaking did not converge")
-
-    def _checkpoint_slave(self, rung: str) -> None:
-        """Snapshot the slave world at a degradation rung (no-op
-        without an attached checkpointer)."""
-        if self._checkpointer is not None:
-            self._checkpointer.checkpoint(self.slave.kernel.world, rung)
 
     def _progress_marker(self) -> tuple:
         """Anything that advances when the engine is genuinely moving."""
@@ -750,9 +740,6 @@ class LdxEngine:
         the machine releases its mutexes so peers make progress.
         """
         machine = side.machine
-        # The slave world's last consistent state, captured before the
-        # abandonment mutates it (taint, clock charge, mutex release).
-        self._checkpoint_slave(f"abandon-{side.role}-t{tid}")
         event = side.waiting.pop(tid, None)
         if isinstance(event, SyscallEvent):
             self.taints.taint(
@@ -782,8 +769,6 @@ class LdxEngine:
                 (side.role, syscall) for syscall in plan.exhausted
             )
         degradation.watchdog_fires = self._watchdog.fires
-        if self._checkpointer is not None:
-            degradation.checkpoints = list(self._checkpointer.taken)
         if degradation.degraded:
             degradation.decoupled_resources = sorted(self.taints.tainted_resources)
 
@@ -851,10 +836,10 @@ class EngineFactory:
 
     This is the long-lived service shape: a daemon keeps one factory
     per (source, input-spec) and serves thousands of requests from it;
-    nothing a run does — degradation, taints, crashes, checkpoint
-    rungs — can leak into the next, because no run-scoped object is
-    shared.  Sequential and concurrent runs from one factory produce
-    verdicts byte-identical to freshly constructed engines.
+    nothing a run does — degradation, taints, crashes — can leak into
+    the next, because no run-scoped object is shared.  Sequential and
+    concurrent runs from one factory produce verdicts byte-identical to
+    freshly constructed engines.
     """
 
     def __init__(

@@ -123,10 +123,6 @@ class DegradationReport:
         self.engine_failures: List[str] = []
         # Resources no longer coupled once degradation set in.
         self.decoupled_resources: List[str] = []
-        # (rung, checkpoint key) per slave-world snapshot the
-        # supervisor persisted before degrading.  Empty unless a
-        # Checkpointer was attached.
-        self.checkpoints: List[Tuple[str, str]] = []
 
     @property
     def faults_masked(self) -> int:
@@ -170,12 +166,10 @@ class DegradationReport:
             f"{len(self.abandoned_threads)} threads abandoned, "
             f"{len(self.engine_failures)} engine failures"
         )
-        # Only mentioned when present, so checkpoint-free summaries
-        # stay byte-identical to earlier versions.
+        # Only mentioned when present, so summaries of runs within
+        # budget stay byte-identical to earlier versions.
         if self.budget_exhausted:
             text += f", {len(self.budget_exhausted)} budgets exhausted"
-        if self.checkpoints:
-            text += f", {len(self.checkpoints)} checkpoints"
         return text
 
 

@@ -1,4 +1,4 @@
-"""Engine supervision: stall watchdog, escalation policy, checkpoints.
+"""Engine supervision: stall watchdog, escalation policy, run budgets.
 
 The engine's discrete-event loop can stop making progress for reasons
 the paper's happy path never sees: divergent lock orders that resist
@@ -22,18 +22,11 @@ machines) and drives a three-rung degradation ladder:
 All of this is bounded in *virtual* time, so a dual run can never hang:
 every blocked thread is resolved or abandoned within ``deadline``
 virtual units of the stall being detected.
-
-When a :class:`Checkpointer` is attached to the engine, rungs 2 and 3
-additionally persist a :meth:`World.snapshot` of the slave's world
-*before* degrading — the overlay delta, network cursors and clock/RNG
-state at the moment the supervisor gave up on a thread.  The
-degradation report lists the ``(rung, key)`` pairs so a post-mortem can
-load the exact world the engine abandoned.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 # Consecutive stall breaks of the same thread, with zero global
 # progress in between, before the watchdog abandons it.
@@ -149,39 +142,3 @@ class EngineWatchdog:
     def exhausted(self) -> bool:
         """True when stall breaking has provably failed to converge."""
         return self._rounds > self.max_rounds
-
-
-class Checkpointer:
-    """Persists slave-world snapshots at degradation-ladder rungs.
-
-    One instance accompanies one dual execution (pass it to
-    :class:`LdxEngine` / ``run_dual`` as ``checkpointer=``).  Each
-    :meth:`checkpoint` call snapshots the given world and stores it
-    under a content-addressed key derived from the run label, seed and
-    rung; repeated rungs are disambiguated by an ordinal so nothing is
-    overwritten.  Failures are swallowed — checkpointing is telemetry
-    for the degraded path and must never degrade the run further.
-    """
-
-    def __init__(
-        self, store, label: str = "dual", seed: int = 0, source: str = ""
-    ) -> None:
-        self.store = store
-        self.label = label
-        self.seed = seed
-        self.source = source
-        # (rung, key) in the order taken; the engine copies this onto
-        # DegradationReport.checkpoints.
-        self.taken: List[Tuple[str, str]] = []
-
-    def checkpoint(self, world, rung: str) -> str:
-        from repro.checkpoint import world_key
-
-        rung_id = f"{rung}#{len(self.taken)}"
-        key = world_key(self.label, self.seed, rung_id, self.source)
-        try:
-            self.store.save(key, world.snapshot())
-        except Exception:
-            return key
-        self.taken.append((rung_id, key))
-        return key

@@ -157,7 +157,9 @@ def parse_request(payload) -> ServeRequest:
     if isinstance(payload, (str, bytes)):
         try:
             payload = json.loads(payload)
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # ValueError covers JSONDecodeError and invalid UTF-8 bytes;
+            # RecursionError a nesting bomb such as "[" * 100000.
             raise RequestError(f"request is not valid JSON: {error}") from None
     if not isinstance(payload, dict):
         raise RequestError("request must be a JSON object")
@@ -268,7 +270,6 @@ def degradation_payload(degradation: DegradationReport) -> Dict[str, object]:
         ],
         "engine_failures": list(degradation.engine_failures),
         "decoupled_resources": list(degradation.decoupled_resources),
-        "checkpoints": [list(item) for item in degradation.checkpoints],
         "summary": degradation.summary(),
     }
 

@@ -31,9 +31,8 @@ request degrades into a diagnosed partial verdict instead of hanging.
 
 Graceful drain: :meth:`begin_drain` stops admission (new offers shed
 with ``draining``), lets workers finish everything already admitted —
-each run bounded by its budget, degraded runs checkpointing through
-``repro/checkpoint.py`` when a checkpoint dir is configured — then
-flushes the caches and reports final statistics.
+each run bounded by its budget — then flushes the caches and reports
+final statistics.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, TextIO
 
 from repro.core.engine import EngineFactory
-from repro.core.supervisor import Checkpointer, RunBudget
+from repro.core.supervisor import RunBudget
 from repro.serve import api
 from repro.serve.admission import Admitted, AdmissionQueue
 from repro.serve.breaker import BreakerBoard
@@ -66,7 +65,6 @@ class ServeConfig:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         max_factories: int = 32,
-        checkpoint_dir: Optional[str] = None,
         log_stream: Optional[TextIO] = None,
     ) -> None:
         self.workers = max(1, workers)
@@ -76,7 +74,6 @@ class ServeConfig:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.max_factories = max_factories
-        self.checkpoint_dir = checkpoint_dir
         self.log_stream = log_stream
 
 
@@ -209,11 +206,6 @@ class LdxService:
             threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
         )
-        self._checkpoints = None
-        if self.config.checkpoint_dir is not None:
-            from repro.checkpoint import CheckpointStore
-
-            self._checkpoints = CheckpointStore(self.config.checkpoint_dir)
         self._log_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._started = False
@@ -319,7 +311,7 @@ class LdxService:
             if isinstance(raw, (str, bytes)):
                 try:
                     raw = json.loads(raw)
-                except Exception:
+                except (ValueError, RecursionError):
                     raw = None
             request_id = None
             if isinstance(raw, dict):
@@ -463,18 +455,6 @@ class LdxService:
             kwargs["faults"] = FaultConfig(
                 seed=request.fault_seed, rate=request.fault_rate
             )
-        if self._checkpoints is not None:
-            source = request.source
-            if source is None:
-                from repro.workloads import get_workload
-
-                source = get_workload(request.workload).source
-            kwargs["checkpointer"] = Checkpointer(
-                self._checkpoints,
-                label=f"serve-{request.id}",
-                seed=request.seed,
-                source=source,
-            )
         result = factory.run(config, **kwargs)
         service_time = time.monotonic() - started
         response = api.ok_response(
@@ -498,7 +478,6 @@ class LdxService:
             "service_ms": round(service_time * 1000, 3),
             "cache_hit": warm,
             "faults_injected": len(result.degradation.faults_injected),
-            "checkpoints": len(result.degradation.checkpoints),
         })
         return response
 

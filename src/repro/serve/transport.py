@@ -17,7 +17,7 @@ payloads are identical JSON objects either way.
 
 SIGTERM/SIGINT trigger the drain protocol on either transport: stop
 admitting (late arrivals get explicit ``overloaded``/``draining``
-responses), finish or checkpoint in-flight work, flush caches, exit 0.
+responses), finish in-flight work, flush caches, exit 0.
 """
 
 from __future__ import annotations
@@ -83,8 +83,10 @@ class StdioTransport:
                 if not line:
                     continue
                 self._tickets.put(self.service.submit(line))
-        except Exception:
-            pass
+        except Exception as error:
+            # A broken stream ends input like EOF does, but on the record.
+            self.service.log({"event": "reader-error",
+                              "error": f"{type(error).__name__}: {error}"})
         finally:
             self._tickets.put(None)  # EOF sentinel
 

@@ -31,14 +31,6 @@ class VirtualClock:
         copy = VirtualClock(self._now, self._step)
         return copy
 
-    def state(self) -> dict:
-        """Serializable state for :meth:`World.snapshot`."""
-        return {"now": self._now, "step": self._step}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "VirtualClock":
-        return cls(state["now"], state["step"])
-
 
 class DeterministicRng:
     """A small LCG — reproducible randomness for rand() and schedulers."""
@@ -69,13 +61,3 @@ class DeterministicRng:
         copy = DeterministicRng(1)
         copy._state = self._state
         return copy
-
-    def state(self) -> dict:
-        """Serializable state for :meth:`World.snapshot`."""
-        return {"state": self._state}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DeterministicRng":
-        rng = cls(1)
-        rng._state = state["state"]
-        return rng

@@ -15,10 +15,6 @@ delta before returning it, so in-place content mutation can never
 reach a sibling execution; read-only callers use :meth:`read_file`,
 which keeps the delta a record of *writes*.
 
-The delta is also the checkpoint unit: :meth:`delta` serializes
-everything above the pristine base layer and :meth:`apply_delta`
-replays it onto a freshly built tree (see ``World.snapshot``).
-
 Aliasing contract: a :class:`VirtualFile` handle obtained *before* a
 clone must be re-looked-up afterwards (the kernel resolves its path on
 every syscall, so this holds throughout the engine).
@@ -26,7 +22,7 @@ every syscall, so this holds throughout the engine).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 
 # Normalization is pure and the kernel re-resolves paths on every
@@ -359,52 +355,6 @@ class VirtualFS:
     def depth(self) -> int:
         """Number of layers in the overlay chain (1 = no clones)."""
         return len(self._layers())
-
-    # -- checkpoint delta --------------------------------------------------------
-
-    def delta(self) -> Dict[str, object]:
-        """Serializable overlay delta relative to the pristine base.
-
-        Everything above the bottom-most layer, merged top-down (first
-        mention of a path wins).  A never-cloned tree has no base to
-        leave implicit, so its whole content is the delta — applying it
-        to an identically built tree is then idempotent.
-        """
-        layers = self._layers()
-        if len(layers) > 1:
-            layers = layers[:-1]  # the pristine base stays implicit
-        files: Dict[str, Tuple[str, int]] = {}
-        dirs: List[str] = []
-        tombstones: List[str] = []
-        seen: Set[str] = set()
-        for layer in layers:
-            for path, vfile in layer.files.items():
-                if path not in seen:
-                    seen.add(path)
-                    files[path] = (vfile.content, vfile.mtime)
-            for path in layer.dirs:
-                if path not in seen:
-                    seen.add(path)
-                    dirs.append(path)
-            for path in layer.tombstones:
-                if path not in seen:
-                    seen.add(path)
-                    tombstones.append(path)
-        return {"files": files, "dirs": sorted(dirs), "tombstones": sorted(tombstones)}
-
-    def apply_delta(self, delta: Dict[str, object]) -> None:
-        """Replay a :meth:`delta` onto this tree (checkpoint restore).
-
-        Deletions first (deepest paths before their parents), then
-        directories shallow-first, then file contents.
-        """
-        for path in sorted(delta["tombstones"], key=lambda p: -p.count("/")):
-            self.unlink(path)
-        for path in delta["dirs"]:
-            if path != "/" and self._resolve(path) != _DIR:
-                self._ensure_parents(path + "/x")  # creates path and ancestors
-        for path, (content, mtime) in sorted(delta["files"].items()):
-            self.add_file(path, content, mtime)
 
     def __repr__(self) -> str:
         return (

@@ -97,28 +97,6 @@ class Connection:
         copy.closed = self.closed
         return copy
 
-    def cursors(self) -> dict:
-        """Serializable position state for :meth:`World.snapshot`.
-
-        The script itself is a closure and cannot be pickled; restore
-        rebuilds it from the workload registry and replays ``sent``,
-        then overwrites these cursors so the stream position — not the
-        replay — is authoritative.
-        """
-        return {
-            "address": self.address,
-            "sent": list(self.sent),
-            "incoming": self._incoming,
-            "consumed": self._consumed,
-            "closed": self.closed,
-        }
-
-    def restore_cursors(self, cursors: dict) -> None:
-        self.sent = list(cursors["sent"])
-        self._incoming = cursors["incoming"]
-        self._consumed = cursors["consumed"]
-        self.closed = cursors["closed"]
-
 
 class Network:
     """Address book of endpoint scripts plus live connections."""
@@ -166,29 +144,3 @@ class Network:
         copy._factories = dict(self._factories)
         copy.connections = [c.clone() for c in self.connections]
         return copy
-
-    def snapshot(self) -> List[dict]:
-        """Per-connection cursor state for :meth:`World.snapshot`."""
-        return [c.cursors() for c in self.connections]
-
-    def restore(self, cursors: List[dict]) -> None:
-        """Rebuild connections from snapshot cursors.
-
-        Scripts come from this network's registry (the snapshot cannot
-        carry closures): each connection is re-opened at its recorded
-        address, ``sent`` is replayed to rebuild stateful-script state,
-        then the cursors overwrite the replayed stream positions.
-        """
-        self.connections = []
-        for cur in cursors:
-            host, _, port = cur["address"].rpartition(":")
-            connection = self.connect(host, int(port))
-            if connection is None:
-                # Address no longer registered: carry a scriptless
-                # connection so fds and buffered data still line up.
-                connection = Connection(cur["address"], None)
-                self.connections.append(connection)
-            elif connection._script is not None:
-                for request in cur["sent"]:
-                    connection._script(request)
-            connection.restore_cursors(cur)

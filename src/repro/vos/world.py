@@ -8,9 +8,6 @@ copy-on-write overlays, the network via per-connection script
 instances — which is how the slave execution gets a side-effect-free
 private environment (the paper's slave never performs externally
 visible outputs; here its outputs land in a private clone).
-:meth:`World.snapshot`/:meth:`World.restore` serialize the overlay
-delta plus clock/RNG/network cursors so a dual can checkpoint and
-resume.
 """
 
 from __future__ import annotations
@@ -21,10 +18,6 @@ from typing import Dict
 from repro.vos.clock import DeterministicRng, VirtualClock
 from repro.vos.filesystem import VirtualFS
 from repro.vos.network import Network
-
-# Bump when the snapshot dict layout changes; restore refuses other
-# versions instead of misreading them.
-SNAPSHOT_VERSION = 1
 
 
 class World:
@@ -64,53 +57,3 @@ class World:
             copy.pid = self.pid
             copy.heap_base = self.heap_base
         return copy
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """Serializable (picklable) state of this world.
-
-        Captures the FS overlay delta, network cursors, clock/RNG
-        state, env/stdin/sources and identity fields.  Endpoint-script
-        closures are *not* captured — :meth:`restore` rebuilds them
-        from a freshly built workload world, which is why restore takes
-        a base world rather than resurrecting one from nothing.
-        """
-        return {
-            "version": SNAPSHOT_VERSION,
-            "seed": self.seed,
-            "fs_delta": self.fs.delta(),
-            "network": self.network.snapshot(),
-            "env": dict(self.env),
-            "stdin": self.stdin,
-            "sources": copy_module.deepcopy(self.sources),
-            "clock": self.clock.state(),
-            "rng": self.rng.state(),
-            "pid": self.pid,
-            "heap_base": self.heap_base,
-        }
-
-    def restore(self, snapshot: Dict[str, object]) -> "World":
-        """Apply *snapshot* onto this world, in place; returns self.
-
-        ``self`` must be a freshly built world from the same workload
-        definition (same registered endpoints and initial FS): the FS
-        delta is replayed over the pristine tree and network scripts
-        are re-instantiated from this world's registry.
-        """
-        version = snapshot.get("version")
-        if version != SNAPSHOT_VERSION:
-            raise ValueError(
-                f"snapshot version {version!r} != {SNAPSHOT_VERSION}"
-            )
-        self.seed = snapshot["seed"]
-        self.fs.apply_delta(snapshot["fs_delta"])
-        self.network.restore(snapshot["network"])
-        self.env = dict(snapshot["env"])
-        self.stdin = snapshot["stdin"]
-        self.sources = copy_module.deepcopy(snapshot["sources"])
-        self.clock = VirtualClock.from_state(snapshot["clock"])
-        self.rng = DeterministicRng.from_state(snapshot["rng"])
-        self.pid = snapshot["pid"]
-        self.heap_base = snapshot["heap_base"]
-        return self

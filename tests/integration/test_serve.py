@@ -253,6 +253,8 @@ def test_stdio_transport_roundtrip_in_request_order():
     lines = [
         json.dumps({"id": "a", "workload": "gzip", "variant": "leak"}),
         "not json at all",
+        # A nesting bomb used to escape validation and end the input.
+        "[" * 100000,
         json.dumps({"id": "c", "workload": "gzip", "variant": "leak"}),
     ]
     out = io.StringIO()
@@ -261,10 +263,31 @@ def test_stdio_transport_roundtrip_in_request_order():
     )
     assert transport.serve_forever(handle_signals=False) == 0
     responses = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert [r["id"] for r in responses] == ["a", None, "c"]
+    assert [r["id"] for r in responses] == ["a", None, None, "c"]
     assert responses[0]["status"] == "ok"
     assert responses[1]["status"] == api.STATUS_INVALID
-    assert responses[2]["verdict"] == responses[0]["verdict"]
+    assert responses[2]["status"] == api.STATUS_INVALID
+    assert responses[3]["verdict"] == responses[0]["verdict"]
+
+
+def test_stdio_reader_failure_is_logged_then_ends_input():
+    log = io.StringIO()
+    out = io.StringIO()
+
+    def torn_stdin():
+        # A read failure after the first line, as a broken pipe or a
+        # decode error on a real stdin would raise.
+        yield json.dumps({"id": "a", "workload": "gzip", "variant": "leak"})
+        raise OSError("stream torn")
+
+    transport = StdioTransport(
+        _service(log_stream=log), in_stream=torn_stdin(), out_stream=out
+    )
+    assert transport.serve_forever(handle_signals=False) == 0
+    assert [json.loads(line)["id"] for line in out.getvalue().splitlines()] == ["a"]
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
+    errors = [r for r in records if r["event"] == "reader-error"]
+    assert errors == [{"event": "reader-error", "error": "OSError: stream torn"}]
 
 
 def test_http_transport_roundtrip_and_probes():
@@ -293,15 +316,17 @@ def test_http_transport_roundtrip_and_probes():
             payload = json.loads(reply.read())
         assert payload["status"] == "ok"
         assert payload["verdict"]["causality"] is True
-        # Invalid request → HTTP 400 with a diagnosis.
-        bad = urllib.request.Request(base + "/v1/infer", data=b"{nope")
-        with pytest.raises(urllib.error.HTTPError) as failure:
-            urllib.request.urlopen(bad, timeout=30)
-        assert failure.value.code == 400
-        assert json.loads(failure.value.read())["status"] == api.STATUS_INVALID
+        # Invalid requests → HTTP 400 with a diagnosis.  Invalid UTF-8
+        # and a nesting bomb used to drop the connection instead.
+        for body in (b"{nope", b'{"id": "\xff"}', b"[" * 100000):
+            bad = urllib.request.Request(base + "/v1/infer", data=body)
+            with pytest.raises(urllib.error.HTTPError) as failure:
+                urllib.request.urlopen(bad, timeout=30)
+            assert failure.value.code == 400
+            assert json.loads(failure.value.read())["status"] == api.STATUS_INVALID
         with urllib.request.urlopen(base + "/statz", timeout=10) as reply:
             stats = json.loads(reply.read())
-        # The invalid request was rejected at admission, not served.
+        # The invalid requests were rejected at admission, not served.
         assert stats["served"] == 1
         assert stats["errors"] == 0
     finally:

@@ -103,9 +103,12 @@ def _observe(world: World):
         dict(world.env),
         {k: repr(v) for k, v in world.sources.items()},
         list(connection.sent),
-        connection.cursors(),
+        connection.closed,
+        # The unread stream and the next random draw, read on clones so
+        # observing them advances nothing.
+        connection.clone().recv(1 << 20),
         world.clock.peek(),
-        world.rng.state(),
+        world.rng.clone().next_int(),
     )
 
 

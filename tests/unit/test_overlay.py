@@ -2,7 +2,7 @@
 
 The generic VirtualFS behaviour (paths, listdir, rename, normalize) is
 covered by test_vos.py; these tests target the overlay mechanics —
-layer sharing, tombstones, copy-up, delta/apply_delta — and the
+layer sharing, tombstones, copy-up, flattening — and the
 isolation invariant cloning exists for.
 """
 
@@ -105,10 +105,10 @@ def test_read_file_never_copies_up():
     clone = fs.clone()
     clone.read_file("/data/a")
     clone.read_file("/etc/conf")
-    assert clone.delta()["files"] == {}
+    assert clone._top.files == {}
     # file() does copy up — that is the point of the split.
     clone.file("/data/a")
-    assert "/data/a" in clone.delta()["files"]
+    assert "/data/a" in clone._top.files
 
 
 def test_deep_clone_matches_overlay_view():
@@ -143,63 +143,3 @@ def test_flatten_collapses_chain_preserving_content():
     # Flattening must not touch the shared base.
     assert fs.read_file("/data/a").content == "alpha"
     assert overlay.read_file("/data/b").content == "beta"
-
-
-# -- checkpoint delta ----------------------------------------------------------
-
-
-def test_delta_roundtrip_onto_fresh_build():
-    fs = populated()
-    work = fs.clone()
-    work.file("/etc/conf").content = "edited"
-    work.add_file("/log/out", "line1")
-    work.unlink("/data/b")
-    work.unlink("/empty")
-    delta = work.delta()
-
-    rebuilt = populated()
-    rebuilt.apply_delta(delta)
-    assert rebuilt.paths() == work.paths()
-    for path in work.paths():
-        assert rebuilt.read_file(path).content == work.read_file(path).content
-        assert rebuilt.read_file(path).mtime == work.read_file(path).mtime
-    assert not rebuilt.exists("/data/b")
-    assert not rebuilt.is_dir("/empty")
-
-
-def test_delta_of_unclosed_tree_is_idempotent():
-    """A never-cloned tree's delta is its whole content; applying it to
-    an identically built tree must be a no-op in observable state."""
-    fs = populated()
-    delta = fs.delta()
-    twin = populated()
-    twin.apply_delta(delta)
-    assert twin.paths() == fs.paths()
-    for path in fs.paths():
-        assert twin.read_file(path).content == fs.read_file(path).content
-
-
-def test_delta_nested_tombstones_apply_deepest_first():
-    fs = VirtualFS()
-    fs.add_file("/a/b/c", "x")
-    work = fs.clone()
-    work.unlink("/a/b/c")
-    work.unlink("/a/b")
-    work.unlink("/a")
-    rebuilt = VirtualFS()
-    rebuilt.add_file("/a/b/c", "x")
-    rebuilt.apply_delta(work.delta())
-    assert not rebuilt.exists("/a")
-    assert rebuilt.paths() == []
-
-
-def test_delta_is_picklable():
-    import pickle
-
-    fs = populated()
-    work = fs.clone()
-    work.add_file("/x", "y")
-    thawed = pickle.loads(pickle.dumps(work.delta()))
-    rebuilt = populated()
-    rebuilt.apply_delta(thawed)
-    assert rebuilt.read_file("/x").content == "y"

@@ -52,6 +52,18 @@ def test_invalid_json_is_diagnosed():
         api.parse_request("{nope")
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"id": "\xff"}', "[" * 100000, b"[" * 100000],
+    ids=["invalid-utf8", "nested-str", "nested-bytes"],
+)
+def test_undecodable_request_bytes_are_diagnosed(payload):
+    # Invalid UTF-8 raised UnicodeDecodeError and a nesting bomb
+    # RecursionError; both escaped validation and took the transport down.
+    with pytest.raises(api.RequestError, match="not valid JSON"):
+        api.parse_request(payload)
+
+
 def test_missing_id_rejected():
     with pytest.raises(api.RequestError, match="'id'"):
         api.parse_request({"workload": "gzip"})

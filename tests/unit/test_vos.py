@@ -563,102 +563,6 @@ def test_world_clone_deep_copies_mutable_sources():
     assert clone.sources["list"] == [1, 2, 3, 99]
 
 
-def test_clock_and_rng_state_roundtrip():
-    clock = VirtualClock(start=123, step=7)
-    clock.read()
-    restored = VirtualClock.from_state(clock.state())
-    assert restored.read() == clock.read()
-    rng = DeterministicRng(9)
-    rng.next_int(100)
-    thawed = DeterministicRng.from_state(rng.state())
-    assert [thawed.next_int(1000) for _ in range(10)] == [
-        rng.next_int(1000) for _ in range(10)
-    ]
-
-
-def _busy_world():
-    world = World(seed=3)
-    world.fs.add_file("/etc/secret", "42")
-    world.env["HOME"] = "/home"
-    world.stdin = "piped"
-    world.sources["s"] = ["mutable"]
-    world.network.register("srv", 9, lambda req: f"ok:{req}")
-    return world
-
-
-def test_world_snapshot_restore_roundtrip():
-    world = _busy_world()
-    # Mutate past the initial build: writes, deletions, network and
-    # nondeterminism-stream progress.
-    world.fs.add_file("/log/out", "line")
-    world.fs.unlink("/etc/secret")
-    conn = world.network.connect("srv", 9)
-    conn.send("ping")
-    assert conn.recv(2) == "ok"
-    world.clock.read()
-    world.rng.next_int(100)
-    world.sources["s"].append("later")
-
-    snap = world.snapshot()
-    import pickle
-
-    snap = pickle.loads(pickle.dumps(snap))  # must survive the disk trip
-    restored = _busy_world().restore(snap)
-
-    assert restored.fs.paths() == world.fs.paths()
-    for path in world.fs.paths():
-        assert restored.fs.read_file(path).content == world.fs.read_file(path).content
-    assert not restored.fs.exists("/etc/secret")
-    assert restored.env == world.env
-    assert restored.stdin == world.stdin
-    assert restored.sources == world.sources
-    assert restored.pid == world.pid and restored.heap_base == world.heap_base
-    # Streams continue in lockstep from the restore point.
-    assert restored.clock.read() == world.clock.read()
-    assert restored.rng.next_int(1000) == world.rng.next_int(1000)
-    # The restored connection resumes mid-stream with rebuilt script state.
-    twin = restored.network.connections[0]
-    assert twin.sent == ["ping"]
-    assert twin.recv(100) == conn.recv(100) == ":ping"
-    twin.send("again")
-    conn.send("again")
-    assert twin.recv(100) == conn.recv(100)
-
-
-def test_world_snapshot_rejects_other_versions():
-    world = _busy_world()
-    snap = world.snapshot()
-    snap["version"] = 999
-    with pytest.raises(ValueError):
-        _busy_world().restore(snap)
-
-
-def test_world_snapshot_restores_stateful_endpoints_by_replay():
-    world = World(seed=1)
-
-    def factory():
-        state = [0]
-
-        def script(req):
-            state[0] += 1
-            return f"n{state[0]};"
-
-        return script
-
-    world.network.register_factory("srv", 1, factory)
-    conn = world.network.connect("srv", 1)
-    conn.send("a")
-    conn.send("b")
-    snap = world.snapshot()
-
-    fresh = World(seed=1)
-    fresh.network.register_factory("srv", 1, factory)
-    restored = fresh.restore(snap)
-    twin = restored.network.connections[0]
-    twin.send("c")
-    assert twin.recv(1000) == "n1;n2;n3;"
-
-
 def test_taint_map_covers_parent_directories():
     taints = ResourceTaintMap()
     taints.taint("file:/d", "created only in master")
