@@ -1,101 +1,7 @@
 """Shared fixtures for the benchmark harness."""
 
-import json
-import os
-import sys
-
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "paper: regenerates a table or figure from the paper"
     )
-
-
-def _write_dispatch_summary(output_json):
-    """Condense the dispatch bench into ``BENCH_interp_dispatch.json``.
-
-    CI uploads the file as an artifact so the per-workload speedups,
-    the geomean, and the floor it was gated against are inspectable
-    without parsing the full pytest-benchmark JSON.  Written next to
-    the cwd (override the directory with REPRO_BENCH_SUMMARY_DIR;
-    set it to ``off`` to skip).
-    """
-    target_dir = os.environ.get("REPRO_BENCH_SUMMARY_DIR", "")
-    if target_dir.lower() in ("off", "0", "none"):
-        return
-    summary = None
-    for bench in output_json.get("benchmarks", []):
-        extra = bench.get("extra_info", {})
-        if bench.get("name") == "test_threaded_dispatch_speedup":
-            summary = {
-                "bench": "interp_dispatch",
-                "workloads": extra.get("workloads"),
-                "geomean_speedup": extra.get("geomean_speedup"),
-                "speedup_floor": extra.get("speedup_floor"),
-                "per_workload": extra.get("per_workload"),
-            }
-    if summary is None:
-        return
-    for bench in output_json.get("benchmarks", []):
-        extra = bench.get("extra_info", {})
-        if bench.get("name") == "test_zero_elision_overhead":
-            summary["zero_elision_overhead"] = extra.get("zero_elision_overhead")
-        elif bench.get("name") == "test_profiler_off_path_overhead":
-            summary["profiler_off_path_delta"] = extra.get("off_path_overhead")
-    path = os.path.join(target_dir or ".", "BENCH_interp_dispatch.json")
-    with open(path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"benchmarks: wrote dispatch summary to {path}", file=sys.stderr)
-
-
-def pytest_benchmark_update_json(config, benchmarks, output_json):
-    """Persist every benchmark sample into the columnar results store.
-
-    BENCH history becomes a query: each (bench, metric) series
-    accumulates one sample per run, and ``repro report --trend``
-    renders the perf trajectory.  Opt out with REPRO_RESULTS_STORE=off;
-    point elsewhere with REPRO_RESULTS_STORE=/path/to/store.sqlite.
-    """
-    _write_dispatch_summary(output_json)
-    target = os.environ.get("REPRO_RESULTS_STORE", "")
-    if target.lower() in ("off", "0", "none"):
-        return
-    try:
-        from repro.results import DEFAULT_STORE_PATH, ResultsStore
-    except ImportError:
-        return  # src not on sys.path; benchmarks ran standalone
-    store = ResultsStore(target or DEFAULT_STORE_PATH)
-    try:
-        if not store.enabled:
-            return
-        for bench in output_json.get("benchmarks", []):
-            stats = bench.get("stats", {})
-            metrics = {
-                name: stats[name]
-                for name in ("min", "max", "mean", "median", "stddev", "rounds")
-                if isinstance(stats.get(name), (int, float))
-            }
-            extra = bench.get("extra_info", {})
-            metrics.update(
-                (name, value)
-                for name, value in extra.items()
-                if isinstance(value, (int, float)) and not isinstance(value, bool)
-            )
-            context = {
-                "group": bench.get("group"),
-                "fullname": bench.get("fullname"),
-            }
-            context.update(
-                (name, value)
-                for name, value in extra.items()
-                if isinstance(value, (str, bool))
-            )
-            store.record_bench(bench.get("name", "<unnamed>"), metrics, context)
-        print(
-            f"benchmarks: recorded {len(output_json.get('benchmarks', []))} "
-            f"benches into {store.path}",
-            file=sys.stderr,
-        )
-    finally:
-        store.close()

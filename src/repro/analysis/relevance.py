@@ -67,6 +67,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.controldep import control_dependence
+from repro.analysis.lockset import address_taken
 from repro.cfg.graph import function_digraph
 from repro.instrument.plan import (
     CounterAdd,
@@ -76,7 +77,6 @@ from repro.instrument.plan import (
 )
 from repro.ir import instructions as ins
 from repro.ir.function import IRFunction, IRModule
-from repro.ir.instructions import FuncRef
 from repro.ir.ops import BINOP_FUNCS, UNOP_FUNCS
 from repro.lang.intrinsics import PURE_BUILTINS
 
@@ -293,18 +293,6 @@ def _build_aliases(function: IRFunction) -> _UnionFind:
             for arg in instr.args:
                 aliases.join(instr.dst, arg)
     return aliases
-
-
-def _address_taken(module: IRModule) -> FrozenSet[str]:
-    taken: Set[str] = set()
-    for value in module.global_values.values():
-        if isinstance(value, FuncRef):
-            taken.add(value.name)
-    for function in module.functions.values():
-        for instr in function.instrs:
-            if type(instr) is ins.Const and isinstance(instr.value, FuncRef):
-                taken.add(instr.value.name)
-    return frozenset(name for name in taken if name in module.functions)
 
 
 def _fusible_indices(
@@ -538,7 +526,7 @@ def compute_relevance(
     elidable; with a *plan*, also compute fusible regions."""
     global_names = frozenset(module.global_values)
     functions = module.functions
-    address_taken = _address_taken(module)
+    taken = address_taken(module)
 
     cdep: Dict[str, Dict[int, Set[int]]] = {}
     aliases: Dict[str, _UnionFind] = {}
@@ -598,7 +586,7 @@ def compute_relevance(
         # A call that can reach observable work is itself relevant.
         for caller, index in direct_sites.get(fname, ()):
             pending.append(("mark", caller, index))
-        if fname in address_taken:
+        if fname in taken:
             for caller, index in indirect_sites:
                 pending.append(("mark", caller, index))
 
@@ -636,7 +624,7 @@ def compute_relevance(
                 if kind is ins.CallDirect and instr.dst == member:
                     pending.append(("rets", instr.func))
                 elif kind is ins.CallIndirect and instr.dst == member:
-                    for target in address_taken:
+                    for target in taken:
                         pending.append(("rets", target))
             for index in mutators_by[fname].get(member, ()):
                 pending.append(("mark", fname, index))
@@ -646,7 +634,7 @@ def compute_relevance(
             for index, callee, position in arg_pass[fname].get(member, ()):
                 pending.append(("mark", fname, index))
                 if callee is None:
-                    for target in address_taken:
+                    for target in taken:
                         demand_param(target, position)
                 elif callee in functions:
                     demand_param(callee, position)

@@ -6,7 +6,7 @@ Usage::
     python -m repro run  program.mc [--stdin TEXT] [--file PATH=CONTENT ...]
     python -m repro eval [--table4-runs N] [--check-static] [--no-store]
     python -m repro chaos [--seeds N] [--fault-rate R] [--no-store]
-    python -m repro report [--chaos | --trend [BENCH]] [--store-path PATH]
+    python -m repro report [--chaos] [--store-path PATH]
     python -m repro analyze program.mc | --workload NAME | --all [--dump-ir]
     python -m repro profile WORKLOAD [--top N] [--json PATH]
     python -m repro serve [--http PORT] [--workers N] [--queue-capacity N]
@@ -24,9 +24,8 @@ virtual-time histograms; ``serve`` runs the causality-as-a-service
 daemon (stdin JSONL by default, localhost HTTP with ``--http``; see
 docs/SERVICE.md); ``serve-chaos`` storms a service with concurrent
 requests under injected faults and checks the service invariants;
-``report`` re-renders the eval tables, the chaos sweep or the
-benchmark trend straight from the columnar results store — sub-second,
-nothing executes.
+``report`` re-renders the eval tables or the chaos sweep straight from
+the columnar results store — sub-second, nothing executes.
 
 ``eval`` and ``chaos`` are **incremental** by default: every completed
 cell persists into the results store (``--store-path``, default
@@ -576,14 +575,11 @@ def _cmd_report(args) -> int:
         ResultsStore,
         chaos_report_from_store,
         eval_report_from_store,
-        trend_report,
     )
 
     store = ResultsStore(args.store_path)
     try:
-        if args.trend is not None:
-            print(trend_report(store, args.trend or None))
-        elif args.chaos:
+        if args.chaos:
             print(chaos_report_from_store(store))
         else:
             print(eval_report_from_store(store))
@@ -630,20 +626,6 @@ def _cmd_serve_chaos(args) -> int:
         url=args.url,
         jobs=args.jobs,
     )
-    store = _open_store(args)
-    if store is not None and store.enabled:
-        store.record_bench(
-            "serve_chaos_storm",
-            outcome.metrics(),
-            context={
-                "requests": args.requests,
-                "workers": args.workers,
-                "queue_capacity": args.queue_capacity,
-                "fault_rate": args.fault_rate,
-                "fault_seed": args.fault_seed,
-            },
-        )
-        store.close()
     print(render_storm(outcome))
     return 0 if storm_ok(outcome) else 1
 
@@ -723,15 +705,6 @@ def main(argv: List[str] = None) -> int:
         "--chaos",
         action="store_true",
         help="render the latest recorded chaos sweep instead of the eval tables",
-    )
-    report_parser.add_argument(
-        "--trend",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="BENCH",
-        help="render the benchmark history (optionally one bench only): "
-        "the perf trajectory over recorded runs",
     )
     from repro.results import DEFAULT_STORE_PATH
 
@@ -927,7 +900,6 @@ def main(argv: List[str] = None) -> int:
         "(1 = serial; the outcome is identical for any value)",
     )
     _add_cache_options(serve_chaos_parser)
-    _add_store_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)
     serve_chaos_parser.set_defaults(handler=_cmd_serve_chaos)
 

@@ -23,6 +23,7 @@ paper's two-CPU deployment.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.channel import (
@@ -879,6 +880,9 @@ class EngineFactory:
             kwargs.setdefault("costs", self.costs)
         kwargs.setdefault("static_oracle", self.static_oracle)
         if config.interp_backend is None and self.backend is not None:
+            # Stamp the factory's backend on a copy: the caller's config
+            # may be handed to another factory next.
+            config = copy.copy(config)
             config.interp_backend = self.backend
         self.runs += 1
         return LdxEngine(self.instrumented, self.base_world.clone(), config, **kwargs)

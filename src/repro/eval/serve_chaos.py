@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core import FaultConfig, run_dual
 from repro.core.supervisor import DEFAULT_DEADLINE, RunBudget
@@ -62,20 +62,6 @@ class StormOutcome:
 
     def count(self, status: str) -> None:
         self.by_status[status] = self.by_status.get(status, 0) + 1
-
-    def metrics(self) -> Dict[str, float]:
-        """Numeric summary for the results store's benchmark history
-        (``repro report --trend``): storm health over successive runs."""
-        summary: Dict[str, float] = {
-            "requests": self.requests,
-            "verdict_matches": self.verdict_matches,
-            "degraded": self.degraded,
-            "violations": len(self.violations),
-            "shed": sum(self.shed.values()) if self.shed else 0,
-        }
-        for status, count in sorted(self.by_status.items()):
-            summary[f"status_{status}"] = count
-        return summary
 
 
 def _poison_payload(kind: str, index: int):
@@ -214,7 +200,11 @@ def _prefill_baselines(
         cache[key] = result
 
 
-def _post(url: str, payload, timeout: float = 120.0) -> Optional[dict]:
+def _post(url: str, payload, timeout: float = 120.0) -> Union[dict, str]:
+    """POST one storm request: the service's JSON response, or a
+    ``"<Type>: <msg>"`` string naming the transport failure.  Only what
+    ``urllib`` and ``json`` raise is caught; anything else propagates."""
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -223,22 +213,28 @@ def _post(url: str, payload, timeout: float = 120.0) -> Optional[dict]:
     elif isinstance(payload, str):
         data = payload.encode()
     else:
-        data = payload
+        raise TypeError(
+            f"storm payload must be a dict, list or str, not "
+            f"{type(payload).__name__}"
+        )
     request = urllib.request.Request(
         url.rstrip("/") + "/v1/infer",
         data=data,
         headers={"Content-Type": "application/json"},
     )
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as reply:
-            return json.loads(reply.read())
-    except urllib.error.HTTPError as error:
         try:
-            return json.loads(error.read())
-        except Exception:
-            return None
-    except Exception:
-        return None
+            reply = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as error:
+            reply = error  # an error status still carries a JSON response
+        with reply:
+            return json.loads(reply.read())
+    except (OSError, ValueError, http.client.HTTPException) as error:
+        # urlopen wraps socket errors in URLError; name the real cause.
+        cause = getattr(error, "reason", None)
+        if isinstance(cause, BaseException):
+            error = cause
+        return f"{type(error).__name__}: {error}"
 
 
 def run_storm(
@@ -282,7 +278,9 @@ def run_storm(
             )
         ).start()
 
-    results: List[Optional[Tuple[str, object, Optional[dict]]]] = [None] * len(plan)
+    results: List[Optional[Tuple[str, object, Union[dict, str, None]]]] = (
+        [None] * len(plan)
+    )
     cursor = {"next": 0}
     cursor_lock = threading.Lock()
 
@@ -326,9 +324,9 @@ def run_storm(
             outcome.violations.append(f"request {index} was never dispatched")
             continue
         kind, payload, response = record
-        if response is None:
+        if response is None or isinstance(response, str):
             outcome.violations.append(
-                f"request {index} got no response (hang or transport error)"
+                f"request {index} got no response ({response or 'hang'})"
             )
             continue
         status = response.get("status", "<missing>")

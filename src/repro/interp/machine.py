@@ -295,9 +295,7 @@ class Machine:
                     return None
                 raise InterpreterError(f"{self.name}: thread deadlock")
             # One fused pass over the threads collects the runnable set
-            # (and its least clock) and notices waiting joiners — the
-            # same work _wake_joiners + runnable_threads + _pick_thread
-            # did in three passes, with identical RNG draws.
+            # (and its least clock) and notices waiting joiners.
             runnable = None
             least = 0.0
             have_joiner = False
@@ -341,8 +339,8 @@ class Machine:
             else:
                 # Discrete-event choice: least virtual time first; ties
                 # broken by seeded jitter (the source of racy
-                # interleavings).  Identical to _pick_thread: the RNG
-                # draws only on ties between >= 2 candidates.
+                # interleavings).  The RNG draws only on ties between
+                # >= 2 candidates.
                 bound = least + 1e-9
                 candidates = [t for t in runnable if t.clock <= bound]
                 if len(candidates) == 1:
@@ -353,15 +351,6 @@ class Machine:
             if event is not None:
                 return event
         return None
-
-    def _pick_thread(self, runnable: List[ThreadState]) -> ThreadState:
-        """Discrete-event choice: least virtual time first; ties broken
-        by seeded jitter (the source of racy interleavings)."""
-        least = min(t.clock for t in runnable)
-        candidates = [t for t in runnable if t.clock <= least + 1e-9]
-        if len(candidates) == 1:
-            return candidates[0]
-        return candidates[self._sched_rng.next_int(len(candidates))]
 
     def complete_syscall(self, event: SyscallEvent, value: object) -> None:
         """Deliver a syscall result and resume the thread.

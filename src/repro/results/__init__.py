@@ -6,11 +6,7 @@ See :mod:`repro.results.store` for the storage model,
 """
 
 from repro.results.keys import spec_for_cell
-from repro.results.report import (
-    chaos_report_from_store,
-    eval_report_from_store,
-    trend_report,
-)
+from repro.results.report import chaos_report_from_store, eval_report_from_store
 from repro.results.store import (
     DEFAULT_STORE_PATH,
     CellSpec,
@@ -26,5 +22,4 @@ __all__ = [
     "chaos_report_from_store",
     "eval_report_from_store",
     "spec_for_cell",
-    "trend_report",
 ]

@@ -1,15 +1,12 @@
 """``repro report`` — render tables straight from the results store.
 
-Three views, all sub-second because nothing executes:
+Two views, both sub-second because nothing executes:
 
 * the **eval report** — Tables 1-4, Figure 6 and the mutation study
   (plus Table 5 when the recorded run checked the static oracle),
   reassembled from stored cells byte-identically to the ``repro eval``
   run that produced them;
-* the **chaos report** — the latest recorded chaos sweep's rows;
-* the **trend view** — every (bench, metric) series from the
-  benchmark history, first/last/best/worst per series: the perf
-  trajectory over runs as a query.
+* the **chaos report** — the latest recorded chaos sweep's rows.
 
 The eval and chaos views re-derive the exact cell plan from the
 recorded run parameters and load each cell by key.  A missing cell is
@@ -19,9 +16,8 @@ a partial store.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.eval.reporting import format_table
 from repro.results.keys import spec_for_cell
 from repro.results.store import ResultsError, ResultsStore
 
@@ -94,42 +90,3 @@ def chaos_report_from_store(store: ResultsStore) -> str:
     )
     rows = merge_chaos_rows(cells, _load_cells(store, cells, "chaos"))
     return render_chaos(rows, int(params["seeds"]), float(params["rate"]))
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.4g}"
-
-
-def trend_report(store: ResultsStore, bench: Optional[str] = None) -> str:
-    """The perf trajectory: one row per recorded (bench, metric)."""
-    series = store.bench_series(bench)
-    if not series:
-        scope = f" for {bench!r}" if bench else ""
-        raise ResultsError(
-            f"no benchmark history{scope} in {store.path}; benchmark runs "
-            "and `repro serve-chaos` record samples automatically"
-        )
-    rows = []
-    for entry in series:
-        values = entry["values"]
-        first, last = values[0], values[-1]
-        if first:
-            delta = f"{(last - first) / abs(first) * 100.0:+.1f}%"
-        else:
-            # No percentage from a zero baseline; don't fake +0.0%.
-            delta = "n/a" if last != first else "+0.0%"
-        rows.append([
-            entry["bench"],
-            entry["metric"],
-            len(values),
-            _fmt(first),
-            _fmt(last),
-            _fmt(min(values)),
-            _fmt(max(values)),
-            delta,
-        ])
-    return format_table(
-        ["Bench", "Metric", "Samples", "First", "Last", "Min", "Max", "Delta"],
-        rows,
-        title="Perf trajectory: benchmark history over recorded runs",
-    )

@@ -1,10 +1,9 @@
-"""The columnar results store: every eval/chaos/bench cell, queryable.
+"""The columnar results store: every eval/chaos cell, queryable.
 
 Before this module, every experiment result died in per-run text or
 JSON: re-running ``repro eval`` recomputed all ~28 workloads even when
-nothing changed, and benchmark JSON artifacts had no history at all.
-The store fixes both with one SQLite database (default
-``.repro-cache/results.sqlite``) holding three tables:
+nothing changed.  The store fixes that with one SQLite database
+(default ``.repro-cache/results.sqlite``) holding two tables:
 
 * ``cells`` — one row per completed experiment cell (a Table 1 row, a
   Table 4 seed chunk, a chaos seed chunk, ...), keyed by the same
@@ -19,9 +18,6 @@ The store fixes both with one SQLite database (default
 * ``runs`` — one row per recorded eval/chaos invocation: the planning
   parameters (needed to re-derive the exact cell plan when reporting)
   plus executed/reused counts.
-* ``bench_history`` — append-only (bench, metric, value) samples from
-  the benchmark harness and the serve-chaos storm: the perf trajectory
-  as a query instead of ad-hoc ``BENCH_*.json`` files.
 
 Robustness mirrors the artifact cache's contract, through the same
 persistence primitive (:class:`repro.cache.SqliteFile`): the store is
@@ -42,7 +38,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.cache import RESULTS_SCHEMA_TAG, SqliteFile, seal, unseal
 from repro.errors import ReproError
@@ -77,15 +73,6 @@ CREATE TABLE IF NOT EXISTS runs (
     reused     INTEGER NOT NULL,
     created_at REAL NOT NULL
 );
-CREATE TABLE IF NOT EXISTS bench_history (
-    id         INTEGER PRIMARY KEY AUTOINCREMENT,
-    bench      TEXT NOT NULL,
-    metric     TEXT NOT NULL,
-    value      REAL NOT NULL,
-    context    TEXT NOT NULL DEFAULT '',
-    created_at REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS bench_by_name ON bench_history (bench, metric);
 INSERT OR IGNORE INTO meta (name, value) VALUES ('schema', '{RESULTS_SCHEMA_TAG}');
 """
 
@@ -289,48 +276,3 @@ class ResultsStore:
             "reused": reused,
             "created_at": created_at,
         }
-
-    # -- bench history ---------------------------------------------------------
-
-    def record_bench(
-        self, bench: str, metrics: Dict[str, float], context: object = ""
-    ) -> None:
-        """Append one benchmark sample: a {metric -> value} batch taken
-        at the same instant (non-numeric values are skipped).  *context*
-        may be a string or any JSON-serializable object."""
-        if not isinstance(context, str):
-            context = json.dumps(context, sort_keys=True, default=str)
-        now = time.time()
-        for metric, value in sorted(metrics.items()):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self._execute(
-                "INSERT INTO bench_history (bench, metric, value, context, "
-                "created_at) VALUES (?, ?, ?, ?, ?)",
-                (bench, metric, float(value), context, now),
-            )
-
-    def bench_series(
-        self, bench: Optional[str] = None
-    ) -> List[Dict[str, object]]:
-        """Every (bench, metric) series, oldest sample first."""
-        if bench is None:
-            rows = self._execute(
-                "SELECT bench, metric, value, created_at FROM bench_history "
-                "ORDER BY bench, metric, id"
-            )
-        else:
-            rows = self._execute(
-                "SELECT bench, metric, value, created_at FROM bench_history "
-                "WHERE bench = ? ORDER BY bench, metric, id",
-                (bench,),
-            )
-        series: Dict[tuple, Dict[str, object]] = {}
-        for name, metric, value, created_at in rows or []:
-            entry = series.setdefault(
-                (name, metric),
-                {"bench": name, "metric": metric, "values": [], "times": []},
-            )
-            entry["values"].append(value)
-            entry["times"].append(created_at)
-        return [series[key] for key in sorted(series)]

@@ -274,9 +274,10 @@ def test_cli_chaos_subcommand(capsys):
     from repro.cli import main
 
     code = main(["chaos", "--seeds", "1", "--workload", "gzip"])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 0
-    assert "0 invariant violations" in out
+    assert "0 invariant violations" in captured.out
+    assert "1 executed" in captured.err  # the sweep ran, not a stored row
 
 
 def test_cli_engine_error_is_one_line_diagnosis(tmp_path, capsys):

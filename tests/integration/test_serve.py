@@ -11,6 +11,7 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ import pytest
 
 from repro.core import config_from_spec, run_dual
 from repro.core.supervisor import RunBudget
+from repro.eval.serve_chaos import _post, run_storm
 from repro.serve import (
     HttpTransport,
     LdxService,
@@ -324,6 +326,8 @@ def test_http_transport_roundtrip_and_probes():
                 urllib.request.urlopen(bad, timeout=30)
             assert failure.value.code == 400
             assert json.loads(failure.value.read())["status"] == api.STATUS_INVALID
+        # The storm client reads the same diagnosis off an error status.
+        assert _post(base, "{nope")["status"] == api.STATUS_INVALID
         with urllib.request.urlopen(base + "/statz", timeout=10) as reply:
             stats = json.loads(reply.read())
         # The invalid requests were rejected at admission, not served.
@@ -334,6 +338,20 @@ def test_http_transport_roundtrip_and_probes():
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert not service.alive()  # drained
+
+
+def test_storm_client_names_transport_failures():
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    closed = f"http://127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()  # nothing listens on the port any more
+    assert _post(closed, {"id": "c"}).startswith("ConnectionRefusedError: ")
+    outcome = run_storm(requests=1, url=closed, poison_every=0)
+    assert len(outcome.violations) == 1
+    assert "ConnectionRefusedError" in outcome.violations[0]
+    # A programming error is not a transport failure: it propagates.
+    with pytest.raises(TypeError):
+        _post(closed, 5)
 
 
 def test_sigterm_drains_stdio_daemon_to_exit_zero(tmp_path):

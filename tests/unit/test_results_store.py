@@ -192,18 +192,6 @@ def test_run_metadata_round_trip(store):
     assert store.latest_run("chaos") is None
 
 
-def test_bench_history_series(store):
-    store.record_bench("storm", {"requests": 60.0, "skipme": "text"},
-                       {"workers": 2})
-    store.record_bench("storm", {"requests": 80.0})
-    store.record_bench("other", {"mean": 1.5})
-    series = store.bench_series("storm")
-    assert len(series) == 1
-    assert series[0]["values"] == [60.0, 80.0]
-    everything = store.bench_series()
-    assert {entry["bench"] for entry in everything} == {"storm", "other"}
-
-
 def test_cell_keys_are_stable_and_source_sensitive():
     cell = ("table1", ("gzip",))
     spec1 = spec_for_cell(cell)

@@ -78,6 +78,17 @@ def test_sequential_runs_match_fresh_engines():
     assert factory.runs == 5
 
 
+def test_factory_backend_does_not_stick_to_the_callers_config():
+    workload = get_workload("gzip")
+    config = workload.leak_variant()
+    switch = EngineFactory.for_workload(workload, backend="switch")
+    threaded = EngineFactory.for_workload(workload, backend="threaded")
+    assert switch.engine(config).master.backend == "switch"
+    engine = threaded.engine(config)
+    assert engine.master.backend == engine.slave.backend == "threaded"
+    assert config.interp_backend is None
+
+
 def test_degradation_does_not_leak_between_runs():
     workload = get_workload("gzip")
     factory = EngineFactory.for_workload(workload)
