@@ -52,6 +52,7 @@ def _trace_execution(
     max_instructions: int,
 ) -> Tuple[List[Tuple[Tuple, str, tuple]], Machine]:
     """Run once, returning [(execution index, syscall, args)]."""
+    tracker = IndexTracker()
     machine = Machine(
         module,
         Kernel(world),
@@ -59,10 +60,8 @@ def _trace_execution(
         costs=costs,
         name="dualex-slave" if mutate else "dualex-master",
         max_instructions=max_instructions,
-        backend="switch",  # instr_hook requires the switch driver
+        observer=tracker,
     )
-    tracker = IndexTracker()
-    tracker.attach(machine)
     trace: List[Tuple[Tuple, str, tuple]] = []
     while True:
         event = machine.next_event()

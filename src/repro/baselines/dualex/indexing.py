@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 # Re-exported for backward compatibility: the computation now lives in
 # repro.cfg.dominators next to its forward-direction sibling.
 from repro.cfg.dominators import immediate_postdominators  # noqa: F401
+from repro.interp.machine import Observer
 from repro.ir import instructions as ins
 from repro.ir.function import IRFunction
 
@@ -37,17 +38,17 @@ class _Entry:
         return (self.kind, self.depth, self.node, self.iteration)
 
 
-class IndexTracker:
-    """Maintains the execution index of every thread of a machine."""
+class IndexTracker(Observer):
+    """Maintains the execution index of every thread of the machine it
+    observes."""
 
     def __init__(self) -> None:
         self._postdoms: Dict[str, Dict[int, int]] = {}
         self._stacks: Dict[int, List[_Entry]] = {}
+        self._per_instruction = 0.0
 
     def attach(self, machine) -> None:
-        machine.instr_hook = self._make_instr_hook(machine)
-        machine.call_hook = self._make_call_hook(machine)
-        machine.return_hook = self._make_return_hook(machine)
+        self._per_instruction = machine.costs.dualex_per_instruction
 
     def index_of(self, thread_id: int, node: int) -> Tuple:
         """The current execution index plus the point's own node."""
@@ -61,49 +62,40 @@ class IndexTracker:
             self._postdoms[function.name] = table
         return table
 
-    def _make_instr_hook(self, machine):
-        def on_instruction(thread, frame, instr) -> None:
-            machine.charge(thread.tid, machine.costs.dualex_per_instruction)
-            stack = self._stacks.setdefault(thread.tid, [])
-            depth = len(thread.frames)
-            node = frame.index
-            # Close branch regions that join at this node.
-            while (
+    def on_instruction(self, thread, frame, instr) -> None:
+        thread.clock += self._per_instruction
+        stack = self._stacks.setdefault(thread.tid, [])
+        depth = len(thread.frames)
+        node = frame.index
+        # Close branch regions that join at this node.
+        while (
+            stack
+            and stack[-1].kind == "branch"
+            and stack[-1].depth == depth
+            and stack[-1].join == node
+        ):
+            stack.pop()
+        if isinstance(instr, ins.CJump):
+            if (
                 stack
                 and stack[-1].kind == "branch"
                 and stack[-1].depth == depth
-                and stack[-1].join == node
+                and stack[-1].node == node
             ):
-                stack.pop()
-            if isinstance(instr, ins.CJump):
-                if (
-                    stack
-                    and stack[-1].kind == "branch"
-                    and stack[-1].depth == depth
-                    and stack[-1].node == node
-                ):
-                    # Re-executing the same predicate (loop iteration).
-                    stack[-1].iteration += 1
-                else:
-                    join = self._postdom_for(frame.function).get(node)
-                    stack.append(_Entry("branch", depth, node, join))
+                # Re-executing the same predicate (loop iteration).
+                stack[-1].iteration += 1
+            else:
+                join = self._postdom_for(frame.function).get(node)
+                stack.append(_Entry("branch", depth, node, join))
 
-        return on_instruction
+    def on_call(self, thread, caller, callee, instr) -> None:
+        stack = self._stacks.setdefault(thread.tid, [])
+        stack.append(_Entry("call", len(thread.frames), caller.index, None))
 
-    def _make_call_hook(self, machine):
-        def on_call(thread, caller, callee, instr) -> None:
-            stack = self._stacks.setdefault(thread.tid, [])
-            stack.append(_Entry("call", len(thread.frames), caller.index, None))
-
-        return on_call
-
-    def _make_return_hook(self, machine):
-        def on_return(thread, popped, caller, dst, value) -> None:
-            stack = self._stacks.setdefault(thread.tid, [])
-            # Pop everything belonging to the popped frame, then the
-            # call entry itself.
-            depth = len(thread.frames) + 1
-            while stack and stack[-1].depth >= depth:
-                stack.pop()
-
-        return on_return
+    def on_return(self, thread, popped, caller, dst, value) -> None:
+        stack = self._stacks.setdefault(thread.tid, [])
+        # Pop everything belonging to the popped frame, then the call
+        # entry itself.
+        depth = len(thread.frames) + 1
+        while stack and stack[-1].depth >= depth:
+            stack.pop()

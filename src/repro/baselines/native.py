@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 from repro.instrument.plan import ModulePlan
 from repro.interp.costs import CostModel
 from repro.interp.machine import Machine
+from repro.interp.profiler import OpcodeProfiler
 from repro.interp.resolve import resolve_event_locally
 from repro.ir.function import IRModule
 from repro.vos.kernel import Kernel
@@ -63,7 +64,7 @@ def run_native(
         schedule_seed=seed,
         max_instructions=max_instructions,
         backend=backend,
-        profile=profile,
+        observer=OpcodeProfiler() if profile else None,
     )
     while True:
         event = machine.next_event()

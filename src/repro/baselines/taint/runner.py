@@ -60,9 +60,8 @@ class TaintRunner:
             costs=costs,
             name=policy.name,
             max_instructions=max_instructions,
-            backend="switch",  # instr_hook requires the switch driver
+            observer=self.tracker,
         )
-        self.tracker.attach(self.machine)
 
     def run(self) -> TaintResult:
         machine = self.machine
@@ -84,7 +83,7 @@ class TaintRunner:
         if name in THREAD_SYSCALLS:
             resolve_syscall_locally(machine, event)
             return
-        args_taint = tracker.args_taint(machine, event)
+        args_taint = tracker.args_taint(event)
         resource = kernel.resource_of(name, event.args)
         # Sink check happens before execution, like a real tool's hook.
         if self.config.sinks.matches(event):
@@ -115,7 +114,7 @@ class TaintRunner:
             machine.terminate(program_exit.code)
             return
         machine.complete_syscall(event, result)
-        tracker.write_taint(machine, frame, dst, result_taint)
+        tracker.write_taint(frame, dst, result_taint)
 
 
 def run_taint(

@@ -18,8 +18,9 @@ lost.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from repro.interp.machine import Observer
 from repro.ir import instructions as ins
 
 EMPTY: FrozenSet[str] = frozenset()
@@ -83,59 +84,51 @@ class _ObjectShadow:
         return taint
 
 
-class TaintTracker:
-    """Shadow state + data-dependence propagation for one execution."""
+class TaintTracker(Observer):
+    """Shadow state + data-dependence propagation for one execution,
+    observing the machine it is built into."""
 
     def __init__(self, policy: TaintPolicy) -> None:
         self.policy = policy
+        self.machine = None
+        self._per_instruction = 0.0
         # id(frame) -> {register -> taint set}.
         self._frames: Dict[int, Dict[str, FrozenSet[str]]] = {}
         self._globals: Dict[str, FrozenSet[str]] = {}
         self._objects: Dict[int, _ObjectShadow] = {}
+        # (id(frame), dst, element taints) of a NewList whose object
+        # exists only once the instruction has executed; the next
+        # observed instruction attaches the element taints.
+        self._pending_newlist: Optional[Tuple[int, str, List[FrozenSet[str]]]] = None
         # Resource id -> taint (files/sockets that received tainted data).
         self.resource_taint: Dict[str, FrozenSet[str]] = {}
         self.tainted_sink_events = 0
         self.sink_events = 0
 
-    # -- attachment ------------------------------------------------------------
+    # -- observer callbacks ------------------------------------------------------
 
     def attach(self, machine) -> None:
-        """Install the tracker's hooks on *machine*."""
-        machine.instr_hook = self._make_instr_hook(machine)
-        machine.call_hook = self._make_call_hook(machine)
-        machine.return_hook = self._make_return_hook(machine)
-
-    def _make_instr_hook(self, machine):
-        per_instruction = (
+        self.machine = machine
+        self._per_instruction = (
             machine.costs.taint_per_instruction
             if self.policy.name == "libdft"
             else machine.costs.taintgrind_per_instruction
         )
 
-        def on_instruction(thread, frame, instr) -> None:
-            machine.charge(thread.tid, per_instruction)
-            self._propagate(machine, thread, frame, instr)
+    def on_instruction(self, thread, frame, instr) -> None:
+        thread.clock += self._per_instruction
+        self._propagate(frame, instr)
 
-        return on_instruction
+    def on_call(self, thread, caller, callee, instr) -> None:
+        arg_taints = [self.register_taint(caller, a) for a in instr.args]
+        shadow = self._frame_shadow(callee)
+        for param, taint in zip(callee.function.params, arg_taints):
+            shadow[param] = taint
 
-    def _make_call_hook(self, machine):
-        def on_call(thread, caller, callee, instr) -> None:
-            arg_taints = [
-                self.register_taint(machine, caller, a) for a in instr.args
-            ]
-            shadow = self._frame_shadow(callee)
-            for param, taint in zip(callee.function.params, arg_taints):
-                shadow[param] = taint
-
-        return on_call
-
-    def _make_return_hook(self, machine):
-        def on_return(thread, popped, caller, dst, value) -> None:
-            taint = self._frame_shadow(popped).get(".ret", EMPTY)
-            self.write_taint(machine, caller, dst, taint)
-            self._frames.pop(id(popped), None)
-
-        return on_return
+    def on_return(self, thread, popped, caller, dst, value) -> None:
+        taint = self._frame_shadow(popped).get(".ret", EMPTY)
+        self.write_taint(caller, dst, taint)
+        self._frames.pop(id(popped), None)
 
     # -- shadow environment -------------------------------------------------------
 
@@ -146,33 +139,33 @@ class TaintTracker:
             self._frames[id(frame)] = shadow
         return shadow
 
-    def _value_of(self, machine, frame, name: str):
+    def _value_of(self, frame, name: str):
         if name in frame.locals:
             return frame.locals[name]
-        return machine.globals.get(name)
+        return self.machine.globals.get(name)
 
-    def register_taint(self, machine, frame, name: str) -> FrozenSet[str]:
+    def register_taint(self, frame, name: str) -> FrozenSet[str]:
         """Taint of the register itself (no object contents)."""
         if name in frame.locals:
             return self._frame_shadow(frame).get(name, EMPTY)
-        if name in machine.globals:
+        if name in self.machine.globals:
             return self._globals.get(name, EMPTY)
         return EMPTY
 
-    def read_taint(self, machine, frame, name: str) -> FrozenSet[str]:
+    def read_taint(self, frame, name: str) -> FrozenSet[str]:
         """Full read taint: register plus object contents for lists.
         Used when a value flows as a whole (builtin args, syscall args,
         arithmetic)."""
-        taint = self.register_taint(machine, frame, name)
-        value = self._value_of(machine, frame, name)
+        taint = self.register_taint(frame, name)
+        value = self._value_of(frame, name)
         if isinstance(value, list):
             shadow = self._objects.get(id(value))
             if shadow is not None:
                 taint = taint | shadow.full()
         return taint
 
-    def write_taint(self, machine, frame, name: str, taint: FrozenSet[str]) -> None:
-        if name in machine.globals and name not in frame.locals:
+    def write_taint(self, frame, name: str, taint: FrozenSet[str]) -> None:
+        if name in self.machine.globals and name not in frame.locals:
             self._globals[name] = taint
         else:
             self._frame_shadow(frame)[name] = taint
@@ -184,82 +177,52 @@ class TaintTracker:
             self._objects[id(obj)] = shadow
         return shadow
 
-    def taint_object(self, obj, taint: FrozenSet[str]) -> None:
-        """Container-level taint (element identity unknown)."""
-        if not isinstance(obj, list) or not taint:
-            return
-        shadow = self._object_shadow(obj)
-        shadow.whole = shadow.whole | taint
-
-    def object_taint(self, obj) -> FrozenSet[str]:
-        shadow = self._objects.get(id(obj))
-        return shadow.full() if shadow is not None else EMPTY
-
-    def args_taint(self, machine, event) -> FrozenSet[str]:
+    def args_taint(self, event) -> FrozenSet[str]:
         """Union taint of a syscall event's arguments."""
-        frame = machine.threads[event.thread_id].frames[-1]
+        frame = self.machine.threads[event.thread_id].frames[-1]
         instr = frame.function.instrs[frame.index]
-        return self._uses_taint(machine, frame, instr.uses())
+        return self._uses_taint(frame, instr.uses())
 
     # -- propagation --------------------------------------------------------------
 
-    def _uses_taint(self, machine, frame, names) -> FrozenSet[str]:
+    def _uses_taint(self, frame, names) -> FrozenSet[str]:
         taint: FrozenSet[str] = EMPTY
         for name in names:
-            taint = taint | self.read_taint(machine, frame, name)
+            taint = taint | self.read_taint(frame, name)
         return taint
 
-    def _propagate(self, machine, thread, frame, instr) -> None:
+    def _propagate(self, frame, instr) -> None:
         kind = type(instr)
         if kind is ins.Const:
-            self.write_taint(machine, frame, instr.dst, EMPTY)
+            self.write_taint(frame, instr.dst, EMPTY)
         elif kind is ins.Move:
-            self.write_taint(
-                machine,
-                frame,
-                instr.dst,
-                self.register_taint(machine, frame, instr.src),
-            )
+            self.write_taint(frame, instr.dst, self.register_taint(frame, instr.src))
         elif kind is ins.Unop:
-            self.write_taint(
-                machine,
-                frame,
-                instr.dst,
-                self.read_taint(machine, frame, instr.operand),
-            )
+            self.write_taint(frame, instr.dst, self.read_taint(frame, instr.operand))
         elif kind is ins.Binop:
             self.write_taint(
-                machine,
-                frame,
-                instr.dst,
-                self._uses_taint(machine, frame, (instr.left, instr.right)),
+                frame, instr.dst, self._uses_taint(frame, (instr.left, instr.right))
             )
         elif kind is ins.LoadIndex:
-            self._propagate_load(machine, frame, instr)
+            self._propagate_load(frame, instr)
         elif kind is ins.StoreIndex:
-            self._propagate_store(machine, frame, instr)
+            self._propagate_store(frame, instr)
         elif kind is ins.NewList:
-            items = list(instr.items)
-            taints = [self.read_taint(machine, frame, item) for item in items]
-            self.write_taint(machine, frame, instr.dst, EMPTY)
-            # Element taints are attached once the object exists; defer
-            # by tainting through the destination register: the next
-            # hook sees the created object.  Simpler: mark pending.
+            taints = [self.read_taint(frame, item) for item in instr.items]
+            self.write_taint(frame, instr.dst, EMPTY)
             self._pending_newlist = (id(frame), instr.dst, taints)
         elif kind is ins.CallBuiltin:
-            self._propagate_builtin(machine, frame, instr)
+            self._propagate_builtin(frame, instr)
         elif kind is ins.Ret:
             taint = (
-                self.register_taint(machine, frame, instr.src)
+                self.register_taint(frame, instr.src)
                 if instr.src is not None
                 else EMPTY
             )
             self._frame_shadow(frame)[".ret"] = taint
-        self._flush_pending_newlist(machine, frame, instr)
+        self._flush_pending_newlist(frame, instr)
 
-    _pending_newlist = None
-
-    def _flush_pending_newlist(self, machine, frame, instr) -> None:
+    def _flush_pending_newlist(self, frame, instr) -> None:
         pending = self._pending_newlist
         if pending is None or type(instr) is ins.NewList:
             return
@@ -267,31 +230,30 @@ class TaintTracker:
         self._pending_newlist = None
         if frame_id != id(frame):
             return
-        value = self._value_of(machine, frame, dst)
+        value = self._value_of(frame, dst)
         if isinstance(value, list) and any(taints):
             shadow = self._object_shadow(value)
             for index, taint in enumerate(taints):
                 if taint:
                     shadow.elements[index] = taint
 
-    def _propagate_load(self, machine, frame, instr: ins.LoadIndex) -> None:
-        base = self._value_of(machine, frame, instr.base)
-        index = self._value_of(machine, frame, instr.index)
-        taint = self.register_taint(machine, frame, instr.base)
+    def _propagate_load(self, frame, instr: ins.LoadIndex) -> None:
+        # A string load carries the string's register taint; a list
+        # load adds its element's.  The index itself does not
+        # propagate (no pointer taint).
+        base = self._value_of(frame, instr.base)
+        index = self._value_of(frame, instr.index)
+        taint = self.register_taint(frame, instr.base)
         if isinstance(base, list):
             shadow = self._objects.get(id(base))
             if shadow is not None and isinstance(index, int):
                 taint = taint | shadow.whole | shadow.elements.get(index, EMPTY)
-        elif isinstance(base, str):
-            # Loading a char from a string: the string's taint flows.
-            taint = taint  # register taint already covers it
-        # The index itself does not propagate (no pointer taint).
-        self.write_taint(machine, frame, instr.dst, taint)
+        self.write_taint(frame, instr.dst, taint)
 
-    def _propagate_store(self, machine, frame, instr: ins.StoreIndex) -> None:
-        base = self._value_of(machine, frame, instr.base)
-        index = self._value_of(machine, frame, instr.index)
-        taint = self.read_taint(machine, frame, instr.src)
+    def _propagate_store(self, frame, instr: ins.StoreIndex) -> None:
+        base = self._value_of(frame, instr.base)
+        index = self._value_of(frame, instr.index)
+        taint = self.read_taint(frame, instr.src)
         if isinstance(base, list) and isinstance(index, int):
             shadow = self._object_shadow(base)
             if taint:
@@ -299,19 +261,19 @@ class TaintTracker:
             else:
                 shadow.elements.pop(index, None)  # strong update clears
 
-    def _propagate_builtin(self, machine, frame, instr: ins.CallBuiltin) -> None:
-        taint = self._uses_taint(machine, frame, instr.args)
+    def _propagate_builtin(self, frame, instr: ins.CallBuiltin) -> None:
+        taint = self._uses_taint(frame, instr.args)
         if instr.name in self.policy.unmodeled_builtins:
             taint = EMPTY  # this tool fails to model the call
-        self.write_taint(machine, frame, instr.dst, taint)
+        self.write_taint(frame, instr.dst, taint)
         if (
             instr.name in ("push", "list_fill")
             and instr.args
             and instr.name not in self.policy.unmodeled_builtins
         ):
-            target = self._value_of(machine, frame, instr.args[0])
+            target = self._value_of(frame, instr.args[0])
             if isinstance(target, list) and len(instr.args) > 1:
-                value_taint = self.read_taint(machine, frame, instr.args[1])
+                value_taint = self.read_taint(frame, instr.args[1])
                 if value_taint:
                     shadow = self._object_shadow(target)
                     if instr.name == "push":

@@ -57,7 +57,6 @@ def _collect_syscalls(
         costs=costs,
         name="tightlip-slave" if mutate else "tightlip-master",
         max_instructions=max_instructions,
-        backend="switch",  # trace hooks assume the switch driver
     )
     trace: List[Tuple[str, tuple]] = []
     while True:

@@ -105,13 +105,6 @@ class OutcomeQueue:
         ]
         return min(times) if times else None
 
-    def find_any(self, counter: Counter) -> Optional[SyscallRecord]:
-        """First unconsumed record at *counter*, any syscall."""
-        for record in self._records:
-            if not record.consumed and record.counter == counter:
-                return record
-        return None
-
     def prune_iteration(
         self, barrier_counter: Counter, reset_to: int
     ) -> List[SyscallRecord]:

@@ -48,7 +48,8 @@ from repro.errors import BudgetExceededError, DualExecutionError, EngineStallErr
 from repro.instrument.pipeline import InstrumentedModule
 from repro.interp.costs import CostModel
 from repro.interp.events import BarrierEvent, SyscallEvent
-from repro.interp.machine import Machine
+from repro.interp.machine import RUNNABLE, Machine
+from repro.interp.profiler import OpcodeProfiler
 from repro.interp.resolve import resolve_syscall_locally
 from repro.vos.faults import FaultConfig
 from repro.vos.kernel import Kernel, ProgramExit
@@ -124,7 +125,7 @@ class LdxEngine:
                 schedule_seed=master_seed,
                 max_instructions=max_instructions,
                 backend=backend,
-                profile=profile,
+                observer=OpcodeProfiler() if profile else None,
             ),
         )
         self._slave = _Side(
@@ -138,7 +139,7 @@ class LdxEngine:
                 schedule_seed=slave_seed,
                 max_instructions=max_instructions,
                 backend=backend,
-                profile=profile,
+                observer=OpcodeProfiler() if profile else None,
             ),
         )
         # Per-thread-pair outcome queues (threads pair up by tid).
@@ -339,9 +340,7 @@ class LdxEngine:
             return None
         if tid in side.waiting:
             return side.waiting[tid].counter
-        from repro.interp.machine import RUNNABLE as _RUNNABLE
-
-        if thread.status == _RUNNABLE or thread.pending_transition is not None:
+        if thread.status == RUNNABLE or thread.pending_transition is not None:
             return RUNNING
         # Internally blocked (mutex/join): its counter is stable.
         return thread.counter

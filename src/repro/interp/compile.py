@@ -48,8 +48,8 @@ switch interpreter, bit for bit.  That drives three non-obvious rules:
   sync ``frame.index`` first, keeping crash surfaces identical.
 
 Rare or complex operations (calls, returns, syscalls, indexing) keep
-delegating to the machine's existing helpers, so hook points, scoping
-and error surfaces stay single-sourced.
+delegating to the machine's existing helpers, so observer callbacks,
+scoping and error surfaces stay single-sourced.
 """
 
 from __future__ import annotations
@@ -142,19 +142,17 @@ class CompiledModule:
     entry for a recycled object id.
     """
 
-    __slots__ = ("functions", "module", "plan", "fuse")
+    __slots__ = ("functions", "module", "plan")
 
     def __init__(
         self,
         functions: Dict[str, CompiledFunction],
         module: IRModule,
         plan: Optional[ModulePlan],
-        fuse: bool,
     ) -> None:
         self.functions = functions
         self.module = module
         self.plan = plan
-        self.fuse = fuse
 
     def steps_for(self, name: str) -> List[Step]:
         return self.functions[name].steps
@@ -700,8 +698,9 @@ class _FunctionCompiler:
                 if depth > stats.max_stack_depth:
                     stats.max_stack_depth = depth
             thread.frames.append(callee)
-            if machine.call_hook is not None:
-                machine.call_hook(thread, frame, callee, _instr)
+            observer = machine.observer
+            if observer is not None:
+                observer.on_call(thread, frame, callee, _instr)
             return None
 
         return step
@@ -812,8 +811,9 @@ class _FunctionCompiler:
             caller = frames[-1]
             call_instr = caller.function.instrs[caller.index]
             machine._write(thread, caller, call_instr.dst, value)
-            if machine.return_hook is not None:
-                machine.return_hook(thread, frame, caller, call_instr.dst, value)
+            observer = machine.observer
+            if observer is not None:
+                observer.on_return(thread, frame, caller, call_instr.dst, value)
             return machine._advance(thread, caller, caller.index, caller.index + 1)
 
         return step
@@ -1536,7 +1536,7 @@ def compile_module(
     for name, compiled in functions.items():
         function_plan = plan.functions.get(name) if plan is not None else None
         link[name] = (function_plan, compiled.steps)
-    return CompiledModule(functions, module, plan, fuse)
+    return CompiledModule(functions, module, plan)
 
 
 # -- in-process compilation memo --------------------------------------------------
@@ -1547,7 +1547,9 @@ def compile_module(
 # equivalent.  Master and slave machines built from one instrumented
 # artifact (and every run of a cached workload) share one compilation.
 # Keys are object identities: the CompiledModule pins the plan alive,
-# so a recycled id can never alias a stale entry.
+# so a recycled id can never alias a stale entry.  Without a relevance
+# classification nothing fuses, so the key drops *fuse* and fused and
+# unfused requests (a plain run and an observed one) share a compile.
 
 _MEMO: "weakref.WeakKeyDictionary[IRModule, Dict[Tuple[int, bool], CompiledModule]]" = (
     weakref.WeakKeyDictionary()
@@ -1564,10 +1566,10 @@ def compiled_for_module(
     if per_module is None:
         per_module = {}
         _MEMO[module] = per_module
-    key = (id(plan), fuse)
+    key = (id(plan), fuse and getattr(plan, "relevance", None) is not None)
     compiled = per_module.get(key)
     if compiled is None:
-        compiled = compile_module(module, plan, fuse)
+        compiled = compile_module(module, plan, key[1])
         per_module[key] = compiled
     return compiled
 

@@ -7,14 +7,15 @@ actions on control transfers, and *yields* events (syscalls, loop
 barriers) to whatever driver owns it.
 
 The machine is driver-agnostic: the native runner resolves events
-locally; the LDX engine couples two machines; the taint baselines hook
-every instruction.  Nothing in here knows about dual execution.
+locally; the LDX engine couples two machines; the baselines' taint and
+execution-indexing trackers and the opcode profiler are
+:class:`Observer` objects that watch every instruction.  Nothing in
+here knows about dual execution.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import BudgetExceededError, FaultInjected, InterpreterError
 from repro.instrument.plan import (
@@ -113,21 +114,13 @@ class MachineStats:
         self.barriers = 0
         self.counter_samples: List[int] = []
         self.max_stack_depth = 1
-        # Per-opcode histograms, populated only when the machine runs
-        # with profiling enabled (None keeps the hot path allocation-
-        # and branch-free).
+        # Per-opcode histograms, filled only by an attached opcode
+        # profiler (None keeps the hot path allocation- and
+        # branch-free).  ``opcode_elided`` counts the executed
+        # instructions the sink-relevance pass classified elidable.
         self.opcode_counts: Optional[Dict[str, int]] = None
         self.opcode_time: Optional[Dict[str, float]] = None
-        # Executed instructions the sink-relevance pass classified
-        # elidable, per opcode (needs a plan carrying a relevance
-        # classification; stays all-zero otherwise).
         self.opcode_elided: Optional[Dict[str, int]] = None
-
-    def enable_profiling(self) -> None:
-        if self.opcode_counts is None:
-            self.opcode_counts = defaultdict(int)
-            self.opcode_time = defaultdict(float)
-            self.opcode_elided = defaultdict(int)
 
     @property
     def profiled(self) -> bool:
@@ -144,6 +137,46 @@ class MachineStats:
         return max(self.counter_samples, default=0)
 
 
+class Observer:
+    """Watches one machine's execution, instruction by instruction.
+
+    The baselines' taint and execution-indexing trackers and the opcode
+    profiler are observers.  An observer is fixed when the
+    :class:`Machine` is built, and the machine then runs unfused code,
+    so each step is exactly one instruction on either backend:
+    ``on_instruction`` sees it after its cost is charged and before it
+    executes, and ``on_step`` receives the virtual time the step
+    charged.  ``on_call`` and ``on_return`` fire as frames are pushed
+    and popped.  Every callback defaults to a no-op.
+    """
+
+    def attach(self, machine: "Machine") -> None:
+        """Called once, by the constructor of the observed machine."""
+
+    def on_instruction(
+        self, thread: ThreadState, frame: Frame, instr: ins.Instr
+    ) -> None:
+        pass
+
+    def on_step(self, instr: ins.Instr, vtime: float) -> None:
+        pass
+
+    def on_call(
+        self, thread: ThreadState, caller: Frame, callee: Frame, instr: ins.Instr
+    ) -> None:
+        pass
+
+    def on_return(
+        self,
+        thread: ThreadState,
+        popped: Frame,
+        caller: Frame,
+        dst: Optional[str],
+        value: object,
+    ) -> None:
+        pass
+
+
 class Machine:
     """One program execution over a kernel, surfacing events."""
 
@@ -157,7 +190,7 @@ class Machine:
         schedule_seed: int = 0,
         max_instructions: int = 50_000_000,
         backend: Optional[str] = None,
-        profile: bool = False,
+        observer: Optional[Observer] = None,
     ) -> None:
         self.module = module
         self.kernel = kernel
@@ -175,11 +208,6 @@ class Machine:
         self._mutex_queue: Dict[int, List[int]] = {}
         # Scheduling jitter source — models racy thread interleavings.
         self._sched_rng = DeterministicRng(schedule_seed * 7919 + 17)
-        # Optional per-instruction hook: hook(thread, frame, instr).
-        # Used by the taint and DualEx baselines.  Stored behind a
-        # property: assigning a hook invalidates the cached driver
-        # loop (which must switch to the hook-aware switch driver).
-        self._instr_hook: Optional[Callable[[ThreadState, Frame, ins.Instr], None]] = None
         # Events raised while servicing a driver call (e.g. a barrier on
         # the edge just past a completed syscall); drained first.
         self._deferred_events: List[Event] = []
@@ -187,34 +215,18 @@ class Machine:
         # lock_hook(mutex_id, tid).  The LDX engine uses it to record
         # (master) and track (slave) lock acquisition order.
         self.lock_hook: Optional[Callable[[int, int], None]] = None
-        # Optional frame-boundary hooks for analyses that mirror the
-        # call stack (taint tracking, execution indexing):
-        #   call_hook(thread, caller_frame, callee_frame, instr)
-        #   return_hook(thread, popped_frame, caller_frame, dst, value)
-        self.call_hook = None
-        self.return_hook = None
         # Interpreter backend: "switch" walks the type-dispatch chain;
-        # "threaded" executes pre-compiled step closures.  Profiling
-        # runs unfused code so each step is exactly one instruction.
+        # "threaded" executes pre-compiled step closures.  An observed
+        # machine compiles unfused, so each step is one instruction.
         self.backend = resolve_backend(backend)
-        self._profile = profile
-        # Per-function elidable index sets for profile attribution
-        # (which executed instructions the relevance pass would let a
-        # backend skip counter work for).
-        self._elidable: Optional[Dict[str, FrozenSet[int]]] = None
-        if profile:
-            self.stats.enable_profiling()
-            relevance = getattr(plan, "relevance", None)
-            if relevance is not None:
-                self._elidable = {
-                    fn_name: fn_rel.elidable
-                    for fn_name, fn_rel in relevance.functions.items()
-                }
+        self.observer = observer
         self._code: Optional[CompiledModule] = (
-            compiled_for_module(module, plan, fuse=not profile)
+            compiled_for_module(module, plan, fuse=observer is None)
             if self.backend == BACKEND_THREADED
             else None
         )
+        if observer is not None:
+            observer.attach(self)
         self._spawn_main()
 
     # -- setup -------------------------------------------------------------------
@@ -620,44 +632,29 @@ class Machine:
             f"({self.max_instructions})"
         )
 
-    @property
-    def instr_hook(self) -> Optional[Callable[["ThreadState", "Frame", ins.Instr], None]]:
-        return self._instr_hook
-
-    @instr_hook.setter
-    def instr_hook(
-        self, hook: Optional[Callable[["ThreadState", "Frame", ins.Instr], None]]
-    ) -> None:
-        self._instr_hook = hook
-        # Drop the memoized driver loop: a hook forces the switch
-        # driver (and removing one re-enables the threaded driver).
-        self.__dict__.pop("_run_thread", None)
-
     def _run_thread(self, thread: ThreadState) -> Optional[Event]:
         """Run one thread until it produces an event, blocks or ends.
 
-        Dispatches to one of four driver loops: {switch, threaded} x
-        {plain, profiled}.  Per-instruction hooks (the taint/DualEx
-        baselines) need the original instruction objects, so a machine
-        with ``instr_hook`` always takes the switch loop regardless of
-        backend.  The choice is fixed for a given configuration, so
-        the bound loop is memoized as an instance attribute — later
+        Dispatches to one of three driver loops: ``switch`` (the
+        reference, which reports to the observer when there is one),
+        plain ``threaded`` (the hot path) and observed ``threaded``.
+        The choice is fixed when the machine is built, so the bound
+        loop is memoized as an instance attribute — later
         ``self._run_thread(...)`` calls skip this dispatch entirely.
         """
-        if self._code is not None and self._instr_hook is None:
-            if self._profile:
-                runner = self._run_thread_threaded_profiled
-            else:
-                runner = self._run_thread_threaded
-        elif self._profile:
-            runner = self._run_thread_switch_profiled
-        else:
+        if self._code is None:
             runner = self._run_thread_switch
+        elif self.observer is None:
+            runner = self._run_thread_threaded
+        else:
+            runner = self._run_thread_observed
         self.__dict__["_run_thread"] = runner
         return runner(thread)
 
     def _run_thread_switch(self, thread: ThreadState) -> Optional[Event]:
         costs = self.costs
+        stats = self.stats
+        observer = self.observer
         while thread.status == RUNNABLE:
             if thread.pending_transition is not None:
                 event = self._resume_transition(thread)
@@ -666,13 +663,17 @@ class Machine:
                 continue
             frame = thread.frames[-1]
             instr = frame.function.instrs[frame.index]
-            self.stats.instructions += 1
-            if self.stats.instructions > self.max_instructions:
+            before = thread.clock
+            stats.instructions += 1
+            if stats.instructions > self.max_instructions:
                 self._budget_exceeded()
             thread.clock += costs.instruction
-            if self._instr_hook is not None:
-                self._instr_hook(thread, frame, instr)
-            event = self._execute(thread, frame, instr)
+            if observer is None:
+                event = self._execute(thread, frame, instr)
+            else:
+                observer.on_instruction(thread, frame, instr)
+                event = self._execute(thread, frame, instr)
+                observer.on_step(instr, thread.clock - before)
             if event is not None:
                 return event
         return None
@@ -700,51 +701,15 @@ class Machine:
                 return event
         return None
 
-    def _run_thread_switch_profiled(self, thread: ThreadState) -> Optional[Event]:
-        costs = self.costs
-        counts = self.stats.opcode_counts
-        times = self.stats.opcode_time
-        elided = self.stats.opcode_elided
-        elidable = self._elidable
-        while thread.status == RUNNABLE:
-            if thread.pending_transition is not None:
-                event = self._resume_transition(thread)
-                if event is not None:
-                    return event
-                continue
-            frame = thread.frames[-1]
-            index = frame.index
-            instr = frame.function.instrs[index]
-            opname = instr.opname
-            before = thread.clock
-            self.stats.instructions += 1
-            if self.stats.instructions > self.max_instructions:
-                self._budget_exceeded()
-            thread.clock += costs.instruction
-            if self._instr_hook is not None:
-                self._instr_hook(thread, frame, instr)
-            event = self._execute(thread, frame, instr)
-            counts[opname] += 1
-            times[opname] += thread.clock - before
-            if elidable is not None:
-                fn_elidable = elidable.get(frame.function.name)
-                if fn_elidable is not None and index in fn_elidable:
-                    elided[opname] += 1
-            if event is not None:
-                return event
-        return None
-
-    def _run_thread_threaded_profiled(self, thread: ThreadState) -> Optional[Event]:
-        # Profiled machines compile with fuse=False, so one step is
-        # exactly one instruction and attribution is exact.
+    def _run_thread_observed(self, thread: ThreadState) -> Optional[Event]:
+        """The threaded driver with an observer: the code is unfused, so
+        each step is one instruction, bracketed by the callbacks."""
         stats = self.stats
-        counts = stats.opcode_counts
-        times = stats.opcode_time
-        elided = stats.opcode_elided
-        elidable = self._elidable
         limit = self.max_instructions
         instruction_cost = self.costs.instruction
         frames = thread.frames
+        on_instruction = self.observer.on_instruction
+        on_step = self.observer.on_step
         while thread.status == RUNNABLE:
             if thread.pending_transition is not None:
                 event = self._resume_transition(thread)
@@ -753,19 +718,15 @@ class Machine:
                 continue
             frame = frames[-1]
             index = frame.index
-            opname = frame.function.instrs[index].opname
+            instr = frame.function.instrs[index]
             before = thread.clock
             stats.instructions += 1
             if stats.instructions > limit:
                 self._budget_exceeded()
             thread.clock += instruction_cost
+            on_instruction(thread, frame, instr)
             event = frame.code[index](self, thread, frame)
-            counts[opname] += 1
-            times[opname] += thread.clock - before
-            if elidable is not None:
-                fn_elidable = elidable.get(frame.function.name)
-                if fn_elidable is not None and index in fn_elidable:
-                    elided[opname] += 1
+            on_step(instr, thread.clock - before)
             if event is not None:
                 return event
         return None
@@ -1028,8 +989,8 @@ class Machine:
                 self.stats.max_stack_depth, len(thread.counter_stack)
             )
         thread.frames.append(callee)
-        if self.call_hook is not None:
-            self.call_hook(thread, frame, callee, instr)
+        if self.observer is not None:
+            self.observer.on_call(thread, frame, callee, instr)
         return None
 
     def _return(self, thread: ThreadState, frame: Frame, instr: ins.Ret) -> Optional[Event]:
@@ -1055,8 +1016,8 @@ class Machine:
         caller = thread.frames[-1]
         call_instr = caller.function.instrs[caller.index]
         self._write(thread, caller, call_instr.dst, value)
-        if self.return_hook is not None:
-            self.return_hook(thread, frame, caller, call_instr.dst, value)
+        if self.observer is not None:
+            self.observer.on_return(thread, frame, caller, call_instr.dst, value)
         return self._advance(thread, caller, caller.index, caller.index + 1)
 
     # -- syscalls ------------------------------------------------------------------------------------

@@ -1,21 +1,54 @@
-"""Opcode-level profile rendering.
+"""The opcode profiler and its reports.
 
-A machine run with ``profile=True`` records, per opcode, how many
-instructions executed and how much virtual time their execution charged
-(the instruction cost plus any edge actions applied on the instruction's
-outgoing transfer; barrier waits resumed later by the driver are not
-attributed).  Both backends produce bit-identical histograms — the
-profile is a property of the execution, not of the dispatch strategy.
+:class:`OpcodeProfiler` is a machine :class:`~repro.interp.machine.Observer`
+that records, per opcode, how many instructions executed and how much
+virtual time their execution charged (the instruction cost plus any
+edge actions applied on the instruction's outgoing transfer; barrier
+waits resumed later by the driver are not attributed).  An observed
+machine runs one instruction per step on either backend, so both
+backends produce bit-identical histograms — the profile is a property
+of the execution, not of the dispatch strategy.  ``run_native``, the
+LDX engine and the CLI build one per machine when asked to profile.
 
-This module turns those histograms into the ``repro profile`` top-N
-text report and the JSON artifact.
+The rest of this module turns those histograms into the
+``repro profile`` top-N text report and the JSON artifact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.interp.machine import MachineStats
+from repro.interp.machine import MachineStats, Observer
+
+
+class OpcodeProfiler(Observer):
+    """Fills the observed machine's per-opcode histograms."""
+
+    def attach(self, machine) -> None:
+        stats = machine.stats
+        self.counts = stats.opcode_counts = defaultdict(int)
+        self.times = stats.opcode_time = defaultdict(float)
+        self.elided = stats.opcode_elided = defaultdict(int)
+        # Per-function elidable index sets (which executed instructions
+        # the relevance pass would let a backend skip counter work for).
+        relevance = getattr(machine.plan, "relevance", None)
+        self.elidable: Optional[Dict[str, FrozenSet[int]]] = (
+            {name: fn.elidable for name, fn in relevance.functions.items()}
+            if relevance is not None
+            else None
+        )
+
+    def on_instruction(self, thread, frame, instr) -> None:
+        opname = instr.opname
+        self.counts[opname] += 1
+        if self.elidable is not None:
+            fn_elidable = self.elidable.get(frame.function.name)
+            if fn_elidable is not None and frame.index in fn_elidable:
+                self.elided[opname] += 1
+
+    def on_step(self, instr, vtime: float) -> None:
+        self.times[instr.opname] += vtime
 
 
 def profile_rows(stats: MachineStats) -> List[Tuple[str, int, float, int]]:

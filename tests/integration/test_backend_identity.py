@@ -6,14 +6,19 @@ This is the repository-level statement of the tentpole contract: the
 threaded-code backend changes how fast MiniC executes, never what it
 computes.  Every workload is dual-executed under both backends with
 its leak variant (the configuration that exercises mutation, coupling
-and detection) and every observable compared exactly.
+and detection) and every observable compared exactly; every baseline
+(LIBDFT, TaintGrind, DualEx, TightLip) is run on both backends and its
+results compared field by field.
 """
 
 import json
 
 import pytest
 
+from repro.baselines.dualex import run_dualex
 from repro.baselines.native import run_native
+from repro.baselines.taint import run_taint
+from repro.baselines.tightlip import run_tightlip
 from repro.cli import main
 from repro.core import run_dual
 from repro.workloads import ALL_WORKLOADS, get_workload
@@ -66,6 +71,50 @@ def test_workload_native_identical_across_backends(name):
              result.sink_values())
         )
     assert runs[0] == runs[1]
+
+
+def _baseline_fingerprint(workload):
+    """Every field of every baseline result the tables read, with the
+    virtual times as ``repr`` so any float drift shows."""
+    fields = []
+    for config in (workload.config(), workload.table3_variant()):
+        for tool in ("libdft", "taintgrind"):
+            taint = run_taint(workload.module, workload.build_world(1), config, tool)
+            fields.append(
+                (tool, repr(taint.time), taint.tainted_sinks, taint.sinks_total,
+                 taint.stdout, taint.machine.stats.instructions,
+                 sorted(taint.tracker.resource_taint.items()))
+            )
+    dualex = run_dualex(workload.module, workload.build_world(1), workload.config())
+    fields.append(
+        ("dualex", dualex.detections, dualex.sinks_total,
+         repr(dualex.master_time), repr(dualex.slave_time))
+    )
+    for config in (workload.leak_variant(), workload.noleak_variant()):
+        if config is None:
+            continue
+        tight = run_tightlip(workload.module, workload.build_world(1), config)
+        fields.append(
+            ("tightlip", tight.leak_reported, tight.divergence_position,
+             tight.divergence_reason, tight.syscalls_compared,
+             tight.terminated_early, repr(tight.master_time),
+             repr(tight.slave_time))
+        )
+    return fields
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_baselines_identical_across_backends(name):
+    # The baselines run on whatever backend is the process default
+    # (``--interp-backend``); the trackers observe either one.
+    from repro.interp import set_default_backend
+
+    workload = get_workload(name)
+    fingerprints = []
+    for backend in ("switch", "threaded"):
+        set_default_backend(backend)
+        fingerprints.append(_baseline_fingerprint(workload))
+    assert fingerprints[0] == fingerprints[1]
 
 
 # -- CLI surface ----------------------------------------------------------------

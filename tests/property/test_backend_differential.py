@@ -7,17 +7,25 @@ counts, counter stacks, dual-execution verdicts.  These properties
 drive both backends over the same random structured programs (reusing
 the generators from the counter and fault-tolerance suites), including
 under instrumentation, injected transient faults, and thread
-interleavings, and with region code loaded back from the artifact
+interleavings, with the baselines' taint and execution-indexing
+observers attached, and with region code loaded back from the artifact
 cache's code namespace, and assert exact equality.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro import cache
+from repro.baselines.dualex import run_dualex
 from repro.baselines.native import run_native
+from repro.baselines.taint import run_taint
 from repro.core import FaultConfig, LdxConfig, SinkSpec, SourceSpec, run_dual
 from repro.instrument import instrument_module
-from repro.interp import relevance_enabled, set_relevance_enabled
+from repro.interp import (
+    get_default_backend,
+    relevance_enabled,
+    set_default_backend,
+    set_relevance_enabled,
+)
 from repro.interp.compile import clear_compile_memo
 from repro.ir import compile_source
 from repro.vos.world import World
@@ -141,6 +149,65 @@ def test_thread_interleavings_identical_across_backends(seed, workers):
     switch = run_native(module, World(seed=1), seed=seed, backend="switch")
     threaded = run_native(module, World(seed=1), seed=seed, backend="threaded")
     assert _native_observables(switch) == _native_observables(threaded)
+
+
+TAINTED_INPUT = LdxConfig(
+    sources=SourceSpec(file_paths={"/data/in"}), sinks=SinkSpec.network_out()
+)
+
+CALLING_MAIN = """
+fn main() {
+  var fd = open("/data/in", "r");
+  var secret = len(read(fd, 4));
+  var sock = socket();
+  connect(sock, "srv", 80);
+  send(sock, run(secret));
+  send(sock, run(0));
+}
+"""
+
+
+def _called_twice(source):
+    """The generated ``main`` as ``run(n)``, which seeds ``x`` from
+    ``n`` and returns it, called with a tainted and a clean argument:
+    the observers' call and return callbacks then carry taint."""
+    prologue = "fn main() {\n  var x = "
+    assert source.startswith(prologue)
+    body = "fn run(n) {\n  var x = n + " + source[len(prologue):]
+    return body[: body.rindex("}")] + "  return x;\n}\n" + CALLING_MAIN
+
+
+def _observed_observables(module):
+    """LIBDFT, TaintGrind and DualEx results: each attaches an observer
+    (a taint tracker, an execution-indexing tracker) to its machines."""
+    fields = []
+    for tool in ("libdft", "taintgrind"):
+        taint = run_taint(module, make_world(), TAINTED_INPUT, tool)
+        fields.append(
+            (repr(taint.time), taint.tainted_sinks, taint.sinks_total,
+             taint.stdout, _stats_tuple(taint.machine.stats))
+        )
+    dualex = run_dualex(module, make_world(), TAINTED_INPUT)
+    fields.append(
+        (dualex.detections, dualex.sinks_total,
+         repr(dualex.master_time), repr(dualex.slave_time))
+    )
+    return fields
+
+
+@given(st.one_of(random_programs(), syscall_programs()))
+@settings(max_examples=30, deadline=None)
+def test_observed_baselines_identical_across_backends(source):
+    module = compile_source(_called_twice(source))
+    saved = get_default_backend()
+    runs = []
+    try:
+        for backend in ("switch", "threaded"):
+            set_default_backend(backend)
+            runs.append(_observed_observables(module))
+    finally:
+        set_default_backend(saved)
+    assert runs[0] == runs[1]
 
 
 @given(random_programs())

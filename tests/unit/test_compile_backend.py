@@ -16,7 +16,7 @@ from repro.interp.compile import (
     resolve_backend,
     set_default_backend,
 )
-from repro.interp.machine import Machine
+from repro.interp.machine import Machine, Observer
 from repro.interp.resolve import resolve_event_locally
 from repro.ir import compile_source
 from repro.vos.kernel import Kernel
@@ -109,11 +109,39 @@ def test_compile_memo_reuses_compilations():
     first = compiled_for_module(module, None, fuse=True)
     second = compiled_for_module(module, None, fuse=True)
     assert first is second
-    other = compiled_for_module(module, None, fuse=False)
-    assert other is not first
+    # Without a plan nothing fuses, so an unfused request shares it.
+    assert compiled_for_module(module, None, fuse=False) is first
+    # A relevance-carrying plan fuses, so the two requests differ.
+    plan = instrument_module(module).plan
+    assert compiled_for_module(module, plan, fuse=False) is not (
+        compiled_for_module(module, plan, fuse=True)
+    )
     clear_compile_memo()
     third = compiled_for_module(module, None, fuse=True)
     assert third is not first
+
+
+def test_observed_baseline_shares_the_native_compilation(monkeypatch):
+    # A plan-less native run and a taint run (an observed machine) ask
+    # for the same compilation, fused and unfused alike.
+    from repro.baselines.taint import run_taint
+    from repro.core.config import LdxConfig, SinkSpec, SourceSpec
+    from repro.interp import compile as compile_mod
+
+    calls = []
+    real_compile_module = compile_mod.compile_module
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_compile_module(*args, **kwargs)
+
+    monkeypatch.setattr(compile_mod, "compile_module", counting)
+    monkeypatch.setattr(compile_mod, "_DEFAULT_BACKEND", BACKEND_THREADED)
+    module = compile_source(LOOP)
+    run_native(module, World())
+    config = LdxConfig(SourceSpec(), SinkSpec.network_out())
+    run_taint(module, World(), config, "libdft")
+    assert len(calls) == 1
 
 
 # -- region code namespace --------------------------------------------------------
@@ -353,19 +381,29 @@ def test_backends_agree_on_budget_exhaustion():
     assert "instruction budget exceeded" in errors[0]
 
 
-def test_instr_hook_forces_switch_loop():
+def test_observer_takes_observed_threaded_loop():
+    class Recorder(Observer):
+        def __init__(self):
+            self.seen = []
+
+        def on_instruction(self, thread, frame, instr):
+            self.seen.append(instr.opname)
+
     module = compile_source(LOOP)
-    machine = Machine(module, Kernel(World()), backend="threaded")
-    seen = []
-    machine.instr_hook = lambda thread, frame, instr: seen.append(instr.opname)
+    plan = instrument_module(module).plan
+    recorder = Recorder()
+    machine = Machine(
+        module, Kernel(World()), plan=plan, backend="threaded", observer=recorder
+    )
     while True:
         event = machine.next_event()
         if event is None:
             break
         resolve_event_locally(machine, event)
     assert machine.finished
-    # The hook observed every instruction despite the threaded backend.
-    assert len(seen) == machine.stats.instructions
+    assert machine.__dict__["_run_thread"].__func__ is Machine._run_thread_observed
+    # Unfused steps: the observer saw every instruction, one per step.
+    assert len(recorder.seen) == machine.stats.instructions
 
 
 # -- profiling ------------------------------------------------------------------

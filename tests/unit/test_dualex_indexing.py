@@ -16,9 +16,8 @@ from repro.vos.world import World
 def trace_indices(source, world=None):
     """Run a program, returning the execution index of each syscall."""
     module = compile_source(source)
-    machine = Machine(module, Kernel(world or World(seed=1)))
     tracker = IndexTracker()
-    tracker.attach(machine)
+    machine = Machine(module, Kernel(world or World(seed=1)), observer=tracker)
     indices = []
     while True:
         event = machine.next_event()
