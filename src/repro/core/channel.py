@@ -9,6 +9,8 @@ be confused (Section 5's iteration-level alignment).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from math import inf
 from typing import List, Optional, Tuple
 
 Counter = Tuple[int, ...]
@@ -80,30 +82,52 @@ class SyscallRecord:
 
 
 class OutcomeQueue:
-    """Per-thread-pair outcome queue with iteration pruning."""
+    """Per-thread-pair outcome queue with iteration pruning.
+
+    Records are kept sorted by (counter, arrival), so lookups bisect: a
+    counter's records keep arrival order, the records a slave passed are
+    a prefix, and a loop iteration's are a contiguous run.  Dropped
+    records are returned in arrival order."""
 
     def __init__(self) -> None:
+        self._keys: List[Tuple[Counter, int]] = []
         self._records: List[SyscallRecord] = []
+        self._arrivals = 0
+        # While records arrive in counter order with non-decreasing
+        # publication times, a suffix's first record published first.
+        self._ordered = True
+        self._latest = -inf
 
     def add(self, record: SyscallRecord) -> None:
-        self._records.append(record)
+        key = (record.counter, self._arrivals)
+        self._arrivals += 1
+        keys = self._keys
+        at = bisect_right(keys, key) if keys and key < keys[-1] else len(keys)
+        self._ordered &= at == len(keys) and record.published_at >= self._latest
+        self._latest = record.published_at
+        keys.insert(at, key)
+        self._records.insert(at, record)
 
     def find(self, counter: Counter, name: str) -> Optional[SyscallRecord]:
         """First unconsumed record at *counter* with the same syscall."""
-        for record in self._records:
-            if not record.consumed and record.counter == counter and record.name == name:
+        keys = self._keys
+        at = bisect_left(keys, (counter,))
+        while at < len(keys) and keys[at][0] == counter:
+            record = self._records[at]
+            if not record.consumed and record.name == name:
                 return record
+            at += 1
         return None
 
     def earliest_publication_after(self, counter: Counter) -> Optional[float]:
         """Publication time of the first record past *counter* — when a
         waiting slave could have learned the master took another path."""
-        times = [
-            record.published_at
-            for record in self._records
-            if counter_less(counter, record.counter)
-        ]
-        return min(times) if times else None
+        at = bisect_right(self._keys, (counter, inf))
+        if at == len(self._records):
+            return None
+        if self._ordered:
+            return self._records[at].published_at
+        return min(record.published_at for record in self._records[at:])
 
     def prune_iteration(
         self, barrier_counter: Counter, reset_to: int
@@ -116,22 +140,13 @@ class OutcomeQueue:
         master-only syscalls, i.e. syscall differences.
         """
         prefix = barrier_counter[:-1]
-        kept: List[SyscallRecord] = []
-        dropped: List[SyscallRecord] = []
-        for record in self._records:
-            stack = record.counter
-            in_iteration = (
-                len(stack) >= len(barrier_counter)
-                and stack[: len(prefix)] == prefix
-                and stack[len(prefix)] > reset_to
-            )
-            if in_iteration:
-                if not record.consumed:
-                    dropped.append(record)
-            else:
-                kept.append(record)
-        self._records = kept
-        return dropped
+        depth = len(prefix)
+        keys = self._keys
+        low = bisect_left(keys, (prefix + (reset_to + 1,),))
+        high = low
+        while high < len(keys) and keys[high][0][:depth] == prefix:
+            high += 1
+        return self._cut(low, high)
 
     def prune_passed(self, slave_position: Counter) -> List[SyscallRecord]:
         """Drop records strictly before the slave's position.
@@ -139,22 +154,26 @@ class OutcomeQueue:
         Consumed records are forgotten silently; unconsumed ones are
         master-only syscalls (path differences) and are returned.
         """
-        kept: List[SyscallRecord] = []
-        dropped: List[SyscallRecord] = []
-        for record in self._records:
-            if counter_less(record.counter, slave_position):
-                if not record.consumed:
-                    dropped.append(record)
-            else:
-                kept.append(record)
-        self._records = kept
-        return dropped
+        keys = self._keys
+        if not keys or not keys[0][0] < slave_position:
+            return []
+        return self._cut(0, bisect_left(keys, (slave_position,)))
 
     def drain_unconsumed(self) -> List[SyscallRecord]:
         """All remaining unconsumed records (used at end of execution)."""
-        remaining = [r for r in self._records if not r.consumed]
-        self._records = []
-        return remaining
+        return self._cut(0, len(self._keys))
+
+    def _cut(self, low: int, high: int) -> List[SyscallRecord]:
+        """Remove positions [low, high); the unconsumed ones, in arrival
+        order."""
+        if low >= high:
+            return []
+        cut = sorted(
+            zip(self._keys[low:high], self._records[low:high]), key=lambda kr: kr[0][1]
+        )
+        del self._keys[low:high]
+        del self._records[low:high]
+        return [record for _key, record in cut if not record.consumed]
 
     def __len__(self) -> int:
         return len(self._records)

@@ -19,12 +19,22 @@ The engine is a discrete-event simulation: both machines carry virtual
 clocks, blocking advances the blocked side's clock to its releaser's,
 and the dual-execution wall time is the max of the two clocks — the
 paper's two-CPU deployment.
+
+Blocked events resolve in one order: counter order, the slave first on
+ties.  A single-threaded slave's event is resolved as it is yielded
+when it leads that order (*in place*); otherwise a waiting event is
+retried only once *woken*, when an input of its failed try changed:
+slave thread *t* blocks or finishes → the master's event at *t*;
+master thread *t* publishes, blocks or finishes → the slave's event at
+*t*; a machine finishes → all of its peer's; a mutex's lock order,
+replay progress or taint changes → the slave's waiters on it.  Failed
+tries change nothing a later try reads, so the outcome is the same.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.channel import (
     OutcomeQueue,
@@ -48,7 +58,7 @@ from repro.errors import BudgetExceededError, DualExecutionError, EngineStallErr
 from repro.instrument.pipeline import InstrumentedModule
 from repro.interp.costs import CostModel
 from repro.interp.events import BarrierEvent, SyscallEvent
-from repro.interp.machine import RUNNABLE, Machine
+from repro.interp.machine import DONE, RUNNABLE, Machine
 from repro.interp.profiler import OpcodeProfiler
 from repro.interp.resolve import resolve_syscall_locally
 from repro.vos.faults import FaultConfig
@@ -65,15 +75,24 @@ SLAVE = "slave"
 # must wait for the next pump/quiescence cycle.
 RUNNING = object()
 
+# Master syscalls executed locally and never recorded for reuse.
+_UNCOUPLED = THREAD_SYSCALLS | ALWAYS_INDEPENDENT
+
 
 class _Side:
     """One half of the dual execution."""
 
-    def __init__(self, role: str, machine: Machine) -> None:
+    __slots__ = ("role", "machine", "order", "waiting", "woken", "peer")
+
+    def __init__(self, role: str, machine: Machine, order: int) -> None:
         self.role = role
         self.machine = machine
-        # tid -> the engine-visible event the thread is blocked on.
+        self.order = order  # rank on counter ties: the slave (0) first
+        # tid -> the engine-visible event the thread is blocked on, and
+        # the tids whose event the next pass must try.
         self.waiting: Dict[int, object] = {}
+        self.woken: Set[int] = set()
+        self.peer: Optional["_Side"] = None
 
 
 class LdxEngine:
@@ -114,52 +133,36 @@ class LdxEngine:
         master_faults = faults.plan_for(MASTER) if faults is not None else None
         slave_faults = faults.plan_for(SLAVE) if faults is not None else None
         slave_world = slave_world if slave_world is not None else world.clone()
-        self._master = _Side(
-            MASTER,
+        self.master, self.slave = (
             Machine(
                 module,
-                Kernel(world, faults=master_faults),
+                Kernel(side_world, faults=side_faults),
                 plan=plan,
                 costs=costs,
-                name="master",
-                schedule_seed=master_seed,
+                name=role,
+                schedule_seed=seed,
                 max_instructions=max_instructions,
                 backend=backend,
                 observer=OpcodeProfiler() if profile else None,
-            ),
+            )
+            for role, side_world, side_faults, seed in (
+                (MASTER, world, master_faults, master_seed),
+                (SLAVE, slave_world, slave_faults, slave_seed),
+            )
         )
-        self._slave = _Side(
-            SLAVE,
-            Machine(
-                module,
-                Kernel(slave_world, faults=slave_faults),
-                plan=plan,
-                costs=costs,
-                name="slave",
-                schedule_seed=slave_seed,
-                max_instructions=max_instructions,
-                backend=backend,
-                observer=OpcodeProfiler() if profile else None,
-            ),
-        )
+        self._master = _Side(MASTER, self.master, 1)
+        self._slave = _Side(SLAVE, self.slave, 0)
+        self._master.peer, self._slave.peer = self._slave, self._master
         # Per-thread-pair outcome queues (threads pair up by tid).
         self._queues: Dict[int, OutcomeQueue] = {}
         # Master lock-acquisition order per mutex, and the slave's replay
         # progress through it (Section 7 concurrency control).
         self._master_lock_order: Dict[int, List[int]] = {}
         self._slave_lock_progress: Dict[int, int] = {}
-        self._master.machine.lock_hook = self._record_master_lock
-        self._slave.machine.lock_hook = self._record_slave_lock
+        self.master.lock_hook = self._record_master_lock
+        self.slave.lock_hook = self._record_slave_lock
 
     # -- public API ----------------------------------------------------------
-
-    @property
-    def master(self) -> Machine:
-        return self._master.machine
-
-    @property
-    def slave(self) -> Machine:
-        return self._slave.machine
 
     def run(self) -> DualResult:
         """Drive both executions to completion; return the dual result.
@@ -177,6 +180,7 @@ class LdxEngine:
             )
             for side in (self._master, self._slave):
                 side.waiting.clear()
+                side.woken.clear()
                 if not side.machine.finished:
                     side.machine.terminate(-1)
         self._collect_degradation()
@@ -186,16 +190,23 @@ class LdxEngine:
         )
 
     def _drive(self) -> None:
-        """The discrete-event loop, watched for stalls."""
+        """The discrete-event loop, watched for stalls: pump the master,
+        then the slave, then one resolve pass over the woken events (the
+        rest of the pass whose first event the slave resolved in place).
+        The watchdog's progress marker only grows, so it is taken only
+        when a pass made no progress, before a stall break."""
+        master, slave = self.master, self.slave
         watchdog = self._watchdog
         while True:
             self._pump(self._master)
-            self._pump(self._slave)
-            if self.master.finished and self.slave.finished:
+            if self._pump(self._slave):
+                self._resolve_pass()
+                continue
+            if master.finished and slave.finished:
                 return
-            watchdog.note_progress(self._progress_marker())
             if self._resolve_pass():
                 continue
+            watchdog.note_progress(self._progress_marker())
             if not self._break_stall():
                 raise EngineStallError(
                     "dual execution stalled with no resolvable event"
@@ -222,40 +233,77 @@ class LdxEngine:
             self._queues[tid] = OutcomeQueue()
         return self._queues[tid]
 
-    def _pump(self, side: _Side) -> None:
+    def _pump(self, side: _Side) -> bool:
         """Advance a machine until every thread is blocked or done.
 
         A runtime error in one execution (the analogue of a crash) ends
         that execution without aborting the dual run — the perturbation
         may legitimately crash the slave (e.g. attack inputs).
+
+        Returns True when a slave event was resolved in place and the
+        pump stopped: the caller owes the rest of that resolve pass.
         """
         machine = side.machine
-        while machine.has_pending_work():
+        # Only an in-place barrier release (checked below) gives the master work.
+        in_place = side is self._slave and not self.master.has_pending_work()
+        before = self._unparked_positions(side) if len(machine.threads) > 1 else None
+        ran = pending = machine.has_pending_work()
+        while pending:
             try:
                 event = machine.next_event()
-            except BudgetExceededError as crash:
-                # The run's deadline (instruction budget) cut this side
-                # short: a diagnosed *partial* verdict, not a program
-                # crash — only detections already recorded stand.
-                self.report.crashes.append((side.role, str(crash)))
-                self.degradation.budget_exhausted.append(
-                    (side.role, machine.max_instructions)
-                )
-                side.waiting.clear()
-                machine.terminate(-1)
-                return
             except InterpreterError as crash:
                 self.report.crashes.append((side.role, str(crash)))
+                if isinstance(crash, BudgetExceededError):
+                    # The run's deadline (instruction budget) cut this
+                    # side short: a diagnosed *partial* verdict, not a
+                    # crash — only detections already recorded stand.
+                    self.degradation.budget_exhausted.append(
+                        (side.role, machine.max_instructions)
+                    )
                 side.waiting.clear()
+                side.woken.clear()
                 machine.terminate(-1)
-                return
+                self._announce_finish(side)
+                return False
             if event is None:
                 break
-            self._on_event(side, event)
+            if not (in_place and self._leads(event)):
+                self._on_event(side, event)
+                pending = machine.has_pending_work()
+                continue
+            # In place: the event a pass would try first.  While its thread
+            # runs on (with work), every master try would fail: pump on.
+            tid = event.thread_id
+            side.waiting[tid] = event
+            side.woken.discard(tid)
+            if not self._try_resolve_slave(event):
+                self._wake(self._master, tid)
+                break
+            if self._position(side, tid) is not RUNNING or (
+                type(event) is BarrierEvent and self.master.has_pending_work()
+            ):
+                self._settle(side, tid)
+                return True
+        if ran:
+            self._settle_pump(side, before)
+        return False
+
+    def _leads(self, event) -> bool:
+        """Would a pass try this slave event first?  (The caller knows
+        the master has no work.)"""
+        if len(self.slave.threads) != 1 or (
+            type(event) is not SyscallEvent and type(event) is not BarrierEvent
+        ):
+            return False
+        counter = event.counter
+        for waiting in self._master.waiting.values():
+            if waiting.counter < counter:
+                return False
+        return True
 
     def _on_event(self, side: _Side, event) -> None:
         if isinstance(event, BarrierEvent):
-            side.waiting[event.thread_id] = event
+            self._park(side, event)
             return
         if not isinstance(event, SyscallEvent):
             raise DualExecutionError(
@@ -264,48 +312,117 @@ class LdxEngine:
         if side.role == MASTER:
             self._on_master_syscall(event)
         else:
-            side.waiting[event.thread_id] = event
+            self._park(side, event)
+
+    def _park(self, side: _Side, event) -> None:
+        # A master try fails while its slave thread runs; the slave
+        # thread wakes it when it blocks.
+        tid = event.thread_id
+        side.waiting[tid] = event
+        if side is self._slave or self._position(self._slave, tid) is not RUNNING:
+            side.woken.add(tid)
+        self._wake(side.peer, tid)
 
     def _on_master_syscall(self, event: SyscallEvent) -> None:
         """Algorithm 2: the master blocks only at sinks."""
         if self.config.sinks.matches(event):
-            self._master.waiting[event.thread_id] = event
+            self._park(self._master, event)
             return
-        if event.name in THREAD_SYSCALLS or event.name in ALWAYS_INDEPENDENT:
+        name, args = event.name, event.args
+        if name in _UNCOUPLED:
             # Process-level services are always executed independently
             # and never recorded for reuse (Section 4.2).
             resolve_syscall_locally(self.master, event)
             return
-        resource = self.master.kernel.resource_of(event.name, event.args)
-        signature = self.master.kernel.signature_of(event.name, event.args)
+        master = self.master
+        resource = master.kernel.resource_of(name, args)
+        signature = master.kernel.signature_of(name, args)
         try:
-            result = self.master.execute_syscall(event)
+            result = master.execute_syscall(event)
         except ProgramExit as program_exit:
-            self.master.terminate(program_exit.code)
+            master.terminate(program_exit.code)
             return
-        self.master.charge(event.thread_id, self.master.syscall_cost())
-        self._queue_for(event.thread_id).add(
+        tid = event.thread_id
+        thread = master.threads[tid]
+        thread.clock += master.syscall_cost()
+        self._queue_for(tid).add(
             SyscallRecord(
                 event.counter,
-                event.name,
-                event.args,
+                name,
+                args,
                 result,
                 resource,
                 signature,
-                published_at=self.master.threads[event.thread_id].clock,
+                published_at=thread.clock,
             )
         )
-        self.master.complete_syscall(event, result)
+        self._wake(self._slave, tid)
+        master.complete_syscall(event, result)
+
+    # -- wakes -----------------------------------------------------------------------
+
+    def _unpark(self, side: _Side, tid: int):
+        """Remove (and return) a thread's waiting event."""
+        side.woken.discard(tid)
+        return side.waiting.pop(tid, None)
+
+    def _wake(self, side: _Side, tid: int) -> None:
+        if tid in side.waiting:
+            side.woken.add(tid)
+
+    def _settle(self, side: _Side, tid: int) -> None:
+        """After *side*'s thread *tid* was resolved: wake the peer's
+        events its new state can unblock.  A thread running again
+        unblocks nothing until it blocks, which a pump reports."""
+        if side.machine.finished:
+            self._announce_finish(side)
+        elif self._position(side, tid) is not RUNNING:
+            self._wake(side.peer, tid)
+        elif side is self._slave:
+            self._master.woken.discard(tid)  # fails until the slave blocks
+
+    def _unparked_positions(self, side: _Side) -> Dict[int, object]:
+        """The positions a pump can change: those of unparked threads."""
+        threads = range(len(side.machine.threads))
+        return {t: self._position(side, t) for t in threads if t not in side.waiting}
+
+    def _settle_pump(self, side: _Side, before: Optional[Dict[int, object]]) -> None:
+        """After a pump: wake the peer of each unparked thread whose
+        position moved (each one when there is no *before*: a lone
+        thread that ran has moved).  New parks woke their peers."""
+        if side.machine.finished:
+            self._announce_finish(side)
+        else:
+            for tid in range(len(side.machine.threads)):
+                if tid not in side.waiting and (
+                    before is None or before.get(tid, RUNNING) != self._position(side, tid)
+                ):
+                    self._wake(side.peer, tid)
+
+    def _announce_finish(self, side: _Side) -> None:
+        side.peer.woken.update(side.peer.waiting)
+
+    def _wake_lock_waiters(self, mutex_id) -> None:
+        for tid, event in self._slave.waiting.items():
+            if getattr(event, "name", None) == "mutex_lock" and event.args[:1] == (mutex_id,):
+                self._slave.woken.add(tid)
 
     # -- lock order sharing ----------------------------------------------------------
 
     def _record_master_lock(self, mutex_id: int, tid: int) -> None:
         self._master_lock_order.setdefault(mutex_id, []).append(tid)
+        self._wake_lock_waiters(mutex_id)
 
     def _record_slave_lock(self, mutex_id: int, tid: int) -> None:
         self._slave_lock_progress[mutex_id] = (
             self._slave_lock_progress.get(mutex_id, 0) + 1
         )
+        self._wake_lock_waiters(mutex_id)
+
+    def _taint_lock(self, mutex_id) -> None:
+        self.locks.taint(mutex_id)
+        self.report.tainted_locks = len(self.locks)
+        self._wake_lock_waiters(mutex_id)
 
     def _slave_lock_permitted(self, mutex_id: int, tid: int) -> bool:
         """May this slave thread acquire now, per the master's order?"""
@@ -318,8 +435,7 @@ class LdxEngine:
         # Master has not acquired this far (yet).  If the master is done
         # the orders diverged: taint and free-run.
         if self.master.finished:
-            self.locks.taint(mutex_id)
-            self.report.tainted_locks = len(self.locks)
+            self._taint_lock(mutex_id)
             return True
         return False
 
@@ -331,22 +447,27 @@ class LdxEngine:
         machine = side.machine
         if machine.finished:
             return None
-        if tid >= len(machine.threads):
+        threads = machine.threads
+        if tid >= len(threads):
             # The paired thread has not been spawned (yet).  While the
             # peer machine is alive it may still appear — wait.
             return RUNNING
-        thread = machine.threads[tid]
-        if thread.done:
+        thread = threads[tid]
+        status = thread.status
+        if status == RUNNABLE:
+            return RUNNING  # (a parked thread is never runnable)
+        if status == DONE:
             return None
-        if tid in side.waiting:
-            return side.waiting[tid].counter
-        if thread.status == RUNNABLE or thread.pending_transition is not None:
+        event = side.waiting.get(tid)
+        if event is not None:
+            return event.counter
+        if thread.pending_transition is not None:
             return RUNNING
         # Internally blocked (mutex/join): its counter is stable.
         return thread.counter
 
     def _peer_clock(self, side: _Side, tid: int) -> float:
-        peer = self._slave if side.role == MASTER else self._master
+        peer = side.peer
         if tid < len(peer.machine.threads):
             return peer.machine.threads[tid].clock
         return 0.0
@@ -354,25 +475,38 @@ class LdxEngine:
     # -- resolution ----------------------------------------------------------------------
 
     def _resolve_pass(self) -> bool:
-        """Try to resolve blocked events; True when any progress made."""
-        entries: List[Tuple[tuple, int, _Side, int]] = []
-        # On counter ties the slave goes first: its aligned lookups must
-        # consume iteration records before a master barrier prunes them.
-        # (Slave events that must defer to a master sink rendezvous at
-        # the same counter return False on their own.)
-        for order, side in ((0, self._slave), (1, self._master)):
-            for tid, event in side.waiting.items():
-                entries.append((event.counter, order, side, tid))
-        entries.sort(key=lambda item: (_sort_key(item[0]), item[1]))
+        """Try the woken events in resolution order (one woken by an
+        earlier resolution in the pass included); True on progress.
+
+        On counter ties the slave goes first: its aligned lookups must
+        consume iteration records before a master barrier prunes them.
+        (Slave events that must defer to a master sink rendezvous at
+        the same counter return False on their own.)
+        """
+        slave, master = self._slave, self._master
+        if not (slave.woken or master.woken):
+            return False
+        entries: List[Tuple[tuple, int, int, _Side, int]] = []
+        for side in (slave, master):
+            for index, (tid, event) in enumerate(side.waiting.items()):
+                entries.append((event.counter, side.order, index, side, tid))
+        entries.sort()
         progressed = False
-        for _counter, _order, side, tid in entries:
+        for _counter, _order, _index, side, tid in entries:
+            if tid not in side.woken:
+                continue
+            side.woken.discard(tid)
             event = side.waiting.get(tid)
             if event is None:
                 continue  # already handled (e.g. sink rendezvous pair)
-            if side.role == MASTER:
-                progressed |= self._try_resolve_master(event)
+            if side is master:
+                resolved = self._try_resolve_master(event)
             else:
-                progressed |= self._try_resolve_slave(event)
+                resolved = self._try_resolve_slave(event)
+            if resolved:
+                progressed = True
+                self._settle(master, tid)
+                self._settle(slave, tid)
         return progressed
 
     # .. master side ..........................................................
@@ -382,7 +516,6 @@ class LdxEngine:
         if isinstance(event, BarrierEvent):
             return self._try_resolve_barrier(self._master, event)
         # A sink syscall awaiting rendezvous.
-        peer_position = self._position(self._slave, tid)
         slave_event = self._slave.waiting.get(tid)
         if (
             isinstance(slave_event, SyscallEvent)
@@ -390,44 +523,17 @@ class LdxEngine:
         ):
             self._rendezvous_sink(event, slave_event)
             return True
+        peer_position = self._position(self._slave, tid)
         if peer_position is RUNNING:
             return False
-        if counter_geq(peer_position, event.counter) and peer_position != event.counter:
-            # The slave moved past this counter without the sink (case 1).
-            self.report.sinks_total += 1
-            self.report.add(
-                Detection(
-                    SINK_MISSING_IN_SLAVE,
-                    event.counter,
-                    event.name,
-                    event.args,
-                    None,
-                    event.function,
-                )
-            )
-            self._resolve_master_sink_locally(event)
-            return True
-        if peer_position is None:
-            # Slave finished entirely before this sink.
-            self.report.sinks_total += 1
-            self.report.add(
-                Detection(
-                    SINK_MISSING_IN_SLAVE,
-                    event.counter,
-                    event.name,
-                    event.args,
-                    None,
-                    event.function,
-                )
-            )
-            self._resolve_master_sink_locally(event)
-            return True
         if (
-            isinstance(slave_event, BarrierEvent)
-            and slave_event.counter == event.counter
+            counter_geq(peer_position, event.counter) and peer_position != event.counter
+        ) or (
+            isinstance(slave_event, BarrierEvent) and slave_event.counter == event.counter
         ):
-            # Slave is at its iteration-end barrier: it passed the sink's
-            # position inside this iteration without the sink.
+            # The slave moved past this counter without the sink (case 1):
+            # it is beyond it, finished entirely, or at its iteration-end
+            # barrier, having passed the sink's position in the iteration.
             self.report.sinks_total += 1
             self.report.add(
                 Detection(
@@ -465,13 +571,9 @@ class LdxEngine:
             # Otherwise the slave event stays queued; its own rules
             # resolve it (decoupled) now that the master moved on.
             return
-        master_signature = self.master.kernel.signature_of(
+        if self.master.kernel.signature_of(
             master_event.name, master_event.args
-        )
-        slave_signature = self.slave.kernel.signature_of(
-            slave_event.name, slave_event.args
-        )
-        if master_signature != slave_signature:
+        ) != self.slave.kernel.signature_of(slave_event.name, slave_event.args):
             self.report.add(
                 Detection(
                     SINK_ARGS_DIFFER,
@@ -488,7 +590,7 @@ class LdxEngine:
         self._resolve_slave_locally(slave_event, shared=False)
 
     def _resolve_master_sink_locally(self, event: SyscallEvent) -> None:
-        del self._master.waiting[event.thread_id]
+        self._unpark(self._master, event.thread_id)
         self.master.wait_until(
             event.thread_id, self._peer_clock(self._master, event.thread_id)
         )
@@ -510,7 +612,7 @@ class LdxEngine:
         of the same loop iteration, or pass once the peer has provably
         left the loop behind."""
         tid = event.thread_id
-        peer = self._slave if side.role == MASTER else self._master
+        peer = side.peer
         peer_event = peer.waiting.get(tid)
         if (
             isinstance(peer_event, BarrierEvent)
@@ -532,7 +634,7 @@ class LdxEngine:
 
     def _release_barrier(self, side: _Side, event: BarrierEvent) -> None:
         tid = event.thread_id
-        del side.waiting[tid]
+        self._unpark(side, tid)
         if side.role == MASTER:
             # End of an iteration: drop its outcome records.  Unconsumed
             # ones are master-only syscalls — differences.
@@ -559,52 +661,57 @@ class LdxEngine:
         if name in ALWAYS_INDEPENDENT:
             self._resolve_slave_locally(event, shared=False)
             return True
-        source_resource = self.config.sources.matches(event, self.slave.kernel)
+        counter = event.counter
         peer_position = self._position(self._master, tid)
-        if peer_position is RUNNING or not counter_geq(peer_position, event.counter):
+        if peer_position is RUNNING or (
+            peer_position is not None and peer_position < counter
+        ):
             return False  # the master is behind or mid-flight: wait.
+        queue = self._queue_for(tid)
         # Master-only records before this counter are path differences.
-        for record in self._queue_for(tid).prune_passed(event.counter):
+        # (On a retry this drops only records published since, which
+        # woke this event.)
+        for record in queue.prune_passed(counter):
             self.report.syscall_diffs += 1
             self.taints.taint(record.resource, "master-only syscall")
-        record = self._queue_for(tid).find(event.counter, name)
-        event_signature = self.slave.kernel.signature_of(name, event.args)
-        if record is not None and record.signature == event_signature:
-            record.consumed = True
-            self._resolve_slave_locally(
-                event, shared=True, master_record=record, source=source_resource
-            )
-            return True
+        record = queue.find(counter, name)
+        if (
+            record is None
+            and peer_position == counter
+            and isinstance(self._master.waiting.get(tid), SyscallEvent)
+        ):
+            # The master is blocked at this very counter (a sink or a
+            # barrier with a different PC): path difference for us, but
+            # give the master's rendezvous logic the first chance.
+            return False  # master's sink logic will handle the pair
+        kernel = self.slave.kernel
+        source = self.config.sources.matches(event, kernel)
         if record is not None:
+            if record.signature == kernel.signature_of(name, event.args):
+                record.consumed = True
+                self._resolve_slave_locally(
+                    event, shared=True, master_record=record, source=source
+                )
+                return True
             # Aligned counter, same syscall, different arguments: the
             # executions diverged in data — decouple this operation.
             record.consumed = True
             self.report.syscall_diffs += 1
             self.taints.taint(record.resource, "argument divergence")
             self.taints.taint(
-                self.slave.kernel.resource_of(name, event.args),
-                "argument divergence (slave)",
+                kernel.resource_of(name, event.args), "argument divergence (slave)"
             )
-            self._resolve_slave_locally(event, shared=False, source=source_resource)
+            self._resolve_slave_locally(event, shared=False, source=source)
             return True
-        if peer_position == event.counter:
-            # The master is blocked at this very counter (a sink or a
-            # barrier with a different PC): path difference for us, but
-            # give the master's rendezvous logic the first chance.
-            master_event = self._master.waiting.get(tid)
-            if isinstance(master_event, SyscallEvent):
-                return False  # master's sink logic will handle the pair
         # No aligned outcome: the master took a different path.  The
         # slave learned this when the master first published progress
         # past this counter.
-        learned_at = self._queue_for(tid).earliest_publication_after(event.counter)
+        learned_at = queue.earliest_publication_after(counter)
         if learned_at is not None:
             self.slave.wait_until(tid, learned_at)
         self.report.syscall_diffs += 1
-        self.taints.taint(
-            self.slave.kernel.resource_of(name, event.args), "slave-only syscall"
-        )
-        self._resolve_slave_locally(event, shared=False, source=source_resource)
+        self.taints.taint(kernel.resource_of(name, event.args), "slave-only syscall")
+        self._resolve_slave_locally(event, shared=False, source=source)
         return True
 
     def _try_resolve_slave_sink(self, event: SyscallEvent) -> bool:
@@ -641,10 +748,7 @@ class LdxEngine:
             mutex_id = event.args[0] if event.args else None
             if not self._slave_lock_permitted(mutex_id, tid):
                 return False
-            del self._slave.waiting[tid]
-            resolve_syscall_locally(self.slave, event)
-            return True
-        del self._slave.waiting[tid]
+        self._unpark(self._slave, tid)
         resolve_syscall_locally(self.slave, event)
         return True
 
@@ -657,41 +761,37 @@ class LdxEngine:
     ) -> None:
         """Execute a slave syscall on its own world; reuse the master's
         outcome for aligned nondeterministic inputs; mutate sources."""
+        slave = self.slave
         tid = event.thread_id
+        self._slave.woken.discard(tid)
         self._slave.waiting.pop(tid, None)
-        if master_record is not None:
+        thread = slave.threads[tid]
+        if master_record is not None and master_record.published_at > thread.clock:
             # Discrete-event semantics: the slave resumes when the
             # master's outcome was published, not at the master's
             # current (possibly far ahead) clock.
-            self.slave.wait_until(tid, master_record.published_at)
-        resource = self.slave.kernel.resource_of(event.name, event.args)
+            thread.clock = master_record.published_at
+        resource = slave.kernel.resource_of(event.name, event.args)
         try:
-            result = self.slave.execute_syscall(event)
+            result = slave.execute_syscall(event)
         except ProgramExit as program_exit:
-            self.slave.terminate(program_exit.code)
+            slave.terminate(program_exit.code)
             return
-        coupled = (
-            shared
-            and master_record is not None
-            and not self.taints.is_tainted(resource)
-        )
-        if coupled and event.name in NONDET_INPUT:
-            # Nondeterministic outcomes must be copied from the master.
-            result = master_record.result
-        if coupled:
+        if shared and master_record is not None and not self.taints.is_tainted(resource):
+            if event.name in NONDET_INPUT:
+                # Nondeterministic outcomes must be copied from the master.
+                result = master_record.result
             # Aligned syscalls reuse the master's outcome instead of
             # re-entering the (real) kernel — the cheap path.  The local
             # execution above only maintains the private world's state.
-            self.slave.charge(
-                tid, self.slave.costs.syscall_shared + self.slave.jitter_units()
-            )
+            thread.clock += slave.costs.syscall_shared + slave.jitter_units()
         else:
-            self.slave.charge(tid, self.slave.syscall_cost())
+            thread.clock += slave.syscall_cost()
         if source is not None:
             mutator = self.config.sources.mutator_for(source) or self.config.mutation
             result = mutator(result)
             self.report.mutated_source_reads += 1
-        self.slave.complete_syscall(event, result)
+        slave.complete_syscall(event, result)
 
     # -- stall breaking and finalization -----------------------------------------------
 
@@ -699,36 +799,33 @@ class LdxEngine:
         """Force progress when no event is resolvable (divergent lock
         orders, pathological waits).  Picks the earliest blocked event
         and resolves it decoupled."""
-        entries: List[Tuple[tuple, int, _Side, int]] = []
-        for order, side in ((1, self._master), (0, self._slave)):
+        earliest = None
+        for side in (self._slave, self._master):
             for tid, event in side.waiting.items():
-                entries.append((event.counter, order, side, tid))
-        if not entries:
+                key = (event.counter, side.order)
+                if earliest is None or key < earliest[0]:
+                    earliest = (key, side, tid, event)
+        if earliest is None:
             return False
-        entries.sort(key=lambda item: (_sort_key(item[0]), item[1]))
-        _counter, _order, side, tid = entries[0]
-        event = side.waiting[tid]
+        _key, side, tid, event = earliest
         self.report.stall_breaks += 1
         if self._watchdog.record_stall_break(side.role, tid):
             # Decoupled resolution keeps stalling this thread with no
             # global progress: the watchdog's deadline has elapsed in
             # virtual time — abandon it and move on.
             self._abandon_thread(side, tid, "watchdog deadline exceeded")
-            return True
-        if isinstance(event, BarrierEvent):
-            del side.waiting[tid]
+        elif isinstance(event, BarrierEvent):
+            self._unpark(side, tid)
             side.machine.complete_barrier(event)
-            return True
-        if side.role == SLAVE:
-            if event.name == "mutex_lock" and event.args:
-                self.locks.taint(event.args[0])
-                self.report.tainted_locks = len(self.locks)
-                del side.waiting[tid]
-                resolve_syscall_locally(self.slave, event)
-                return True
+        elif side.role == MASTER:
+            self._resolve_master_sink_locally(event)
+        elif event.name == "mutex_lock" and event.args:
+            self._unpark(side, tid)
+            self._taint_lock(event.args[0])
+            resolve_syscall_locally(self.slave, event)
+        else:
             self._resolve_slave_locally(event, shared=False)
-            return True
-        self._resolve_master_sink_locally(event)
+        self._settle(side, tid)
         return True
 
     def _abandon_thread(self, side: _Side, tid: int, reason: str) -> None:
@@ -740,7 +837,7 @@ class LdxEngine:
         the machine releases its mutexes so peers make progress.
         """
         machine = side.machine
-        event = side.waiting.pop(tid, None)
+        event = self._unpark(side, tid)
         if isinstance(event, SyscallEvent):
             self.taints.taint(
                 machine.kernel.resource_of(event.name, event.args),
@@ -804,11 +901,6 @@ class LdxEngine:
                         f"{detection.syscall} is at a syscall site the"
                         " relevance pass classified elidable"
                     )
-
-
-def _sort_key(counter) -> tuple:
-    """Counters sort by progress order; pad so tuples compare safely."""
-    return tuple(counter)
 
 
 def run_dual(

@@ -260,23 +260,29 @@ class Machine:
         """The machine's virtual time = max over its threads."""
         return max((thread.clock for thread in self.threads), default=0.0)
 
-    def runnable_threads(self) -> List[ThreadState]:
-        return [t for t in self.threads if t.status == RUNNABLE]
-
     def has_pending_work(self) -> bool:
-        """True when next_event() can make progress without the driver."""
+        """True when next_event() can make progress without the driver:
+        a deferred event, a runnable thread, a joiner whose target
+        finished, or every thread done (one more next_event() call
+        flips ``finished``)."""
         if self.finished:
             return False
-        if self._deferred_events or self.runnable_threads():
+        if self._deferred_events:
             return True
-        # All threads done: one more next_event() call flips `finished`.
-        if all(thread.done for thread in self.threads):
-            return True
-        # A joiner whose target finished resumes without the driver.
-        for thread in self.threads:
-            if thread.status == WAIT_JOIN and self.threads[thread.join_target].done:
+        threads = self.threads
+        if len(threads) == 1:
+            status = threads[0].status
+            return status == RUNNABLE or status == DONE
+        all_done = True
+        for thread in threads:
+            status = thread.status
+            if status == RUNNABLE:
                 return True
-        return False
+            if status == WAIT_JOIN and threads[thread.join_target].done:
+                return True
+            if status != DONE:
+                all_done = False
+        return all_done
 
     def next_event(self) -> Optional[Event]:
         """Advance until the next event.

@@ -342,15 +342,6 @@ class VirtualFS:
         merged.dirs.add("/")
         return copy
 
-    def flatten(self) -> "VirtualFS":
-        """Collapse the layer chain into a single layer, in place.
-
-        Bounds lookup cost after long clone lineages; the frozen bases
-        other overlays share are untouched.  Returns self.
-        """
-        self._top = self.deep_clone()._top
-        return self
-
     @property
     def depth(self) -> int:
         """Number of layers in the overlay chain (1 = no clones)."""

@@ -27,7 +27,7 @@ class ResourceTaintMap:
         self.taint_events.append(f"{resource}: {reason}" if reason else resource)
 
     def is_tainted(self, resource: Optional[str]) -> bool:
-        if resource is None:
+        if resource is None or not self._tainted:
             return False
         if resource in self._tainted:
             return True

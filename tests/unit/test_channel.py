@@ -1,5 +1,8 @@
 """Unit tests for the master->slave outcome queue and counter order."""
 
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
 from repro.core.channel import (
     OutcomeQueue,
     SyscallRecord,
@@ -108,3 +111,102 @@ def test_drain_unconsumed():
 def test_signature_default():
     rec = SyscallRecord((1,), "write", (1, "x"), 1, None)
     assert rec.signature == ("write", 1, "x")
+
+
+# -- the indexed queue against a list model -----------------------------------
+
+
+class ListQueue:
+    """The outcome queue as a plain arrival-ordered list: every query
+    scans, every prune rebuilds.  The semantics the index must keep."""
+
+    def __init__(self):
+        self.records = []
+
+    def add(self, record):
+        self.records.append(record)
+
+    def find(self, counter, name):
+        for record in self.records:
+            if not record.consumed and record.counter == counter and record.name == name:
+                return record
+        return None
+
+    def earliest_publication_after(self, counter):
+        times = [r.published_at for r in self.records if counter_less(counter, r.counter)]
+        return min(times) if times else None
+
+    def _drop(self, doomed):
+        dropped = [r for r in self.records if doomed(r) and not r.consumed]
+        self.records = [r for r in self.records if not doomed(r)]
+        return dropped
+
+    def prune_iteration(self, barrier_counter, reset_to):
+        prefix = barrier_counter[:-1]
+        return self._drop(
+            lambda r: len(r.counter) >= len(barrier_counter)
+            and r.counter[: len(prefix)] == prefix
+            and r.counter[len(prefix)] > reset_to
+        )
+
+    def prune_passed(self, position):
+        return self._drop(lambda r: counter_less(r.counter, position))
+
+    def drain_unconsumed(self):
+        return self._drop(lambda r: True)
+
+
+# Short counters over a small alphabet: duplicates and prefix pairs such
+# as (2,) and (2, 1) come up constantly.
+COUNTERS = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple)
+NAMES = st.sampled_from(("read", "write"))
+
+
+class OutcomeQueueModel(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.queue = OutcomeQueue()
+        self.model = ListQueue()
+
+    @rule(counter=COUNTERS, name=NAMES, published=st.integers(0, 40))
+    def add(self, counter, name, published):
+        rec = SyscallRecord(counter, name, (), None, None, published_at=float(published))
+        self.queue.add(rec)
+        self.model.add(rec)
+
+    @rule(counter=COUNTERS, name=NAMES, consume=st.booleans())
+    def find(self, counter, name, consume):
+        found = self.model.find(counter, name)
+        assert self.queue.find(counter, name) is found
+        if found is not None and consume:
+            found.consumed = True
+
+    @rule(counter=COUNTERS)
+    def earliest_publication_after(self, counter):
+        assert self.queue.earliest_publication_after(
+            counter
+        ) == self.model.earliest_publication_after(counter)
+
+    @rule(position=COUNTERS)
+    def prune_passed(self, position):
+        assert self.queue.prune_passed(position) == self.model.prune_passed(position)
+
+    @rule(barrier_counter=COUNTERS, reset_to=st.integers(-1, 3))
+    def prune_iteration(self, barrier_counter, reset_to):
+        assert self.queue.prune_iteration(
+            barrier_counter, reset_to
+        ) == self.model.prune_iteration(barrier_counter, reset_to)
+
+    @rule()
+    def drain_unconsumed(self):
+        assert self.queue.drain_unconsumed() == self.model.drain_unconsumed()
+
+    @invariant()
+    def same_length(self):
+        assert len(self.queue) == len(self.model.records)
+
+
+TestOutcomeQueueModel = OutcomeQueueModel.TestCase
+TestOutcomeQueueModel.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)

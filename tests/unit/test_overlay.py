@@ -2,7 +2,7 @@
 
 The generic VirtualFS behaviour (paths, listdir, rename, normalize) is
 covered by test_vos.py; these tests target the overlay mechanics —
-layer sharing, tombstones, copy-up, flattening — and the
+layer sharing, tombstones, copy-up — and the
 isolation invariant cloning exists for.
 """
 
@@ -125,21 +125,3 @@ def test_deep_clone_matches_overlay_view():
     # And the deep copy is fully detached.
     deep.file("/data/a").content = "detached"
     assert overlay.read_file("/data/a").content == "edited"
-
-
-def test_flatten_collapses_chain_preserving_content():
-    fs = populated()
-    overlay = fs.clone()
-    overlay.file("/data/a").content = "edited"
-    another = overlay.clone()
-    another.unlink("/data/b")
-    before_paths = another.paths()
-    before = {p: another.read_file(p).content for p in before_paths}
-    assert another.depth > 1
-    another.flatten()
-    assert another.depth == 1
-    assert another.paths() == before_paths
-    assert {p: another.read_file(p).content for p in before_paths} == before
-    # Flattening must not touch the shared base.
-    assert fs.read_file("/data/a").content == "alpha"
-    assert overlay.read_file("/data/b").content == "beta"
