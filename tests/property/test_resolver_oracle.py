@@ -1,7 +1,8 @@
 """Differential test: the engine's resolver against the sorted rescan.
 
-``LdxEngine`` resolves a single-threaded slave's syscalls in place and
-otherwise retries only the waiting events whose inputs changed.  Both
+``LdxEngine`` resolves a single-threaded slave's syscalls and barriers
+in place and otherwise retries only the waiting events whose inputs
+changed.  Both
 are claimed to be exact: the same tries succeed, in the same order, as
 when every pass collected, sorted and retried *every* waiting event.
 The class below keeps that older loop (its ``_drive``, ``_pump``,
@@ -22,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import FaultConfig, LdxConfig, SinkSpec, SourceSpec
 from repro.core.engine import MASTER, SLAVE, LdxEngine
+from repro.core.report import Detection
 from repro.errors import BudgetExceededError, EngineStallError, InterpreterError
 from repro.instrument import instrument_module
 from repro.interp.events import BarrierEvent
@@ -139,8 +141,8 @@ class SortedRescanEngine(LdxEngine):
 def _plain(value):
     if isinstance(value, list):
         return [_plain(item) for item in value]
-    if hasattr(value, "__slots__") and hasattr(value, "kind"):  # a Detection
-        return tuple(getattr(value, name) for name in value.__slots__)
+    if isinstance(value, Detection):
+        return tuple(getattr(value, name) for name in Detection.__slots__)
     return value
 
 
