@@ -18,7 +18,7 @@ Records (as ``extra_info`` in the pytest-benchmark JSON):
   land, compiled into a fresh on-disk code namespace and then loaded
   back from it — a warm load must be at least 5x cheaper;
 * the profiler's off-path cost: without the opcode-profiler observer
-  the driver loop memoized by ``Machine._run_thread`` must *be* the
+  the driver loop ``Machine`` fixes at construction must *be* the
   plain threaded loop, and with it the observed threaded loop
   (asserted structurally); the wall-clock delta against a hand-bound
   loop is recorded for trend tracking.
@@ -83,10 +83,10 @@ def _time_drive(workload, backend, reps=REPS, profile=False, bind_direct=False):
     for _ in range(reps):
         machine = _build(workload, backend, profile=profile)
         if bind_direct:
-            # Shadow the dispatch wrapper with the plain threaded loop:
-            # the timing difference vs the normal path is exactly the
-            # profiler's off-path residue.
-            machine._run_thread = machine._run_thread_threaded
+            # Install the plain threaded loop by hand: the timing
+            # difference vs the normal path is exactly the profiler's
+            # off-path residue.
+            machine._driver = Machine._run_thread_threaded
         start = time.perf_counter()
         _drive(machine)
         best = min(best, time.perf_counter() - start)
@@ -259,38 +259,31 @@ def test_profiler_off_path_overhead(benchmark):
     """With profiling off, the profiler must cost (almost) nothing.
 
     The per-opcode histograms are ``None`` unless an ``OpcodeProfiler``
-    observes the machine, and ``Machine._run_thread`` memoizes the
-    selected driver loop as a bound instance attribute on first use —
-    so after the first event a profile-off machine runs *exactly* the
-    plain threaded loop, with zero residual dispatch.  That makes the claim checkable
-    structurally (the memoized runner IS the plain loop, the same
-    object ``bind_direct`` installs by hand); the wall-clock comparison
+    observes the machine, and ``Machine`` fixes its driver loop when it
+    is built — so a profile-off machine runs *exactly* the plain
+    threaded loop, with zero residual dispatch.  That makes the claim
+    checkable structurally (the fixed driver IS the plain loop, the same
+    function ``bind_direct`` installs by hand); the wall-clock comparison
     is recorded as ``extra_info`` for trend tracking but not asserted,
     since two identical code paths differ only by machine noise.
     """
-    from repro.interp.machine import Machine
-
     # Structural half of the claim: no per-opcode accounting happens
     # unless it was asked for.
     probe = _build(ALL_WORKLOADS[0], "threaded")
     _drive(probe)
     assert probe.stats.opcode_counts is None
     assert probe.stats.opcode_time is None
-    # The memoized driver loop is the plain threaded loop itself: the
-    # off path IS the direct path after the first event.
-    memoized = probe.__dict__.get("_run_thread")
-    assert memoized is not None, "driver loop was not memoized"
-    assert memoized.__func__ is Machine._run_thread_threaded, (
-        f"profile-off machine memoized {memoized.__func__.__qualname__}"
+    # The fixed driver loop is the plain threaded loop itself: the off
+    # path IS the direct path.
+    assert probe._driver is Machine._run_thread_threaded, (
+        f"profile-off machine drives with {probe._driver.__qualname__}"
     )
 
     profiled = _build(ALL_WORKLOADS[0], "threaded", profile=True)
     _drive(profiled)
     assert profiled.stats.opcode_counts
     assert sum(profiled.stats.opcode_counts.values()) > 0
-    assert profiled.__dict__["_run_thread"].__func__ is (
-        Machine._run_thread_observed
-    )
+    assert profiled._driver is Machine._run_thread_observed
 
     direct_total = 0.0
     dispatched_total = 0.0

@@ -125,17 +125,12 @@ class LdxConfig:
         sources: SourceSpec,
         sinks: SinkSpec,
         mutation: Optional[Mutator] = None,
-        interp_backend: Optional[str] = None,
     ) -> None:
         from repro.core.mutation import off_by_one  # cycle-free local import
 
         self.sources = sources
         self.sinks = sinks
         self.mutation: Mutator = mutation if mutation is not None else off_by_one
-        # Interpreter backend for both machines ("switch" | "threaded");
-        # None defers to the process-wide default.  Verdicts, events and
-        # virtual clocks are backend-invariant by contract.
-        self.interp_backend = interp_backend
 
 
 # -- declarative (wire-format) construction ------------------------------------

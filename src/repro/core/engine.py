@@ -33,7 +33,6 @@ tries change nothing a later try reads, so the outcome is the same.
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.channel import (
@@ -112,10 +111,10 @@ class LdxEngine:
         watchdog_deadline: float = 25_000.0,
         static_oracle=None,
         profile: bool = False,
+        backend: Optional[str] = None,
     ) -> None:
         module = instrumented.module
         plan = instrumented.plan
-        backend = config.interp_backend
         self.config = config
         # Optional soundness oracle: an object with
         # ``may_depend(function, syscall) -> bool`` (a ProgramAnalysis
@@ -171,6 +170,10 @@ class LdxEngine:
         Any error escaping the event loop — an engine bug, a wedged
         fault schedule, a corrupted queue — is converted into a
         diagnosed, degraded :class:`DualResult` instead of a traceback.
+
+        On return the machines' lock hooks and the sides' peer links are
+        dropped, so the finished run holds no reference cycle and is
+        freed as soon as the result is.
         """
         try:
             self._drive()
@@ -183,6 +186,9 @@ class LdxEngine:
                 side.woken.clear()
                 if not side.machine.finished:
                     side.machine.terminate(-1)
+        finally:
+            self.master.lock_hook = self.slave.lock_hook = None
+            self._master.peer = self._slave.peer = None
         self._collect_degradation()
         self._finalize()
         return DualResult(
@@ -940,19 +946,19 @@ class EngineFactory:
         base_world: World,
         costs: Optional[CostModel] = None,
         static_oracle=None,
-        backend: Optional[str] = None,
     ) -> None:
         from repro.interp.compile import (
             BACKEND_THREADED,
             compiled_for_module,
-            resolve_backend,
+            get_default_backend,
         )
 
         self.instrumented = instrumented
         self.base_world = base_world
         self.costs = costs
         self.static_oracle = static_oracle
-        self.backend = resolve_backend(backend)
+        # The process default, fixed for every engine this factory builds.
+        self.backend = get_default_backend()
         # Runs served so far (telemetry; never consulted by a run).
         self.runs = 0
         if self.backend == BACKEND_THREADED:
@@ -970,11 +976,7 @@ class EngineFactory:
         if self.costs is not None:
             kwargs.setdefault("costs", self.costs)
         kwargs.setdefault("static_oracle", self.static_oracle)
-        if config.interp_backend is None and self.backend is not None:
-            # Stamp the factory's backend on a copy: the caller's config
-            # may be handed to another factory next.
-            config = copy.copy(config)
-            config.interp_backend = self.backend
+        kwargs.setdefault("backend", self.backend)
         self.runs += 1
         return LdxEngine(self.instrumented, self.base_world.clone(), config, **kwargs)
 

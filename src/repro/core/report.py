@@ -222,10 +222,6 @@ class DualResult:
     def slave_stdout(self) -> str:
         return "".join(self.slave.kernel.stdout)
 
-    def sink_pairs(self) -> List[Tuple[Optional[tuple], Optional[tuple]]]:
-        """(master args, slave args) for each detection."""
-        return [(d.master_args, d.slave_args) for d in self.report.detections]
-
     def fs_divergences(self, include_metadata: bool = False) -> List[FsDivergence]:
         """Offline filesystem differencing — an *extension* beyond the
         paper's online sink comparison.

@@ -225,6 +225,17 @@ class Machine:
             if self.backend == BACKEND_THREADED
             else None
         )
+        # The driver loop, fixed here: ``switch`` (the reference, which
+        # reports to the observer when there is one), plain ``threaded``
+        # (the hot path) or observed ``threaded``.  A plain function,
+        # called as ``self._driver(self, thread)``: a bound method kept
+        # on the instance would tie the machine into a reference cycle.
+        if self._code is None:
+            self._driver = Machine._run_thread_switch
+        elif observer is None:
+            self._driver = Machine._run_thread_threaded
+        else:
+            self._driver = Machine._run_thread_observed
         if observer is not None:
             observer.attach(self)
         self._spawn_main()
@@ -302,7 +313,7 @@ class Machine:
                 thread = threads[0]
                 status = thread.status
                 if status == RUNNABLE:
-                    event = self._run_thread(thread)
+                    event = self._driver(self, thread)
                     if event is not None:
                         return event
                     continue
@@ -365,7 +376,7 @@ class Machine:
                     thread = candidates[0]
                 else:
                     thread = candidates[self._sched_rng.next_int(len(candidates))]
-            event = self._run_thread(thread)
+            event = self._driver(self, thread)
             if event is not None:
                 return event
         return None
@@ -608,9 +619,6 @@ class Machine:
             self._mutex_owner[mutex_id] = None
         return True
 
-    def mutex_holder(self, mutex_id: int) -> Optional[int]:
-        return self._mutex_owner.get(mutex_id)
-
     def _finish_lock_acquisition(self, thread: ThreadState) -> None:
         """A queued mutex_lock finally succeeded — deliver its result."""
         event = thread.pending_event
@@ -637,25 +645,6 @@ class Machine:
             f"{self.name}: instruction budget exceeded "
             f"({self.max_instructions})"
         )
-
-    def _run_thread(self, thread: ThreadState) -> Optional[Event]:
-        """Run one thread until it produces an event, blocks or ends.
-
-        Dispatches to one of three driver loops: ``switch`` (the
-        reference, which reports to the observer when there is one),
-        plain ``threaded`` (the hot path) and observed ``threaded``.
-        The choice is fixed when the machine is built, so the bound
-        loop is memoized as an instance attribute — later
-        ``self._run_thread(...)`` calls skip this dispatch entirely.
-        """
-        if self._code is None:
-            runner = self._run_thread_switch
-        elif self.observer is None:
-            runner = self._run_thread_threaded
-        else:
-            runner = self._run_thread_observed
-        self.__dict__["_run_thread"] = runner
-        return runner(thread)
 
     def _run_thread_switch(self, thread: ThreadState) -> Optional[Event]:
         costs = self.costs

@@ -110,16 +110,6 @@ SYSCALL_BUILTINS = {
 ALL_INTRINSICS = PURE_BUILTINS | frozenset(SYSCALL_BUILTINS)
 
 
-def is_intrinsic(name: str) -> bool:
-    """True when *name* is any MiniC intrinsic."""
-    return name in ALL_INTRINSICS
-
-
-def is_syscall(name: str) -> bool:
-    """True when *name* is a syscall builtin (counter-relevant)."""
-    return name in SYSCALL_BUILTINS
-
-
 def syscall_category(name: str) -> str:
     """Return the category string of a syscall builtin."""
     return SYSCALL_BUILTINS[name]

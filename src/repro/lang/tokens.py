@@ -81,11 +81,3 @@ class Token:
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, @{self.location})"
-
-    def is_keyword(self, word: str) -> bool:
-        """True when this token is the given keyword."""
-        return self.kind == word and word in KEYWORDS
-
-    def is_punct(self, punct: str) -> bool:
-        """True when this token is the given punctuation lexeme."""
-        return self.kind == punct and punct in PUNCTUATION

@@ -1,7 +1,8 @@
 """Cell-spec derivation: (kind, payload) cells -> content-addressed keys.
 
-Every experiment cell produced by :mod:`repro.eval.parallel` maps to a
-:class:`~repro.results.store.CellSpec` here.  The key is
+Every eval and chaos cell planned by :mod:`repro.eval.parallel` maps to
+a :class:`~repro.results.store.CellSpec` here (serve-chaos cells are
+never stored).  The key is
 :func:`repro.cache.result_cell_key` over:
 
 * the MiniC **source** of the workload(s) the cell executes — editing
@@ -88,17 +89,6 @@ def spec_for_cell(cell: Tuple[str, tuple]) -> CellSpec:
         strategy, names = payload
         return _spec(kind, _sources_for(names), "<study>", strategy,
                      {"strategy": strategy, "workloads": tuple(names)}, {})
-    if kind == "serve_baseline":
-        name, seed, deadline, fault_seed, fault_rate = payload
-        return _spec(kind, _sources_for([name]), name, "leak",
-                     {"workload": name, "seed": seed, "fault_seed": fault_seed},
-                     {"deadline": deadline, "rate": fault_rate},
-                     schedule_seed=seed, fault_seed=fault_seed)
-    if kind == "serve_faultfree":
-        name, seed = payload
-        return _spec(kind, _sources_for([name]), name, "leak",
-                     {"workload": name, "seed": seed}, {},
-                     schedule_seed=seed)
     if kind == "chaos":
         name, seeds, rate, watchdog_deadline = payload
         return _spec(kind, _sources_for([name]), name, "chaos",

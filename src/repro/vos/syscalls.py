@@ -47,14 +47,6 @@ THREAD_SYSCALLS: FrozenSet[str] = frozenset(
 )
 
 
-def is_output(name: str) -> bool:
-    return name in OUTPUT_SYSCALLS
-
-
-def is_nondet_input(name: str) -> bool:
-    return name in NONDET_INPUT
-
-
 def validate_coverage() -> None:
     """Every syscall builtin must be known to this table's universe."""
     known = (

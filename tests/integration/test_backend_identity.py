@@ -51,9 +51,10 @@ def test_workload_dual_identical_across_backends(name):
     workload = get_workload(name)
     fingerprints = []
     for backend in ("switch", "threaded"):
-        config = workload.leak_variant()
-        config.interp_backend = backend
-        result = run_dual(workload.instrumented, workload.build_world(1), config)
+        result = run_dual(
+            workload.instrumented, workload.build_world(1),
+            workload.leak_variant(), backend=backend,
+        )
         fingerprints.append(_dual_fingerprint(result))
     assert fingerprints[0] == fingerprints[1]
 

@@ -93,8 +93,9 @@ def test_dual_execution_identical_across_backends(source):
     config = LdxConfig(sources=SourceSpec(), sinks=SinkSpec(syscall_names=()))
     results = []
     for backend in ("switch", "threaded"):
-        config.interp_backend = backend
-        results.append(run_dual(instrumented, World(seed=1), config))
+        results.append(
+            run_dual(instrumented, World(seed=1), config, backend=backend)
+        )
     assert _dual_observables(results[0]) == _dual_observables(results[1])
 
 
@@ -105,12 +106,12 @@ def test_faulty_duals_identical_across_backends(source, fault_seed, rate):
     faults = FaultConfig(seed=fault_seed, rate=rate)
     results = []
     for backend in ("switch", "threaded"):
-        config = LdxConfig(
-            sources=SourceSpec(),
-            sinks=SinkSpec.network_out(),
-            interp_backend=backend,
+        config = LdxConfig(sources=SourceSpec(), sinks=SinkSpec.network_out())
+        results.append(
+            run_dual(
+                instrumented, make_world(), config, faults=faults, backend=backend
+            )
         )
-        results.append(run_dual(instrumented, make_world(), config, faults=faults))
     assert _dual_observables(results[0]) == _dual_observables(results[1])
     assert (
         results[0].degradation.faults_injected
@@ -233,17 +234,15 @@ def test_relevance_toggle_identical_native(source):
 @settings(max_examples=20, deadline=None)
 def test_relevance_toggle_identical_dual(source):
     instrumented = instrument_module(compile_source(source))
-    config = LdxConfig(
-        sources=SourceSpec(),
-        sinks=SinkSpec(syscall_names=()),
-        interp_backend="threaded",
-    )
+    config = LdxConfig(sources=SourceSpec(), sinks=SinkSpec(syscall_names=()))
     saved = relevance_enabled()
     results = []
     try:
         for enabled in (True, False):
             set_relevance_enabled(enabled)
-            results.append(run_dual(instrumented, World(seed=1), config))
+            results.append(
+                run_dual(instrumented, World(seed=1), config, backend="threaded")
+            )
     finally:
         set_relevance_enabled(saved)
     assert _dual_observables(results[0]) == _dual_observables(results[1])

@@ -59,10 +59,11 @@ def test_pruned_plan_identical_verdicts_on_switch(workload):
     """Dual-execution verdicts match between pruned and unpruned plans."""
     full, pruned = _plans(workload.source)
     config = workload.config()
-    config.interp_backend = "switch"
     observed = []
     for artifact in (full, pruned):
-        result = run_dual(artifact, workload.build_world(1), config)
+        result = run_dual(
+            artifact, workload.build_world(1), config, backend="switch"
+        )
         observed.append(_dual_observables(result))
     assert observed[0] == observed[1], (
         f"{workload.name}: pruning changed the dual-execution verdict"
@@ -109,11 +110,11 @@ def test_prune_toggle_identical_faulty_duals(source, fault_seed, rate):
     for artifact in (full, pruned):
         for backend in ("switch", "threaded"):
             config = LdxConfig(
-                sources=SourceSpec(),
-                sinks=SinkSpec.network_out(),
-                interp_backend=backend,
+                sources=SourceSpec(), sinks=SinkSpec.network_out()
             )
-            result = run_dual(artifact, make_world(), config, faults=faults)
+            result = run_dual(
+                artifact, make_world(), config, faults=faults, backend=backend
+            )
             observed.append(_dual_observables(result))
             injected.append(result.degradation.faults_injected)
     assert all(count == injected[0] for count in injected[1:])

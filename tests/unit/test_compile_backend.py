@@ -401,7 +401,7 @@ def test_observer_takes_observed_threaded_loop():
             break
         resolve_event_locally(machine, event)
     assert machine.finished
-    assert machine.__dict__["_run_thread"].__func__ is Machine._run_thread_observed
+    assert machine._driver is Machine._run_thread_observed
     # Unfused steps: the observer saw every instruction, one per step.
     assert len(recorder.seen) == machine.stats.instructions
 

@@ -284,11 +284,10 @@ def test_all_relevant_workload_byte_identical_on_off():
     try:
         for enabled in (True, False):
             set_relevance_enabled(enabled)
-            config.interp_backend = "threaded"
             native = run_native(
                 module, World(seed=1), plan=instrumented.plan, backend="threaded"
             )
-            dual = run_dual(instrumented, World(seed=1), config)
+            dual = run_dual(instrumented, World(seed=1), config, backend="threaded")
             observed[enabled] = (
                 _native_observables(native),
                 _dual_observables(dual),

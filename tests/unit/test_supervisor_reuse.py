@@ -8,8 +8,10 @@ in one run never appears in the next, and no watchdog or worker
 threads outlive their runs.
 """
 
+import gc
 import json
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core import EngineFactory, FaultConfig, RunBudget, run_dual
@@ -18,6 +20,7 @@ from repro.core.supervisor import (
     DEFAULT_MAX_INSTRUCTIONS,
     INSTRUCTIONS_PER_UNIT,
 )
+from repro.interp import get_default_backend, set_default_backend
 from repro.serve.api import verdict_payload
 from repro.workloads import get_workload
 
@@ -78,15 +81,47 @@ def test_sequential_runs_match_fresh_engines():
     assert factory.runs == 5
 
 
-def test_factory_backend_does_not_stick_to_the_callers_config():
+def test_factory_fixes_the_default_backend_when_built():
+    # A factory resolves the process default once and hands it to
+    # every engine it builds, whatever the default is changed to later.
     workload = get_workload("gzip")
     config = workload.leak_variant()
-    switch = EngineFactory.for_workload(workload, backend="switch")
-    threaded = EngineFactory.for_workload(workload, backend="threaded")
-    assert switch.engine(config).master.backend == "switch"
-    engine = threaded.engine(config)
-    assert engine.master.backend == engine.slave.backend == "threaded"
-    assert config.interp_backend is None
+    saved = get_default_backend()
+    try:
+        set_default_backend("switch")
+        switch = EngineFactory.for_workload(workload)
+        set_default_backend("threaded")
+        threaded = EngineFactory.for_workload(workload)
+        set_default_backend("switch")
+        engine = threaded.engine(config)
+        assert engine.master.backend == engine.slave.backend == "threaded"
+        engine = switch.engine(config)
+        assert engine.master.backend == engine.slave.backend == "switch"
+    finally:
+        set_default_backend(saved)
+
+
+def test_finished_run_leaves_no_reference_cycle():
+    # Once the result is dropped, reference counting alone frees both
+    # machines: nothing of a run waits for the cyclic collector.
+    workload = get_workload("gzip")
+    factory = EngineFactory.for_workload(workload)
+    factory.run(workload.leak_variant())  # warm: compile memo, region code
+    gc.collect()
+    gc.disable()
+    try:
+        result = factory.run(workload.leak_variant())
+        machines = [weakref.ref(result.master), weakref.ref(result.slave)]
+        del result
+        assert [machine() for machine in machines] == [None, None]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = {type(obj).__name__ for obj in gc.garbage}
+        assert not cyclic & {"Machine", "Kernel", "World"}, sorted(cyclic)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def test_degradation_does_not_leak_between_runs():
