@@ -14,9 +14,10 @@ Records (as ``extra_info`` in the pytest-benchmark JSON):
   interleaved on/off timings are recorded for trend tracking);
 * cold vs warm closure-compile timings through the module memo — a
   warm lookup must be at least 10x cheaper than compiling;
-* cold vs warm region code: every region the 28 workloads' drives
-  land, compiled into a fresh on-disk code namespace and then loaded
-  back from it — a warm load must be at least 5x cheaper;
+* cold vs warm region landings: every region the 28 workloads' drives
+  land, emitted, compiled and stored into a fresh on-disk code
+  namespace, then found by artifact identity and bound from it — a
+  warm landing must be at least 10x cheaper and emit nothing;
 * the profiler's off-path cost: without the opcode-profiler observer
   the driver loop ``Machine`` fixes at construction must *be* the
   plain threaded loop, and with it the observed threaded loop
@@ -32,7 +33,6 @@ Figure 6 numbers are about executing instructions, so the clock starts
 at the first ``next_event`` call.
 """
 
-import marshal
 import math
 import time
 
@@ -52,7 +52,7 @@ from repro.workloads import ALL_WORKLOADS
 REPS = 15
 SPEEDUP_FLOOR = 3.2
 WARM_COMPILE_RATIO = 10.0
-WARM_CODE_RATIO = 5.0
+WARM_CODE_RATIO = 10.0
 
 
 def _drive(machine):
@@ -188,68 +188,80 @@ def test_compile_cache_cold_vs_warm(benchmark):
 
 @pytest.mark.paper
 def test_region_code_cache_cold_vs_warm(benchmark, monkeypatch, tmp_path):
-    """Region code is compiled once, then loaded from the code namespace.
+    """A warm region landing is a key lookup and a bind, nothing more.
 
-    Records the generated source of every region the 28 workloads'
-    threaded drives land, then acquires each one's code object twice
-    through the compiler's own path: cold (``compile()`` + store into a
-    fresh cache dir) and warm (a fresh process-equivalent, every region
-    a disk hit).  Region emission is identical on both sides and not
-    timed.
+    Records every region landing of one threaded drive of each of the
+    28 workloads (with the code cache off), then replays each whole
+    landing, ``_compile_region``, twice: cold (emit the binder, compile
+    it and store it into a fresh cache dir) and warm (a fresh
+    process-equivalent over that dir: find the code by the artifact's
+    identity, load it and bind it).  The warm replay must emit nothing.
     """
     from repro.interp import compile as compile_mod
 
-    real_compile = compile
-    sources = []
+    compiler_cls = compile_mod._FunctionCompiler
+    real_compile_region = compiler_cls._compile_region
+    landings = []
 
-    def recording(source, filename, mode, *args, **kwargs):
-        sources.append(source)
-        return real_compile(source, filename, mode, *args, **kwargs)
+    def recording(self, start, base):
+        landings.append((self, start, base))
+        return real_compile_region(self, start, base)
 
-    monkeypatch.setattr(compile_mod, "compile", recording, raising=False)
-    cache.configure()
+    cache.configure(enabled=False)
     clear_compile_memo()
-    for workload in ALL_WORKLOADS:
-        _drive(_build(workload, "threaded"))
-    monkeypatch.undo()
-    assert sources and len(set(sources)) == len(sources)
+    with monkeypatch.context() as patch:
+        patch.setattr(compiler_cls, "_compile_region", recording)
+        for workload in ALL_WORKLOADS:
+            _drive(_build(workload, "threaded"))
+    assert landings and all(compiler.artifact for compiler, _, _ in landings)
 
     def land_all():
-        for source in sources:
-            marshal.loads(compile_mod._region_code(source))
+        for compiler, start, base in landings:
+            compiler._compile_region(start, base)
+
+    emitted = []
+    real_emit = compiler_cls._emit_region_parts
+
+    def counting_emit(self, *args):
+        emitted.append(args[0])
+        return real_emit(self, *args)
 
     try:
+        monkeypatch.setattr(compiler_cls, "_emit_region_parts", counting_emit)
         cache.configure(cache_dir=str(tmp_path))
         start = time.perf_counter()
         land_all()
         cold_seconds = time.perf_counter() - start
-        assert cache.get_compiled_cache().stats.stores == len(sources)
+        assert cache.get_compiled_cache().stats.stores == len(landings)
+        assert emitted
 
+        emitted.clear()
         cache.configure(cache_dir=str(tmp_path))
         benchmark.pedantic(land_all, rounds=1, iterations=1)
         warm_seconds = benchmark.stats.stats.total
         warm = cache.get_compiled_cache().stats
-        assert warm.disk_hits == len(sources)
+        assert warm.disk_hits == len(landings)
         assert warm.misses == 0
+        assert emitted == []
     finally:
+        monkeypatch.undo()
         cache.configure()
         clear_compile_memo()
 
     ratio = cold_seconds / warm_seconds
-    benchmark.extra_info["regions"] = len(sources)
-    benchmark.extra_info["source_kb"] = round(sum(map(len, sources)) / 1024, 1)
+    benchmark.extra_info["regions"] = len(landings)
     benchmark.extra_info["cold_ms"] = round(cold_seconds * 1000, 3)
     benchmark.extra_info["warm_ms"] = round(warm_seconds * 1000, 3)
     benchmark.extra_info["warm_speedup"] = round(ratio, 2)
     print(
-        f"\nregion code cold {cold_seconds * 1000:.1f}ms  "
+        f"\nregion landings cold {cold_seconds * 1000:.1f}ms  "
         f"warm {warm_seconds * 1000:.1f}ms  ({ratio:.1f}x) over "
-        f"{len(sources)} regions"
+        f"{len(landings)} regions"
     )
 
     assert warm_seconds * WARM_CODE_RATIO < cold_seconds, (
-        f"warm region code loads ({warm_seconds * 1000:.2f}ms) not at "
-        f"least {WARM_CODE_RATIO}x cheaper than cold compiles "
+        f"warm region landings ({warm_seconds * 1000:.2f}ms) not at "
+        f"least {WARM_CODE_RATIO}x cheaper than cold ones "
         f"({cold_seconds * 1000:.2f}ms)"
     )
 

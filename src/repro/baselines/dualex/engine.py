@@ -74,7 +74,8 @@ def _trace_execution(
             resolve_syscall_locally(machine, event)
             continue
         index = tracker.index_of(event.thread_id, event.index)
-        signature = machine.kernel.signature_of(event.name, event.args)
+        resource = machine.kernel.resource_of(event.name, event.args)
+        signature = machine.kernel.signature_of(event.name, event.args, resource)
         trace.append((index, event.name, event.args, signature))
         try:
             result = machine.kernel.execute(event.name, event.args)
@@ -83,7 +84,7 @@ def _trace_execution(
             break
         machine.charge(event.thread_id, machine.costs.syscall)
         if mutate and config is not None:
-            source = config.sources.matches(event, machine.kernel)
+            source = config.sources.matches(event, resource)
             if source is not None:
                 mutator = config.sources.mutator_for(source) or config.mutation
                 result = mutator(result)

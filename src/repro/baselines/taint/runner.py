@@ -65,14 +65,20 @@ class TaintRunner:
 
     def run(self) -> TaintResult:
         machine = self.machine
-        while True:
-            event = machine.next_event()
-            if event is None:
-                break
-            if isinstance(event, BarrierEvent):  # pragma: no cover - no plan
-                machine.complete_barrier(event)
-                continue
-            self._resolve(event)
+        try:
+            while True:
+                event = machine.next_event()
+                if event is None:
+                    break
+                if isinstance(event, BarrierEvent):  # pragma: no cover - no plan
+                    machine.complete_barrier(event)
+                    continue
+                self._resolve(event)
+        finally:
+            # The machine keeps the tracker as its observer; dropping
+            # the tracker's back-reference lets reference counting free
+            # a finished run without the cyclic collector.
+            self.tracker.machine = None
         return TaintResult(machine, self.tracker)
 
     def _resolve(self, event: SyscallEvent) -> None:
@@ -103,7 +109,7 @@ class TaintRunner:
         # Input syscalls introduce taint: from a matched source, or from
         # a resource previously written with tainted data.
         result_taint: FrozenSet[str] = frozenset()
-        source = self.config.sources.matches(event, kernel)
+        source = self.config.sources.matches(event, resource)
         if source is not None:
             result_taint = frozenset({source})
         elif name in INPUT_SYSCALLS and resource is not None:

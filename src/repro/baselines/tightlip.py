@@ -77,7 +77,9 @@ def _collect_syscalls(
             break
         machine.charge(event.thread_id, machine.costs.syscall)
         if mutate and config is not None:
-            source = config.sources.matches(event, machine.kernel)
+            source = config.sources.matches(
+                event, machine.kernel.resource_of(event.name, event.args)
+            )
             if source is not None:
                 mutator = config.sources.mutator_for(source) or config.mutation
                 result = mutator(result)

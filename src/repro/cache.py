@@ -23,7 +23,8 @@ them wrongly.  Besides :data:`SCHEMA_TAG` the same machinery serves
 the **static analysis cache** (:data:`ANALYSIS_SCHEMA_TAG`: summaries
 keyed by source plus seed fingerprint) and the **region code cache**
 (:func:`code_schema_tag`: ``marshal`` bytes of the threaded backend's
-compiled region source, keyed by the source; the tag embeds
+compiled region binders, keyed by the region's identity within its
+instrumented artifact; the tag embeds
 :data:`importlib.util.MAGIC_NUMBER`, so each bytecode version owns
 its own namespace).
 
@@ -43,8 +44,9 @@ counts an error.  Each process holds one connection per file, behind
 a lock, and closes them all before ``fork()``.
 
 Nothing collects orphaned rows (say, region code of another Python
-version); deleting ``blobs.sqlite`` only costs rebuilds, as does
-deleting the per-entry ``ldx-*/`` directories older versions wrote.
+version or of an older codegen tag); deleting ``blobs.sqlite`` only
+costs rebuilds, as does deleting the per-entry ``ldx-*/`` directories
+older versions wrote.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import importlib.util
 import os
 import pickle
 import sqlite3
-import sys
 import threading
 import time
 import weakref
@@ -79,14 +80,16 @@ SCHEMA_TAG = "ldx-artifact-v4"
 # v4: relevance rows/totals carry prunable counter-update counts.
 ANALYSIS_SCHEMA_TAG = "ldx-analysis-v4"
 
-# The region code namespace needs no bump when the emitter changes:
-# its key is the generated source itself, so new emission is a new key.
-# Bump the version when the payload (marshal bytes of a module code
-# object) changes meaning.
-CODE_SCHEMA_VERSION = "ldx-code-v1"
+# The region code namespace needs no bump when the emitter changes: its
+# key carries the codegen tag (the sha256 of interp/compile.py and every
+# repro module it imports), so new emission is a new key.  Bump the
+# version when the payload changes meaning.
+# v2: the payload is a region binder (``bind(...)`` returning ``run``),
+# keyed by artifact identity instead of by the generated source.
+CODE_SCHEMA_VERSION = "ldx-code-v2"
 
-# Generated region source per entry is ~3 KB marshalled; one chaos
-# sweep over the 28 workloads lands ~510 unique regions.
+# A region binder is a few KB marshalled; one chaos sweep over the 28
+# workloads lands ~550 regions.
 CODE_CAPACITY = 1024
 
 
@@ -453,10 +456,14 @@ class ArtifactCache:
         prune = relevance_enabled()
         full_config = dict(config or {})
         full_config["relevance_pruning"] = prune
-        return self.lookup(
-            artifact_key(source, full_config, self.schema_tag),
-            lambda: instrument_module(compile_source(source), prune=prune),
+        key = artifact_key(source, full_config, self.schema_tag)
+        artifact = self.lookup(
+            key, lambda: instrument_module(compile_source(source), prune=prune)
         )
+        # The key travels with the artifact (region code is keyed by
+        # it); the plan never pickles it.
+        artifact.plan.artifact_key = key
+        return artifact
 
     def _remember(self, key: str, artifact):
         """Install *artifact* in the LRU; returns the canonical object
@@ -586,18 +593,14 @@ def instrumented_for(
     return _GLOBAL.instrumented(source, config)
 
 
-def code_for(source: str, filename: str, builder) -> bytes:
-    """Marshalled code object of generated *source*, cached.
+def code_for(key: str, builder) -> bytes:
+    """Marshalled binder code of one generated region, cached.
 
-    *builder* compiles on a miss and returns ``marshal.dumps`` of the
-    code object.  The optimization level joins the key: ``-O`` changes
-    what ``compile()`` emits for asserts and ``__debug__``.
+    *key* is the region's identity (``interp/compile.py``
+    ``region_key``: artifact key, codegen tag, ``-O`` level, function,
+    region start); *builder* emits and compiles on a miss and returns
+    ``marshal.dumps`` of the code object.
     """
-    key = artifact_key(
-        source,
-        {"filename": filename, "optimize": sys.flags.optimize},
-        schema_tag=_CODE.schema_tag,
-    )
     return _CODE.lookup(key, builder)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.interp.events import SyscallEvent
-from repro.vos.kernel import Kernel
 
 # A mutator takes the original source value and returns the perturbed one.
 Mutator = Callable[[object], object]
@@ -39,10 +38,10 @@ class SourceSpec:
         # (e.g. "file:/etc/conf" or "annot:secret").
         self.mutators: Dict[str, Mutator] = dict(mutators or {})
 
-    def matches(self, event: SyscallEvent, kernel: Kernel) -> Optional[str]:
-        """Return the matched resource id when *event* reads a source."""
+    def matches(self, event: SyscallEvent, resource: Optional[str]) -> Optional[str]:
+        """Return the matched resource id when *event* reads a source;
+        *resource* is the kernel's ``resource_of`` for it."""
         name = event.name
-        resource = kernel.resource_of(name, event.args)
         if name in ("read", "read_line"):
             if resource == "stdin" and self.stdin:
                 return resource

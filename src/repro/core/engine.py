@@ -342,7 +342,7 @@ class LdxEngine:
             return
         master = self.master
         resource = master.kernel.resource_of(name, args)
-        signature = master.kernel.signature_of(name, args)
+        signature = master.kernel.signature_of(name, args, resource)
         try:
             result = master.execute_syscall(event)
         except ProgramExit as program_exit:
@@ -577,9 +577,17 @@ class LdxEngine:
             # Otherwise the slave event stays queued; its own rules
             # resolve it (decoupled) now that the master moved on.
             return
-        if self.master.kernel.signature_of(
-            master_event.name, master_event.args
-        ) != self.slave.kernel.signature_of(slave_event.name, slave_event.args):
+        signatures = [
+            machine.kernel.signature_of(
+                event.name,
+                event.args,
+                machine.kernel.resource_of(event.name, event.args),
+            )
+            for machine, event in (
+                (self.master, master_event), (self.slave, slave_event)
+            )
+        ]
+        if signatures[0] != signatures[1]:
             self.report.add(
                 Detection(
                     SINK_ARGS_DIFFER,
@@ -690,13 +698,17 @@ class LdxEngine:
             # barrier with a different PC): path difference for us, but
             # give the master's rendezvous logic the first chance.
             return False  # master's sink logic will handle the pair
-        kernel = self.slave.kernel
-        source = self.config.sources.matches(event, kernel)
+        # The slave's resource, taken once before the syscall runs.
+        resource = self.slave.kernel.resource_of(name, event.args)
+        source = self.config.sources.matches(event, resource)
         if record is not None:
-            if record.signature == kernel.signature_of(name, event.args):
+            if record.signature == self.slave.kernel.signature_of(
+                name, event.args, resource
+            ):
                 record.consumed = True
                 self._resolve_slave_locally(
-                    event, shared=True, master_record=record, source=source
+                    event, shared=True, master_record=record, source=source,
+                    resource=resource,
                 )
                 return True
             # Aligned counter, same syscall, different arguments: the
@@ -704,9 +716,7 @@ class LdxEngine:
             record.consumed = True
             self.report.syscall_diffs += 1
             self.taints.taint(record.resource, "argument divergence")
-            self.taints.taint(
-                kernel.resource_of(name, event.args), "argument divergence (slave)"
-            )
+            self.taints.taint(resource, "argument divergence (slave)")
             self._resolve_slave_locally(event, shared=False, source=source)
             return True
         # No aligned outcome: the master took a different path.  The
@@ -716,7 +726,7 @@ class LdxEngine:
         if learned_at is not None:
             self.slave.wait_until(tid, learned_at)
         self.report.syscall_diffs += 1
-        self.taints.taint(kernel.resource_of(name, event.args), "slave-only syscall")
+        self.taints.taint(resource, "slave-only syscall")
         self._resolve_slave_locally(event, shared=False, source=source)
         return True
 
@@ -764,9 +774,14 @@ class LdxEngine:
         shared: bool,
         master_record: Optional[SyscallRecord] = None,
         source: Optional[str] = None,
+        resource: Optional[str] = None,
     ) -> None:
         """Execute a slave syscall on its own world; reuse the master's
-        outcome for aligned nondeterministic inputs; mutate sources."""
+        outcome for aligned nondeterministic inputs; mutate sources.
+
+        A *shared* resolution passes the slave's *resource* as its
+        caller took it before the syscall ran; only that case reads it.
+        """
         slave = self.slave
         tid = event.thread_id
         self._slave.woken.discard(tid)
@@ -777,7 +792,6 @@ class LdxEngine:
             # master's outcome was published, not at the master's
             # current (possibly far ahead) clock.
             thread.clock = master_record.published_at
-        resource = slave.kernel.resource_of(event.name, event.args)
         try:
             result = slave.execute_syscall(event)
         except ProgramExit as program_exit:

@@ -172,6 +172,13 @@ class FunctionPlan:
 class ModulePlan:
     """Instrumentation of a whole module plus static statistics."""
 
+    # Content key of the cached artifact this plan belongs to, set by
+    # ``ArtifactCache.instrumented`` on the plan it hands out and never
+    # pickled (see ``__getstate__``).  The threaded backend keys each
+    # region's generated code by it; a plan instrumented directly has
+    # none, and its regions are emitted afresh.
+    artifact_key: Optional[str] = None
+
     def __init__(self) -> None:
         self.functions: Dict[str, FunctionPlan] = {}
         # FCNT per non-recursive function (Algorithm 1's FCNT table).
@@ -188,6 +195,11 @@ class ModulePlan:
         # True once prune_counter_adds() rewrote counter-elidable edges
         # (the --no-relevance path leaves full plans and this False).
         self.pruned = False
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("artifact_key", None)
+        return state
 
     def plan_for(self, name: str) -> FunctionPlan:
         return self.functions[name]

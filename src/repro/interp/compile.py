@@ -32,6 +32,10 @@ with everything pre-resolved:
   clock, instruction count and path-local registers in Python locals,
   so the driver loop runs once per region pass instead of once per
   instruction.  A module compiled without a plan fuses nothing.
+  A region's code is a pure function of the instrumented artifact: it
+  is stored under the artifact's identity (:func:`region_key`) as a
+  generated *binder* that rebuilds the live objects the region needs
+  from the compiler, so a warm landing emits nothing.
 
 The contract is **byte identity**: a compiled run must produce the
 same events, counter stacks, virtual clocks and MachineStats as the
@@ -54,7 +58,9 @@ scoping and error surfaces stay single-sourced.
 
 from __future__ import annotations
 
+import functools
 import marshal
+import sys
 import weakref
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -174,6 +180,7 @@ class _FunctionCompiler:
         global_names: frozenset,
         fusible: FrozenSet[int] = frozenset(),
         link: Optional[Dict[str, Tuple[Optional[FunctionPlan], List[Step]]]] = None,
+        artifact: Optional[str] = None,
     ) -> None:
         self.module = module
         self.function = function
@@ -187,6 +194,10 @@ class _FunctionCompiler:
         # Direct-call steps use it to build callee frames without the
         # machine's per-call plan/steps lookups.
         self.link = link
+        # Content key of the instrumented artifact the module and plan
+        # came from (``ModulePlan.artifact_key``); None when they were
+        # instrumented outside the artifact cache.
+        self.artifact = artifact
 
     def compile(self) -> CompiledFunction:
         base: List[Step] = [
@@ -823,13 +834,19 @@ class _FunctionCompiler:
         pos: int,
         index: int,
         instr: ins.Instr,
-        env: Dict[str, object],
+        env: Dict[str, str],
         bindings: Dict[str, str],
         types: Dict[str, Optional[str]],
         hoist: frozenset,
         rstate: Dict[str, object],
     ) -> Tuple[List[str], bool]:
         """One region member's emission, with path-local register caching.
+
+        The live objects a member needs (readers, writers, operator
+        handlers, its IR instruction) are recorded in *env* as binder
+        expressions over the compiler (``_instrs[17]``,
+        ``_reader(_instrs[17].src)``), never as the objects themselves:
+        the generated code must stay a pure function of the artifact.
 
         Every emitted region path is straight-line (tail duplication,
         no merges), so a local read can be cached in a Python temp and
@@ -883,7 +900,7 @@ class _FunctionCompiler:
         if kind is ins.Nop or kind is ins.Jump:
             return [], False
         if kind is ins.Const:
-            env[f"v{pos}"] = instr.value
+            env[f"v{pos}"] = f"_instrs[{index}].value"
             value = instr.value
             vt = type(value)
             const_type = (
@@ -897,7 +914,7 @@ class _FunctionCompiler:
                 bindings[instr.dst] = f"v{pos}"
                 wr(instr.dst, const_type)
                 return [f"fl[{instr.dst!r}] = v{pos}"], False
-            env[f"w{pos}"] = self._writer(instr.dst)
+            env[f"w{pos}"] = f"_writer(_instrs[{index}].dst)"
             return [f"w{pos}(machine, frame, v{pos})"], False
         if kind is ins.Move:
             if self._is_local(instr.dst) and self._is_local(instr.src):
@@ -906,8 +923,8 @@ class _FunctionCompiler:
                 bindings[instr.dst] = src
                 wr(instr.dst, types.get(instr.src))
                 return lines, False
-            env[f"r{pos}"] = self._reader(instr.src)
-            env[f"w{pos}"] = self._writer(instr.dst)
+            env[f"r{pos}"] = f"_reader(_instrs[{index}].src)"
+            env[f"w{pos}"] = f"_writer(_instrs[{index}].dst)"
             if self._is_local(instr.dst):
                 # The write bypasses the register cache: drop any
                 # binding so later reads reload from the frame.
@@ -916,7 +933,7 @@ class _FunctionCompiler:
             return [f"w{pos}(machine, frame, r{pos}(machine, frame))"], False
         xv = f"xv{pos}"
         if kind is ins.Binop:
-            env[f"b{pos}"] = BINOP_FUNCS[instr.op]
+            env[f"b{pos}"] = f"BINOP_FUNCS[_instrs[{index}].op]"
             if (
                 self._is_local(instr.dst)
                 and self._is_local(instr.left)
@@ -965,9 +982,9 @@ class _FunctionCompiler:
                 bindings[instr.dst] = xv
                 wr(instr.dst, None)
                 return lines, False
-            env[f"rl{pos}"] = self._reader(instr.left)
-            env[f"rr{pos}"] = self._reader(instr.right)
-            env[f"w{pos}"] = self._writer(instr.dst)
+            env[f"rl{pos}"] = f"_reader(_instrs[{index}].left)"
+            env[f"rr{pos}"] = f"_reader(_instrs[{index}].right)"
+            env[f"w{pos}"] = f"_writer(_instrs[{index}].dst)"
             if self._is_local(instr.dst):
                 bindings.pop(instr.dst, None)
                 wr(instr.dst, None)
@@ -976,7 +993,7 @@ class _FunctionCompiler:
                 f"(rl{pos}(machine, frame), rr{pos}(machine, frame)))"
             ], False
         if kind is ins.Unop:
-            env[f"u{pos}"] = UNOP_FUNCS[instr.op]
+            env[f"u{pos}"] = f"UNOP_FUNCS[_instrs[{index}].op]"
             if self._is_local(instr.dst) and self._is_local(instr.operand):
                 xo = rd(instr.operand)
                 to = types.get(instr.operand)
@@ -1006,8 +1023,8 @@ class _FunctionCompiler:
                 bindings[instr.dst] = xv
                 wr(instr.dst, None)
                 return lines, False
-            env[f"r{pos}"] = self._reader(instr.operand)
-            env[f"w{pos}"] = self._writer(instr.dst)
+            env[f"r{pos}"] = f"_reader(_instrs[{index}].operand)"
+            env[f"w{pos}"] = f"_writer(_instrs[{index}].dst)"
             if self._is_local(instr.dst):
                 bindings.pop(instr.dst, None)
                 wr(instr.dst, None)
@@ -1015,7 +1032,7 @@ class _FunctionCompiler:
                 f"w{pos}(machine, frame, u{pos}(r{pos}(machine, frame)))"
             ], False
         if kind is ins.CallBuiltin:
-            env[f"h{pos}"] = BUILTINS[instr.name]
+            env[f"h{pos}"] = f"BUILTINS[_instrs[{index}].name]"
             if instr.name == "len" and len(instr.args) == 1:
                 xa = rd(instr.args[0])
                 ta = types.get(instr.args[0])
@@ -1073,7 +1090,7 @@ class _FunctionCompiler:
             wr(instr.dst, None)
             return lines, False
         if kind is ins.LoadIndex:
-            env[f"i{pos}"] = instr
+            env[f"i{pos}"] = f"_instrs[{index}]"
             if (
                 self._is_local(instr.dst)
                 and self._is_local(instr.base)
@@ -1109,13 +1126,13 @@ class _FunctionCompiler:
                     f"fl[{instr.dst!r}] = ({xv} := "
                     f"machine._load_index(thread, frame, i{pos}))"
                 ], True
-            env[f"w{pos}"] = self._writer(instr.dst)
+            env[f"w{pos}"] = f"_writer(_instrs[{index}].dst)"
             return [
                 f"w{pos}(machine, frame, "
                 f"machine._load_index(thread, frame, i{pos}))"
             ], True
         if kind is ins.StoreIndex:
-            env[f"i{pos}"] = instr
+            env[f"i{pos}"] = f"_instrs[{index}]"
             if (
                 self._is_local(instr.base)
                 and self._is_local(instr.index)
@@ -1147,7 +1164,9 @@ class _FunctionCompiler:
                 if self._is_local(item):
                     parts.append(rd(item))
                 else:
-                    env[f"r{pos}_{item_pos}"] = self._reader(item)
+                    env[f"r{pos}_{item_pos}"] = (
+                        f"_reader(_instrs[{index}].items[{item_pos}])"
+                    )
                     parts.append(f"r{pos}_{item_pos}(machine, frame)")
             items = ", ".join(parts)
             if self._is_local(instr.dst):
@@ -1155,7 +1174,7 @@ class _FunctionCompiler:
                 bindings[instr.dst] = xv
                 wr(instr.dst, "list")
                 return lines, False
-            env[f"w{pos}"] = self._writer(instr.dst)
+            env[f"w{pos}"] = f"_writer(_instrs[{index}].dst)"
             return [f"w{pos}(machine, frame, [{items}])"], False
         raise AssertionError(f"unexpected region member {instr!r}")
 
@@ -1175,11 +1194,43 @@ class _FunctionCompiler:
     # associative and the contract is byte identity.
 
     def _compile_region(self, start: int, base: List[Step]) -> Step:
+        """The region step at *start*.
+
+        Its binders' code is found by the artifact's identity (and
+        emitted and compiled only on a miss), then bound to this
+        compiler's live objects: a warm landing is key lookup,
+        ``marshal.loads``, ``exec`` and a ``bind`` call per variant.
+        """
+        key = None
+        if self.artifact is not None:
+            key = region_key(self.artifact, self.function.name, start)
+        run = None
+        for code in _region_code(key, lambda: self._region_sources(start)):
+            namespace = dict(_BIND_GLOBALS)
+            exec(code, namespace)
+            # ``run`` keeps *namespace* as its globals; popping the
+            # binder lets its code be freed once it has built ``run``.
+            bind = namespace.pop("bind")
+            run = bind(base, self.function.instrs, self._reader, self._writer, run)
+        return run
+
+    def _region_sources(self, start: int) -> List[str]:
+        """Sources of the binders of the region at *start*, one per
+        variant.
+
+        Each ``bind(_base, _instrs, _reader, _writer, generic)``
+        rebuilds every value its ``run`` takes as a default argument
+        from the live compiler, defines ``run`` and returns it.  A
+        region with hoisted int guards has a second binder, whose
+        specialized ``run`` falls back to the *generic* one the first
+        returned.  Each variant compiles on its own: one ``compile()``
+        of both would double the peak memory of the largest regions.
+        """
         # Pass 1: generic emission (no entry assumptions).  Its
         # candidate set records which locals would shed per-iteration
         # int guards if proven int at entry, and its read set records
         # which locals the region loads from the frame.
-        env, body, state = self._emit_region_parts(start, base, frozenset())
+        env, body, state = self._emit_region_parts(start, frozenset())
         carried = ()
         if state["loop"] and state["reads"]:
             # Self-reentering region: keep every local the body reads
@@ -1189,49 +1240,44 @@ class _FunctionCompiler:
             # eagerly, so any exit sees a consistent frame.)
             carried = tuple(sorted(state["reads"]))
             env, body, state = self._emit_region_parts(
-                start, base, frozenset(), carried
+                start, frozenset(), carried
             )
-        generic = self._assemble_region(start, env, body, state, (), None, carried)
-        if not (state["loop"] and state["candidates"]):
-            return generic
-
-        # Pass 2 (self-reentering regions only): hoist-set fixpoint.
-        # Assume every candidate is int at entry, re-emit, and drop any
-        # name some write cannot be proven to keep int; repeat until
-        # the surviving set is self-consistent (`i = i + 1` survives
-        # because its write is int *given* the assumption).
-        trial = frozenset(state["candidates"])
-        emission = None
-        while trial:
-            env_h, body_h, state_h = self._emit_region_parts(
-                start, base, trial, carried
-            )
-            bad = state_h["violations"]
-            if not bad:
-                emission = (env_h, body_h, state_h)
-                break
-            trial = trial - bad
-        if emission is None or not trial:
-            return generic
-        env_h, body_h, state_h = emission
-        # The specialized variant checks the hoisted registers once at
-        # region entry; a miss (a genuinely non-int loop) dispatches to
-        # the generic variant — the exact code running today — so the
-        # slow path replays with byte-identical observables.
-        return self._assemble_region(
-            start, env_h, body_h, state_h, tuple(sorted(trial)), generic, carried
-        )
+        sources = [self._assemble_region(start, env, body, state, (), carried)]
+        if state["loop"] and state["candidates"]:
+            # Pass 2 (self-reentering regions only): hoist-set fixpoint.
+            # Assume every candidate is int at entry, re-emit, and drop
+            # any name some write cannot be proven to keep int; repeat
+            # until the surviving set is self-consistent (`i = i + 1`
+            # survives because its write is int *given* the assumption).
+            trial = frozenset(state["candidates"])
+            while trial:
+                env_h, body_h, state_h = self._emit_region_parts(
+                    start, trial, carried
+                )
+                bad = state_h["violations"]
+                if not bad:
+                    # The specialized variant checks the hoisted
+                    # registers once at region entry; a miss (a
+                    # genuinely non-int loop) dispatches to the generic
+                    # variant, so the slow path replays with
+                    # byte-identical observables.
+                    sources.append(self._assemble_region(
+                        start, env_h, body_h, state_h,
+                        tuple(sorted(trial)), carried,
+                    ))
+                    break
+                trial = trial - bad
+        return sources
 
     def _emit_region_parts(
         self,
         start: int,
-        base: List[Step],
         hoist: frozenset,
         carried: Tuple[str, ...] = (),
-    ) -> Tuple[Dict[str, object], List[Tuple[int, str]], Dict[str, object]]:
+    ) -> Tuple[Dict[str, str], List[Tuple[int, str]], Dict[str, object]]:
         instrs = self.function.instrs
         fusible = self.fusible
-        env: Dict[str, object] = {"s0": base[start]}
+        env: Dict[str, str] = {"s0": f"_base[{start}]"}
         body: List[Tuple[int, str]] = []
         state: Dict[str, object] = {
             "emitted": 0, "loop": False, "ec": False, "cs": False,
@@ -1268,7 +1314,7 @@ class _FunctionCompiler:
             emit(depth, "st.instructions = n")
             emit(depth, "thread.clock = clock")
             emit(depth, f"frame.index = {target}")
-            env[f"t{target}"] = base[target]
+            env[f"t{target}"] = f"_base[{target}]"
             emit(depth, f"return t{target}(machine, thread, frame)")
 
         def emit_reenter(
@@ -1357,7 +1403,7 @@ class _FunctionCompiler:
                 first = False
                 if kind is ins.CJump:
                     pos = state["emitted"]
-                    env["truthy"] = truthy
+                    env["truthy"] = "truthy"
                     cond_bool = False
                     if self._is_local(instr.cond):
                         cond_bool = types.get(instr.cond) == "bool"
@@ -1369,7 +1415,7 @@ class _FunctionCompiler:
                             bindings[instr.cond] = xc
                     else:
                         xc = f"xc{pos}"
-                        env[f"rc{pos}"] = self._reader(instr.cond)
+                        env[f"rc{pos}"] = f"_reader(_instrs[{index}].cond)"
                         emit(depth, f"{xc} = rc{pos}(machine, frame)")
                     # Comparison results are Python bools: test those
                     # by identity, call truthy() only for other types.
@@ -1428,13 +1474,15 @@ class _FunctionCompiler:
     def _assemble_region(
         self,
         start: int,
-        env: Dict[str, object],
+        env: Dict[str, str],
         body: List[Tuple[int, str]],
         state: Dict[str, object],
         hoisted: Tuple[str, ...],
-        generic: Optional[Step],
         carried: Tuple[str, ...] = (),
-    ) -> Step:
+    ) -> str:
+        """Binder source of one variant: the ``def run`` that takes
+        every *env* name as a default argument, bound to its
+        expression."""
         prologue = [
             "st = machine.stats",
             "n = st.instructions",
@@ -1455,7 +1503,7 @@ class _FunctionCompiler:
             # `while True` re-entry never re-checks: every write to a
             # hoisted register inside the region provably keeps it
             # int).  A miss runs the generic variant instead.
-            env["generic"] = generic
+            env["generic"] = "generic"
             holders = [
                 creg.get(name) or "fl.get(%r)" % name for name in hoisted
             ]
@@ -1470,36 +1518,92 @@ class _FunctionCompiler:
             prologue.append("ec = machine.costs.edge_action")
         if state["cs"]:
             prologue.append("cs = thread.counter_stack")
-        lines = ["    " + text for text in prologue]
-        indent = 1
+        # Each default argument is its binder expression, evaluated
+        # once when ``bind`` defines ``run``.
+        params = ", ".join(f"{name}={expr}" for name, expr in env.items())
+        lines = [
+            "def bind(_base, _instrs, _reader, _writer, generic):",
+            f"    def run(machine, thread, frame, {params}):",
+        ]
+        lines += ["        " + text for text in prologue]
+        indent = 2
         if state["loop"]:
-            lines.append("    while True:")
-            indent = 2
+            lines.append("        while True:")
+            indent = 3
         for depth, text in body:
             lines.append("    " * (indent + depth) + text)
-        params = ", ".join(f"{name}={name}" for name in env)
-        source = (
-            f"def run(machine, thread, frame, {params}):\n"
-            + "".join(f"{line}\n" for line in lines)
-        )
-        namespace = dict(env)
-        exec(marshal.loads(_region_code(source)), namespace)
-        return namespace["run"]
+        lines.append("    return run")
+        return "".join(f"{line}\n" for line in lines)
 
 
-def _region_code(source: str) -> bytes:
-    """Marshalled code object of generated region *source*: compiled on
-    the first miss, then served by the artifact cache's code namespace
-    (within the process, and across processes under a cache dir)."""
+# Globals of every binder: the handler tables its expressions index and
+# the ``truthy`` its regions call.
+_BIND_GLOBALS = {
+    "BINOP_FUNCS": BINOP_FUNCS,
+    "UNOP_FUNCS": UNOP_FUNCS,
+    "BUILTINS": BUILTINS,
+    "truthy": truthy,
+}
+
+# Every repro module interp/compile.py imports, itself first: the
+# sources that decide what a binder is.  Their sha256 is the codegen
+# tag, part of every region code key, so an edit to emission logic
+# orphans the stored code instead of loading it stale.
+CODEGEN_MODULES = (
+    "repro.interp.compile",
+    "repro.cache",
+    "repro.errors",
+    "repro.instrument.plan",
+    "repro.interp.builtins",
+    "repro.interp.events",
+    "repro.interp.machine",
+    "repro.ir.instructions",
+    "repro.ir.function",
+    "repro.ir.ops",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def codegen_tag() -> str:
+    """sha256 of the :data:`CODEGEN_MODULES` sources, computed at the
+    first region landing (not at import) and kept for the process."""
+    import hashlib
+    import importlib
+
+    hasher = hashlib.sha256()
+    for name in CODEGEN_MODULES:
+        with open(importlib.import_module(name).__file__, "rb") as handle:
+            hasher.update(handle.read())
+        hasher.update(b"\0")
+    return hasher.hexdigest()
+
+
+def region_key(artifact: str, function: str, start: int) -> str:
+    """Key of one region's binder code: the instrumented artifact's
+    content key, the codegen tag, the ``-O`` level (it changes what
+    ``compile()`` emits), then the function and the region start."""
+    return f"{artifact}:{codegen_tag()}:O{sys.flags.optimize}:{function}:{start}"
+
+
+def _region_code(key: Optional[str], emit: Callable[[], List[str]]) -> tuple:
+    """Code objects of a region's binders, generic variant first.
+
+    With a *key*, they are served by the artifact cache's code namespace
+    (within the process, and across processes under a cache dir) as one
+    entry, and *emit* runs only on a miss.  Without one (a module
+    instrumented outside the artifact cache) they are emitted and
+    compiled afresh.
+    """
+    def build() -> tuple:
+        return tuple(compile(source, "<ldx-region>", "exec") for source in emit())
+
+    if key is None:
+        return build()
     # Imported here so that importing the CLI does not load the cache's
     # pickle and hashlib dependencies before a region ever lands.
     from repro import cache
 
-    return cache.code_for(
-        source,
-        "<ldx-region>",
-        lambda: marshal.dumps(compile(source, "<ldx-region>", "exec")),
-    )
+    return marshal.loads(cache.code_for(key, lambda: marshal.dumps(build())))
 
 
 def compile_module(
@@ -1514,6 +1618,7 @@ def compile_module(
     a plan, or a plan without a classification, fuses nothing.
     """
     module_relevance = getattr(plan, "relevance", None) if fuse else None
+    artifact = getattr(plan, "artifact_key", None)
     global_names = frozenset(module.global_values)
     functions: Dict[str, CompiledFunction] = {}
     # Callee registry shared by every direct-call step of this
@@ -1532,6 +1637,7 @@ def compile_module(
         )
         functions[name] = _FunctionCompiler(
             module, function, function_plan, global_names, fusible, link,
+            artifact,
         ).compile()
     for name, compiled in functions.items():
         function_plan = plan.functions.get(name) if plan is not None else None

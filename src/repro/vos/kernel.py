@@ -145,10 +145,11 @@ class Kernel:
         {"read", "read_line", "write", "seek", "close", "send", "recv", "connect"}
     )
 
-    def signature_of(self, name: str, args: tuple) -> tuple:
-        """Cross-execution comparison key for a syscall."""
+    def signature_of(self, name: str, args: tuple, resource: Optional[str]) -> tuple:
+        """Cross-execution comparison key for a syscall whose
+        *resource* (``resource_of(name, args)``, taken before it runs)
+        the caller already holds."""
         if name in self._FD_FIRST_ARG and args:
-            resource = self.resource_of(name, args)
             return (name, resource) + tuple(args[1:])
         return (name,) + tuple(args)
 

@@ -41,10 +41,10 @@ REFERENCES = os.path.join(ROOT, "benchmarks", "e2e", "references.json")
 TIMEOUT_S = 900
 
 # Code-cache row checks on a run's ``--cache-dir``.  STORED: the run
-# wrote region code (at least one ``ldx-code-*`` row), and the count
-# becomes the cell's expectation.  SAME: the run left the count equal to
-# that expectation (a warm run stores nothing; a pool stores as much as
-# one process).
+# wrote region code (more ``ldx-code-*`` rows than the cell's
+# expectation, none at first), and the count becomes the expectation.
+# SAME: the run left the count equal to that expectation (a warm run
+# stores nothing; a pool stores as much as one process).
 STORED = "stored"
 SAME = "same"
 
@@ -193,6 +193,19 @@ def _matrix() -> List[Cell]:
         _code_cache_cell("cut", (CUT, warm)),
         _code_cache_cell("torn", (TEAR, warm)),
         _code_cache_cell("jobs2", (pool,)),
+        # Region code is keyed by artifact identity: full and pruned
+        # plans, and a switch run, share one cache dir without ever
+        # loading each other's code, and a repeat stores nothing.
+        Cell(
+            "chaos/code-cache/shared-configs",
+            "chaos-sweep-quick",
+            (
+                Run(CACHED + PLANS["unpruned"], codes=STORED),
+                Run(CACHED, codes=STORED),
+                Run(CACHED + ("--interp-backend", "switch"), codes=SAME),
+                Run(CACHED + PLANS["unpruned"], codes=SAME),
+            ),
+        ),
         Cell(
             "eval/full",
             "eval-cold",
@@ -257,7 +270,7 @@ def run_cell(cell: Cell, keep_into: Optional[str] = None) -> Optional[str]:
             if step.codes is not None:
                 cache_dir = step.argv[step.argv.index("--cache-dir") + 1]
                 rows = _code_rows(os.path.join(workdir, cache_dir))
-                if step.codes == STORED and rows == 0:
+                if step.codes == STORED and rows <= (codes or 0):
                     return f"{where}: the code cache stored no entries"
                 if step.codes == SAME and rows != codes:
                     return f"{where}: {rows} code entries, want {codes}"

@@ -299,3 +299,47 @@ def test_dual_times_exceed_zero_and_master_close_to_native():
     assert result.dual_time > 0
     assert result.master.time > 0
     assert result.slave.time > 0
+
+
+def test_each_syscall_computes_its_resource_once_per_side(monkeypatch):
+    # The engine takes a syscall's resource once, before it runs, and
+    # passes it to the source match, the signature and the aligned
+    # resolution: between two syscalls executed on one kernel there is
+    # at most one ``resource_of`` call.
+    from repro.core import FaultConfig
+    from repro.vos.kernel import Kernel
+    from repro.workloads import get_workload
+
+    log = []
+    real_resource_of = Kernel.resource_of
+    real_execute = Kernel.execute
+
+    def resource_of(self, name, args):
+        log.append((id(self), "resource"))
+        return real_resource_of(self, name, args)
+
+    def execute(self, name, args, *rest, **kwargs):
+        log.append((id(self), "execute"))
+        return real_execute(self, name, args, *rest, **kwargs)
+
+    monkeypatch.setattr(Kernel, "resource_of", resource_of)
+    monkeypatch.setattr(Kernel, "execute", execute)
+    workload = get_workload("gzip")
+    result = run_dual(
+        workload.instrumented,
+        workload.build_world(1),
+        workload.leak_variant(),
+        faults=FaultConfig(seed=7, rate=0.2),
+    )
+    assert result.degradation.faults_injected
+    kernels = {kernel for kernel, _ in log}
+    assert len(kernels) == 2
+    for kernel in kernels:
+        calls = [what for owner, what in log if owner == kernel]
+        assert calls.count("resource") > 0
+        assert calls.count("resource") <= calls.count("execute")
+        repeats = [
+            position for position in range(1, len(calls))
+            if calls[position] == calls[position - 1] == "resource"
+        ]
+        assert not repeats, f"{len(repeats)} syscalls took their resource twice"

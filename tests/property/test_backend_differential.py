@@ -253,8 +253,11 @@ def test_relevance_toggle_identical_dual(source):
 def test_persisted_region_code_identical(tmp_path_factory, source):
     # Region code loaded from the on-disk code namespace behaves exactly
     # like freshly compiled code: a cold run fills a fresh cache dir, a
-    # second "process" (cleared memo and memory layer) loads every
-    # region from disk, and both match the switch interpreter.
+    # second "process" (cleared memo and memory layers) loads the
+    # program's artifact and every region from disk, and both match the
+    # switch interpreter.  Programs come through the artifact cache, as
+    # every CLI and serve run does, so their regions are keyed by the
+    # artifact's identity.
     module = compile_source(source)
     plan = instrument_module(module).plan
     switch = run_native(module, World(seed=1), plan=plan, backend="switch")
@@ -264,9 +267,12 @@ def test_persisted_region_code_identical(tmp_path_factory, source):
         for _ in range(2):
             cache.configure(cache_dir=cache_dir)
             clear_compile_memo()
-            runs.append(
-                run_native(module, World(seed=1), plan=plan, backend="threaded")
-            )
+            artifact = cache.instrumented_for(source)
+            assert artifact.plan.artifact_key is not None
+            runs.append(run_native(
+                artifact.module, World(seed=1), plan=artifact.plan,
+                backend="threaded",
+            ))
             stats.append(cache.get_compiled_cache().stats)
     finally:
         cache.configure()

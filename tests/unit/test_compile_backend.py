@@ -146,10 +146,11 @@ def test_observed_baseline_shares_the_native_compilation(monkeypatch):
 
 # -- region code namespace --------------------------------------------------------
 #
-# Generated region code persists in the artifact cache's code namespace:
-# one compile() per unique region source, loaded back by later
-# processes.  ``configure`` plus ``clear_compile_memo`` stands in for a
-# fresh process over the same cache directory.
+# Generated region code persists in the artifact cache's code namespace,
+# keyed by the identity of the instrumented artifact it belongs to: one
+# entry per landed region, loaded back by later processes without
+# emitting or compiling anything.  ``configure`` plus ``clear_compile_memo`` stands in
+# for a fresh process over the same cache directory.
 
 CODE_WORKLOADS = ("gzip", "bzip2", "mcf", "tnftp")
 
@@ -160,30 +161,34 @@ def _fresh_process(cache_dir=None, enabled=True):
 
 
 def _threaded_observables():
-    """Observables of an instrumented threaded run of each workload."""
+    """Observables of an instrumented threaded run of each workload,
+    its artifact taken from the (current) artifact cache."""
     from repro.workloads import get_workload
 
     rows = []
     for name in CODE_WORKLOADS:
-        workload = get_workload(name)
-        instrumented = workload.instrumented
+        instrumented = cache.instrumented_for(get_workload(name).source)
         result = run_native(
             instrumented.module,
-            workload.build_world(1),
+            get_workload(name).build_world(1),
             plan=instrumented.plan,
             backend="threaded",
         )
-        rows.append((
-            name,
-            result.stdout,
-            result.time,
-            result.output_log,
-            result.stats.instructions,
-            result.stats.edge_actions,
-            result.stats.syscalls,
-            result.sink_values(),
-        ))
+        rows.append(_observables(name, result))
     return rows
+
+
+def _observables(name, result):
+    return (
+        name,
+        result.stdout,
+        result.time,
+        result.output_log,
+        result.stats.instructions,
+        result.stats.edge_actions,
+        result.stats.syscalls,
+        result.sink_values(),
+    )
 
 
 def _blob_rows(root, query, params=()):
@@ -204,22 +209,34 @@ def _code_keys(root):
     )
 
 
-def test_warm_code_cache_compiles_nothing(tmp_path, monkeypatch):
+def _forbid_emission(monkeypatch):
     from repro.interp import compile as compile_mod
 
+    def no_emission(*args, **kwargs):
+        raise AssertionError("a warm code cache emitted a region")
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("a warm code cache compiled a region")
+
+    monkeypatch.setattr(
+        compile_mod._FunctionCompiler, "_emit_region_parts", no_emission
+    )
+    monkeypatch.setattr(compile_mod, "compile", no_compile, raising=False)
+
+
+def test_warm_code_cache_compiles_nothing(tmp_path, monkeypatch):
     _fresh_process(str(tmp_path))
     cold = _threaded_observables()
     entries = _code_keys(tmp_path)
     assert entries
     assert cache.get_compiled_cache().stats.stores == len(entries)
 
+    # A fresh process over the same cache dir finds every region by its
+    # artifact's identity: it neither emits nor compiles anything.
     _fresh_process(str(tmp_path))
-
-    def no_compile(*args, **kwargs):
-        raise AssertionError("a warm code cache compiled a region")
-
-    monkeypatch.setattr(compile_mod, "compile", no_compile, raising=False)
-    warm = _threaded_observables()
+    with monkeypatch.context() as patch:
+        _forbid_emission(patch)
+        warm = _threaded_observables()
     stats = cache.get_compiled_cache().stats
     assert warm == cold
     assert stats.misses == 0
@@ -227,20 +244,129 @@ def test_warm_code_cache_compiles_nothing(tmp_path, monkeypatch):
     assert stats.disk_hits == len(entries)
 
 
-def test_identical_region_sources_compile_once(monkeypatch):
-    # Two plan objects for one module are two compilations; their
-    # regions emit identical source, which one process compiles once.
-    _fresh_process()
-    sources = _count_compiles(monkeypatch, keep_source=True)
-    module = compile_source(LOOP)
-    plans = [instrument_module(module).plan for _ in range(2)]
-    first = run_native(module, World(), plan=plans[0], backend="threaded")
-    compiled = len(sources)
-    second = run_native(module, World(), plan=plans[1], backend="threaded")
+def test_one_artifact_compiles_its_regions_once(tmp_path, monkeypatch):
+    # Two artifact objects with one content key (the second loaded back
+    # from disk) are two compilations; their regions share keys, so the
+    # process emits and compiles each region once.
+    _fresh_process(str(tmp_path))
+    calls = _count_compiles(monkeypatch)
+    first_artifact = cache.instrumented_for(LOOP)
+    cache.get_cache().clear_memory()
+    second_artifact = cache.instrumented_for(LOOP)
+    assert second_artifact is not first_artifact
+    assert (
+        first_artifact.plan.artifact_key == second_artifact.plan.artifact_key
+    )
+    runs = []
+    for artifact in (first_artifact, second_artifact):
+        runs.append(run_native(
+            artifact.module, World(), plan=artifact.plan, backend="threaded"
+        ))
+        if len(runs) == 1:
+            compiled = len(calls)
+    stats = cache.get_compiled_cache().stats
     assert compiled
-    assert len(sources) == compiled == len(set(sources))
-    assert cache.get_compiled_cache().stats.memory_hits == compiled
-    assert (first.stdout, first.time) == (second.stdout, second.time)
+    assert len(calls) == compiled
+    assert stats.memory_hits == stats.misses == stats.stores > 0
+    assert (runs[0].stdout, runs[0].time) == (runs[1].stdout, runs[1].time)
+
+
+def test_changed_codegen_tag_misses(tmp_path, monkeypatch):
+    from repro.interp import compile as compile_mod
+
+    _fresh_process(str(tmp_path))
+    calls = _count_compiles(monkeypatch)
+    cold = _threaded_observables()
+    compiles = len(calls)
+    landed = len(_code_keys(tmp_path))
+    assert compiles >= landed > 0
+
+    # An edit to the emitter changes the codegen tag: no stored region
+    # is found, every landing emits afresh, and nothing else changes.
+    _fresh_process(str(tmp_path))
+    monkeypatch.setattr(compile_mod, "codegen_tag", lambda: "0" * 64)
+    calls.clear()
+    assert _threaded_observables() == cold
+    stats = cache.get_compiled_cache().stats
+    assert len(calls) == compiles
+    assert stats.misses == stats.stores == landed
+    assert stats.disk_hits == 0
+    assert len(_code_keys(tmp_path)) == 2 * landed
+
+
+def test_codegen_tag_covers_every_repro_import_of_the_emitter():
+    # Every repro module interp/compile.py imports, at module level or
+    # inside a function, is hashed into the codegen tag, so no edit to
+    # what emission reads can load stale region code.
+    import ast
+    import importlib
+    import types
+
+    from repro.interp import compile as compile_mod
+
+    with open(compile_mod.__file__) as handle:
+        tree = ast.parse(handle.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            package = importlib.import_module(node.module)
+            for alias in node.names:
+                # ``from repro import cache`` imports the module
+                # repro.cache; ``from repro.errors import X`` imports
+                # from repro.errors.
+                value = getattr(package, alias.name, None)
+                if isinstance(value, types.ModuleType):
+                    imported.add(value.__name__)
+                else:
+                    imported.add(node.module)
+    ours = {name for name in imported if name.split(".")[0] == "repro"}
+    assert {"repro.cache", "repro.interp.machine"} <= ours
+    assert ours <= set(compile_mod.CODEGEN_MODULES), (
+        ours - set(compile_mod.CODEGEN_MODULES)
+    )
+    assert compile_mod.CODEGEN_MODULES[0] == compile_mod.__name__
+
+
+def test_artifactless_module_runs_identically_and_stores_nothing(
+    tmp_path, monkeypatch
+):
+    # A module instrumented outside the artifact cache has no artifact
+    # key: its regions are emitted and compiled on every landing of a
+    # fresh compilation, never stored, and run byte-identically.
+    from repro.workloads import get_workload
+
+    _fresh_process(str(tmp_path))
+    calls = _count_compiles(monkeypatch)
+    for name in CODE_WORKLOADS:
+        workload = get_workload(name)
+        module = compile_source(workload.source)
+        plan = instrument_module(module).plan
+        assert plan.artifact_key is None
+        runs = []
+        for backend in ("switch", "threaded", "threaded"):
+            clear_compile_memo()
+            calls.clear()
+            result = run_native(
+                module, workload.build_world(1), plan=plan, backend=backend
+            )
+            runs.append((_observables(name, result), len(calls)))
+        (switch, none), (first, compiled), (second, again) = runs
+        assert switch == first == second
+        assert none == 0
+        assert compiled == again > 0
+    stats = cache.get_compiled_cache().stats
+    assert stats.lookups == stats.stores == 0
+    assert not (tmp_path / "blobs.sqlite").exists()
+
+
+def test_artifact_key_never_pickles():
+    import pickle
+
+    artifact = cache.instrumented_for(LOOP)
+    assert artifact.plan.artifact_key
+    assert pickle.loads(pickle.dumps(artifact.plan)).artifact_key is None
 
 
 def test_corrupt_code_entries_heal(tmp_path, monkeypatch):
@@ -269,9 +395,8 @@ def test_corrupt_code_entries_heal(tmp_path, monkeypatch):
     healed = _threaded_observables()
     stats = cache.get_compiled_cache().stats
     assert healed == cold
-    assert stats.disk_errors == 2
-    assert calls == ["<ldx-region>"] * 2
-    assert stats.stores == 2
+    assert stats.disk_errors == stats.misses == stats.stores == 2
+    assert calls and set(calls) == {"<ldx-region>"}
 
     # Both entries were rewritten: the next process compiles nothing.
     _fresh_process(str(tmp_path))
@@ -283,34 +408,31 @@ def test_corrupt_code_entries_heal(tmp_path, monkeypatch):
 
 def test_foreign_magic_code_entries_never_load(tmp_path, monkeypatch):
     import importlib.util
-    import sys
 
-    from repro.cache import artifact_key, code_schema_tag
+    from repro.cache import code_schema_tag
 
     with monkeypatch.context() as patch:
         patch.setattr(importlib.util, "MAGIC_NUMBER", b"\xff\xff\r\n")
         foreign_tag = code_schema_tag()
         _fresh_process(str(tmp_path))
-        emitted = _count_compiles(patch, keep_source=True)
+        emitted = _count_compiles(patch)
         cold = _threaded_observables()
-    sources = set(emitted)
     native_tag = code_schema_tag()
     assert foreign_tag != native_tag
-    assert len(_code_keys(tmp_path)) == len(sources) > 0
+    keys = _code_keys(tmp_path)
+    assert len(emitted) >= len(keys) > 0
 
     # The foreign namespace is never read; copy every row to where this
-    # interpreter looks for the same source as well, so the digest,
+    # interpreter looks for the same region as well, so the digest,
     # which covers the namespace, must reject each one.
-    config = {"filename": "<ldx-region>", "optimize": sys.flags.optimize}
-    for source in sources:
+    for (key,) in keys:
         _blob_rows(
             tmp_path,
-            "INSERT INTO blobs SELECT ?, ?, payload, digest, created_at"
+            "INSERT INTO blobs SELECT ?, key, payload, digest, created_at"
             " FROM blobs WHERE namespace = ? AND key = ?",
-            (native_tag, artifact_key(source, config, native_tag),
-             foreign_tag, artifact_key(source, config, foreign_tag)),
+            (native_tag, foreign_tag, key),
         )
-    assert len(_code_keys(tmp_path)) == 2 * len(sources)
+    assert len(_code_keys(tmp_path)) == 2 * len(keys)
 
     _fresh_process(str(tmp_path))
     calls = _count_compiles(monkeypatch)
@@ -318,7 +440,8 @@ def test_foreign_magic_code_entries_never_load(tmp_path, monkeypatch):
     stats = cache.get_compiled_cache().stats
     assert native == cold
     assert stats.disk_hits == 0
-    assert stats.disk_errors == len(calls) == len(sources)
+    assert stats.disk_errors == stats.misses == len(keys)
+    assert len(calls) == len(emitted)
 
 
 def test_no_cache_writes_no_code(tmp_path, monkeypatch):

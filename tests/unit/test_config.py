@@ -11,6 +11,11 @@ def event(name, args):
     return SyscallEvent(None, 0, "main", 0, (1,), name, args)
 
 
+def matches(spec, syscall, kernel):
+    """The source *syscall* reads on *kernel*, as the engine asks."""
+    return spec.matches(syscall, kernel.resource_of(syscall.name, syscall.args))
+
+
 def make_kernel():
     world = World(seed=1)
     world.fs.add_file("/etc/secret", "data")
@@ -25,17 +30,17 @@ def test_file_source_matching():
     spec = SourceSpec(file_paths={"/etc/secret"})
     fd = kernel.execute("open", ("/etc/secret", "r"))
     other = kernel.execute("open", ("/etc/other", "r"))
-    assert spec.matches(event("read", (fd, 4)), kernel) == "file:/etc/secret"
-    assert spec.matches(event("read_line", (fd,)), kernel) == "file:/etc/secret"
-    assert spec.matches(event("read", (other, 4)), kernel) is None
-    assert spec.matches(event("write", (fd, "x")), kernel) is None
+    assert matches(spec, event("read", (fd, 4)), kernel) == "file:/etc/secret"
+    assert matches(spec, event("read_line", (fd,)), kernel) == "file:/etc/secret"
+    assert matches(spec, event("read", (other, 4)), kernel) is None
+    assert matches(spec, event("write", (fd, "x")), kernel) is None
 
 
 def test_stdin_source_matching():
     kernel = make_kernel()
     spec = SourceSpec(stdin=True)
-    assert spec.matches(event("read", (0, 4)), kernel) == "stdin"
-    assert SourceSpec().matches(event("read", (0, 4)), kernel) is None
+    assert matches(spec, event("read", (0, 4)), kernel) == "stdin"
+    assert matches(SourceSpec(), event("read", (0, 4)), kernel) is None
 
 
 def test_network_source_matching():
@@ -43,17 +48,17 @@ def test_network_source_matching():
     spec = SourceSpec(network={"feed.example:9"})
     sock = kernel.execute("socket", ())
     kernel.execute("connect", (sock, "feed.example", 9))
-    assert spec.matches(event("recv", (sock, 16)), kernel) == "conn:feed.example:9"
-    assert spec.matches(event("send", (sock, "x")), kernel) is None
+    assert matches(spec, event("recv", (sock, 16)), kernel) == "conn:feed.example:9"
+    assert matches(spec, event("send", (sock, "x")), kernel) is None
 
 
 def test_env_and_label_sources():
     kernel = make_kernel()
     spec = SourceSpec(env_names={"HOME"}, labels={"secret"})
-    assert spec.matches(event("getenv", ("HOME",)), kernel) == "env:HOME"
-    assert spec.matches(event("getenv", ("PATH",)), kernel) is None
-    assert spec.matches(event("source_read", ("secret",)), kernel) == "annot:secret"
-    assert spec.matches(event("source_read", ("other",)), kernel) is None
+    assert matches(spec, event("getenv", ("HOME",)), kernel) == "env:HOME"
+    assert matches(spec, event("getenv", ("PATH",)), kernel) is None
+    assert matches(spec, event("source_read", ("secret",)), kernel) == "annot:secret"
+    assert matches(spec, event("source_read", ("other",)), kernel) is None
 
 
 def test_custom_mutator_lookup():

@@ -101,19 +101,18 @@ def test_factory_fixes_the_default_backend_when_built():
         set_default_backend(saved)
 
 
-def test_finished_run_leaves_no_reference_cycle():
-    # Once the result is dropped, reference counting alone frees both
-    # machines: nothing of a run waits for the cyclic collector.
-    workload = get_workload("gzip")
-    factory = EngineFactory.for_workload(workload)
-    factory.run(workload.leak_variant())  # warm: compile memo, region code
+def _freed_without_the_collector(run, machines_of):
+    """Run twice (the first warms the compile memo and region code);
+    dropping the second result must free its machines by reference
+    counting alone, with no Machine, Kernel or World left in a cycle."""
+    run()
     gc.collect()
     gc.disable()
     try:
-        result = factory.run(workload.leak_variant())
-        machines = [weakref.ref(result.master), weakref.ref(result.slave)]
+        result = run()
+        machines = [weakref.ref(machine) for machine in machines_of(result)]
         del result
-        assert [machine() for machine in machines] == [None, None]
+        assert [machine() for machine in machines] == [None] * len(machines)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         cyclic = {type(obj).__name__ for obj in gc.garbage}
@@ -122,6 +121,29 @@ def test_finished_run_leaves_no_reference_cycle():
         gc.set_debug(0)
         gc.garbage.clear()
         gc.enable()
+
+
+def test_finished_run_leaves_no_reference_cycle():
+    # Once the result is dropped, reference counting alone frees the
+    # machines of a dual run and of each taint baseline (whose tracker,
+    # the machine's observer, points back at it while the run lasts):
+    # nothing of a run waits for the cyclic collector.
+    from repro.baselines.taint import run_taint
+
+    workload = get_workload("gzip")
+    factory = EngineFactory.for_workload(workload)
+    _freed_without_the_collector(
+        lambda: factory.run(workload.leak_variant()),
+        lambda result: (result.master, result.slave),
+    )
+    for tool in ("libdft", "taintgrind"):
+        _freed_without_the_collector(
+            lambda: run_taint(
+                workload.module, workload.build_world(1),
+                workload.leak_variant(), tool,
+            ),
+            lambda result: (result.machine,),
+        )
 
 
 def test_degradation_does_not_leak_between_runs():
