@@ -88,10 +88,6 @@ ANALYSIS_SCHEMA_TAG = "ldx-analysis-v4"
 # keyed by artifact identity instead of by the generated source.
 CODE_SCHEMA_VERSION = "ldx-code-v2"
 
-# A region binder is a few KB marshalled; one chaos sweep over the 28
-# workloads lands ~550 regions.
-CODE_CAPACITY = 1024
-
 
 def code_schema_tag() -> str:
     """Schema tag of the region code namespace for this interpreter.
@@ -371,7 +367,8 @@ class ArtifactCache:
     The payload is opaque: :meth:`lookup` takes the content-address key
     and a builder thunk, so one class serves the instrumentation, analysis
     and region code namespaces.  ``payload_type``, when given, guards
-    disk loads against rows of the wrong type.
+    disk loads against rows of the wrong type.  A ``capacity`` of 0
+    keeps no memory layer.
     """
 
     def __init__(
@@ -382,7 +379,7 @@ class ArtifactCache:
         schema_tag: str = SCHEMA_TAG,
         payload_type: Optional[type] = InstrumentedModule,
     ) -> None:
-        self.capacity = max(1, capacity)
+        self.capacity = max(0, capacity)
         self.cache_dir = cache_dir
         self.enabled = enabled
         self.schema_tag = schema_tag
@@ -407,9 +404,7 @@ class ArtifactCache:
         if artifact is None:
             # Build outside the lock: compilation is slow and two racing
             # builders produce content-identical artifacts anyway.
-            artifact = builder()
-            self._disk_store(key, artifact)
-            artifact = self._remember(key, artifact)
+            artifact = self.store(key, builder())
         return artifact
 
     def load(self, key: str):
@@ -436,12 +431,13 @@ class ArtifactCache:
             artifact = self._remember(key, artifact)
         return artifact
 
-    def store(self, key: str, artifact) -> None:
-        """Persist *artifact* under *key* without a lookup."""
+    def store(self, key: str, artifact):
+        """Persist *artifact* under *key* without a lookup; returns the
+        canonical object for *key* (see :meth:`_remember`)."""
         if not self.enabled:
-            return
+            return artifact
         self._disk_store(key, artifact)
-        self._remember(key, artifact)
+        return self._remember(key, artifact)
 
     def instrumented(
         self, source: str, config: Optional[Dict[str, object]] = None
@@ -469,6 +465,8 @@ class ArtifactCache:
         """Install *artifact* in the LRU; returns the canonical object
         for *key* (a racing thread's insert wins, so all callers share
         one in-memory artifact per key)."""
+        if not self.capacity:
+            return artifact
         with self._lock:
             existing = self._memory.get(key)
             if existing is not None:
@@ -540,8 +538,12 @@ class ArtifactCache:
 
 
 def _code_cache(cache_dir: Optional[str] = None, enabled: bool = True) -> ArtifactCache:
+    # No memory layer: ``compiled_for_module`` memoizes each module's
+    # compilation, so a process asks for a region's code again only
+    # when one artifact is loaded as a second object.  A cold eval and
+    # a warm chaos sweep each read such a layer 0 times.
     return ArtifactCache(
-        capacity=CODE_CAPACITY,
+        capacity=0,
         cache_dir=cache_dir,
         enabled=enabled,
         schema_tag=code_schema_tag(),

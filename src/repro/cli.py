@@ -10,7 +10,7 @@ Usage::
     python -m repro analyze program.mc | --workload NAME | --all [--dump-ir]
     python -m repro profile WORKLOAD [--top N] [--json PATH]
     python -m repro serve [--http PORT] [--workers N] [--queue-capacity N]
-    python -m repro serve-chaos [--requests N] [--fault-rate R] [--url URL]
+    python -m repro serve-chaos [--requests N] [--fault-rate R] [--workers N]
 
 ``leak`` dual-executes a MiniC program with LDX and reports causality;
 ``run`` executes it natively; ``eval`` regenerates the paper's tables
@@ -40,7 +40,7 @@ out.
 ``threaded``).  Events, verdicts, clocks and reports are byte-identical
 across backends; only wall-clock speed differs.
 
-``eval``, ``chaos`` and ``serve-chaos`` accept ``--jobs N``: one job
+``eval`` and ``chaos`` accept ``--jobs N``: one job
 runs every experiment cell in process, more fan the cells out over a
 local process pool.  Reports are byte-identical for any job count.
 """
@@ -131,17 +131,17 @@ def _add_world_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="world seed")
 
 
-def _at_least(minimum, what: str, number=int):
-    """An argparse ``type`` for a finite *number* (``int`` or ``float``)
-    that must be >= *minimum*; *what* names the value in the error
-    (argparse prefixes the option)."""
+def _at_least(minimum: int, what: str):
+    """An argparse ``type`` for an integer that must be >= *minimum*;
+    *what* names the value in the error (argparse prefixes the
+    option)."""
 
     def parse(text: str):
         try:
-            value = number(text)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {what} {text!r}") from None
-        if not minimum <= value < float("inf"):  # also rejects nan
+        if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"{what} must be >= {minimum}, got {text}"
             )
@@ -597,10 +597,6 @@ def _cmd_serve(args) -> int:
         ServeConfig(
             workers=args.workers,
             queue_capacity=args.queue_capacity,
-            high_watermark=args.high_watermark,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown=args.breaker_cooldown,
-            max_factories=args.max_factories,
         )
     )
     if args.http is not None:
@@ -623,8 +619,6 @@ def _cmd_serve_chaos(args) -> int:
         fault_seed=args.fault_seed,
         tiny_deadline_every=args.tiny_deadline_every,
         poison_every=args.poison_every,
-        url=args.url,
-        jobs=args.jobs,
     )
     print(render_storm(outcome))
     return 0 if storm_ok(outcome) else 1
@@ -828,27 +822,8 @@ def main(argv: List[str] = None) -> int:
     serve_parser.add_argument(
         "--queue-capacity", type=_at_least(1, "queue capacity"), default=64,
         metavar="N",
-        help="admission queue bound (beyond it requests shed as overloaded)",
-    )
-    serve_parser.add_argument(
-        "--high-watermark", type=_at_least(1, "high watermark"), default=None,
-        metavar="N",
-        help="queue depth above which cold requests shed (default: 3/4 capacity)",
-    )
-    serve_parser.add_argument(
-        "--breaker-threshold", type=_at_least(1, "breaker threshold"),
-        default=3, metavar="N",
-        help="consecutive engine failures before a workload's breaker opens",
-    )
-    serve_parser.add_argument(
-        "--breaker-cooldown", type=_at_least(0, "breaker cooldown", number=float),
-        default=30.0, metavar="SECONDS",
-        help="open-breaker cooldown before a half-open probe is admitted",
-    )
-    serve_parser.add_argument(
-        "--max-factories", type=_at_least(1, "factory count"), default=32,
-        metavar="N",
-        help="warm engine-factory LRU capacity",
+        help="admission queue bound (beyond it requests shed as overloaded; "
+        "cold requests shed from 3/4 of it)",
     )
     _add_cache_options(serve_parser)
     _add_backend_option(serve_parser)
@@ -867,7 +842,7 @@ def main(argv: List[str] = None) -> int:
     )
     serve_chaos_parser.add_argument(
         "--workers", type=_at_least(1, "worker count"), default=2, metavar="N",
-        help="service worker threads (in-process mode)",
+        help="service worker threads",
     )
     serve_chaos_parser.add_argument(
         "--queue-capacity", type=_at_least(1, "queue capacity"), default=8,
@@ -883,21 +858,12 @@ def main(argv: List[str] = None) -> int:
         help="every Nth request is malformed/oversized (0 disables)",
     )
     serve_chaos_parser.add_argument(
-        "--url", metavar="URL", default=None,
-        help="storm a running daemon at URL instead of an in-process service",
-    )
-    serve_chaos_parser.add_argument(
         "--fault-seed", type=int, default=0,
         help="seed for the deterministic fault-injection plan",
     )
     serve_chaos_parser.add_argument(
         "--fault-rate", type=_rate, default=0.1,
         help="transient-fault probability per eligible syscall (0 disables)",
-    )
-    serve_chaos_parser.add_argument(
-        "--jobs", type=_at_least(1, "job count"), default=1, metavar="N",
-        help="worker processes for the post-storm baseline verification "
-        "(1 = serial; the outcome is identical for any value)",
     )
     _add_cache_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)

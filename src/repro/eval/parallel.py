@@ -119,20 +119,6 @@ def _cell_table5(name: str):
     return measure_workload(name)
 
 
-def _cell_serve_baseline(
-    name: str, seed: int, deadline: float, fault_seed: int, fault_rate: float
-):
-    from repro.eval.serve_chaos import baseline_for
-
-    return baseline_for(name, seed, deadline, fault_seed, fault_rate)
-
-
-def _cell_serve_faultfree(name: str, seed: int):
-    from repro.eval.serve_chaos import faultfree_baseline
-
-    return faultfree_baseline(name, seed)
-
-
 _CELL_RUNNERS = {
     "table1": _cell_table1,
     "figure6": _cell_figure6,
@@ -142,8 +128,6 @@ _CELL_RUNNERS = {
     "table5": _cell_table5,
     "mutation": _cell_mutation,
     "chaos": _cell_chaos,
-    "serve_baseline": _cell_serve_baseline,
-    "serve_faultfree": _cell_serve_faultfree,
 }
 
 

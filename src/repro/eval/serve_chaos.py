@@ -5,9 +5,8 @@ injected faults change *diagnostics*, never *verdicts*, one engine run
 at a time.  This harness moves the same invariant to the service
 boundary: a storm of concurrent requests — some carrying injected
 faults, some with near-zero deadlines, some deliberately malformed —
-is thrown at an :class:`~repro.serve.service.LdxService` (in-process)
-or a running daemon (``--url``), and the outcome is checked against
-the **service invariants**:
+is thrown at an in-process :class:`~repro.serve.service.LdxService`,
+and the outcome is checked against the **service invariants**:
 
 1. every request is answered exactly once — overload, faults and
    poison produce explicit responses, never a hang;
@@ -19,8 +18,8 @@ the **service invariants**:
 4. poisoned requests come back ``invalid`` with a diagnosis;
 5. degradation is always explicit: a non-``full`` confidence is
    backed by a populated degradation report;
-6. after the storm the service drains cleanly (in-process mode): no
-   stuck workers, no leaked watchdog threads.
+6. after the storm the service drains cleanly: no stuck workers, no
+   leaked watchdog threads.
 
 Request mixes are a pure function of the storm parameters, so two
 storms with the same arguments throw exactly the same requests (only
@@ -31,11 +30,11 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import FaultConfig, run_dual
 from repro.core.supervisor import DEFAULT_DEADLINE, RunBudget
-from repro.serve import api
+from repro.serve import LdxService, ServeConfig, api
 
 # Fast, deterministic (non-racy) workloads for the storm mix.
 STORM_WORKLOADS = ("gzip", "bzip2", "tnftp", "mp3info")
@@ -48,6 +47,16 @@ _POISON_KINDS = ("not-json", "unknown-key", "bad-variant", "oversized")
 SUBMITTERS = 8  # concurrent client threads
 
 
+class _NullStream:
+    """Swallows the storm service's request logs."""
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 class StormOutcome:
     """Everything one storm produced, plus the invariant verdicts."""
 
@@ -57,7 +66,7 @@ class StormOutcome:
         self.verdict_matches = 0
         self.degraded = 0
         self.violations: List[str] = []
-        self.drained: Optional[bool] = None
+        self.drained = False
         self.shed: Dict[str, int] = {}
 
     def count(self, status: str) -> None:
@@ -116,19 +125,12 @@ def plan_storm(
     return plan
 
 
-def baseline_for(
-    name: str, seed: int, deadline: float, fault_seed: int, fault_rate: float
-) -> str:
-    """The batch verdict (serialized) for one well-formed request:
-    exactly what `repro leak` / `repro eval` would compute.  A pure
-    function of its primitive arguments, so it doubles as the
-    ``serve_baseline`` eval cell."""
+def _batch_verdict(name: str, seed: int, **kwargs) -> str:
+    """The batch verdict (serialized) of a workload's leak variant:
+    exactly what `repro leak` / `repro eval` would compute."""
     from repro.workloads import get_workload
 
     workload = get_workload(name)
-    kwargs = RunBudget.from_deadline(deadline).engine_kwargs()
-    if fault_rate > 0.0:
-        kwargs["faults"] = FaultConfig(seed=fault_seed, rate=fault_rate)
     result = run_dual(
         workload.instrumented,
         workload.build_world(seed),
@@ -139,102 +141,14 @@ def baseline_for(
 
 
 def _baseline_verdict(payload: dict) -> str:
-    return baseline_for(
-        payload["workload"], payload["seed"], payload["deadline"],
-        payload["fault_seed"], payload["fault_rate"],
-    )
-
-
-def faultfree_baseline(name: str, seed: int) -> str:
-    """The fault-free batch verdict; the ``serve_faultfree`` cell."""
-    from repro.workloads import get_workload
-
-    workload = get_workload(name)
-    result = run_dual(
-        workload.instrumented, workload.build_world(seed),
-        workload.leak_variant(),
-    )
-    return json.dumps(api.verdict_payload(result), sort_keys=True)
-
-
-def _prefill_baselines(
-    plan: List[Tuple[str, object]],
-    baseline_cache: Dict[str, str],
-    faultfree_cache: Dict[str, str],
-    jobs: int,
-) -> None:
-    """Fan the storm's baseline verification out as eval cells.
-
-    Verifying invariants 2 and 3 needs one batch ``run_dual`` per
-    distinct well-formed request shape plus one fault-free run per
-    (workload, seed) — independent pure computations, so they
-    decompose into ``serve_baseline`` / ``serve_faultfree`` cells and
-    run over ``--jobs`` worker processes.  The request plan is
-    deterministic, so the cell list is too.
-    """
-    from repro.eval.parallel import run_cells
-
-    targets: List[Tuple[Dict[str, str], str]] = []  # (cache, key) per cell
-    cells: List[Tuple[str, tuple]] = []
-    for kind, payload in plan:
-        if kind != "ok":
-            continue
-        cache_key = json.dumps(payload, sort_keys=True)
-        if cache_key not in baseline_cache:
-            baseline_cache[cache_key] = ""  # claimed; filled below
-            targets.append((baseline_cache, cache_key))
-            cells.append(
-                ("serve_baseline",
-                 (payload["workload"], payload["seed"], payload["deadline"],
-                  payload["fault_seed"], payload["fault_rate"]))
-            )
-        ff_key = f"{payload['workload']}:{payload['seed']}"
-        if ff_key not in faultfree_cache:
-            faultfree_cache[ff_key] = ""
-            targets.append((faultfree_cache, ff_key))
-            cells.append(
-                ("serve_faultfree", (payload["workload"], payload["seed"]))
-            )
-    results, _stats = run_cells(cells, jobs)
-    for (cache, key), result in zip(targets, results):
-        cache[key] = result
-
-
-def _post(url: str, payload, timeout: float = 120.0) -> Union[dict, str]:
-    """POST one storm request: the service's JSON response, or a
-    ``"<Type>: <msg>"`` string naming the transport failure.  Only what
-    ``urllib`` and ``json`` raise is caught; anything else propagates."""
-    import http.client
-    import urllib.error
-    import urllib.request
-
-    if isinstance(payload, (dict, list)):
-        data = json.dumps(payload).encode()
-    elif isinstance(payload, str):
-        data = payload.encode()
-    else:
-        raise TypeError(
-            f"storm payload must be a dict, list or str, not "
-            f"{type(payload).__name__}"
+    """The batch verdict of one well-formed request, under its budget
+    and faults."""
+    kwargs = RunBudget.from_deadline(payload["deadline"]).engine_kwargs()
+    if payload["fault_rate"] > 0.0:
+        kwargs["faults"] = FaultConfig(
+            seed=payload["fault_seed"], rate=payload["fault_rate"]
         )
-    request = urllib.request.Request(
-        url.rstrip("/") + "/v1/infer",
-        data=data,
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        try:
-            reply = urllib.request.urlopen(request, timeout=timeout)
-        except urllib.error.HTTPError as error:
-            reply = error  # an error status still carries a JSON response
-        with reply:
-            return json.loads(reply.read())
-    except (OSError, ValueError, http.client.HTTPException) as error:
-        # urlopen wraps socket errors in URLError; name the real cause.
-        cause = getattr(error, "reason", None)
-        if isinstance(cause, BaseException):
-            error = cause
-        return f"{type(error).__name__}: {error}"
+    return _batch_verdict(payload["workload"], payload["seed"], **kwargs)
 
 
 def run_storm(
@@ -245,40 +159,23 @@ def run_storm(
     fault_seed: int = 0,
     tiny_deadline_every: int = 7,
     poison_every: int = 11,
-    url: Optional[str] = None,
-    jobs: int = 1,
 ) -> StormOutcome:
-    """Throw one storm; see the module docstring for the invariants.
-
-    ``jobs`` parallelizes the post-storm baseline verification (one
-    batch ``run_dual`` per distinct request shape) over a process pool.
-    """
+    """Throw one storm; see the module docstring for the invariants."""
     plan = plan_storm(
         requests, fault_rate, fault_seed, tiny_deadline_every, poison_every
     )
     outcome = StormOutcome()
     outcome.requests = len(plan)
 
-    service = None
-    if url is None:
-        from repro.serve import LdxService, ServeConfig
+    service = LdxService(
+        ServeConfig(
+            workers=workers,
+            queue_capacity=queue_capacity,
+            log_stream=_NullStream(),
+        )
+    ).start()
 
-        class _Null:
-            def write(self, text):
-                return len(text)
-
-            def flush(self):
-                pass
-
-        service = LdxService(
-            ServeConfig(
-                workers=workers,
-                queue_capacity=queue_capacity,
-                log_stream=_Null(),
-            )
-        ).start()
-
-    results: List[Optional[Tuple[str, object, Union[dict, str, None]]]] = (
+    results: List[Optional[Tuple[str, object, Optional[dict]]]] = (
         [None] * len(plan)
     )
     cursor = {"next": 0}
@@ -292,11 +189,7 @@ def run_storm(
                     return
                 cursor["next"] = index + 1
             kind, payload = plan[index]
-            if service is not None:
-                response = service.submit(payload).wait(120.0)
-            else:
-                response = _post(url, payload)
-            results[index] = (kind, payload, response)
+            results[index] = (kind, payload, service.submit(payload).wait(120.0))
 
     clients = [
         threading.Thread(target=_client, name=f"storm-client-{i}", daemon=True)
@@ -307,27 +200,22 @@ def run_storm(
     for client in clients:
         client.join()
 
-    if service is not None:
-        outcome.drained = service.drain(timeout=120.0)
-        if not outcome.drained:
-            outcome.violations.append("service did not drain after the storm")
-        outcome.shed = service.queue.snapshot()["shed"]
+    outcome.drained = service.drain(timeout=120.0)
+    if not outcome.drained:
+        outcome.violations.append("service did not drain after the storm")
+    outcome.shed = service.queue.snapshot()["shed"]
 
     # Baselines, computed once per distinct well-formed request shape.
     baseline_cache: Dict[str, str] = {}
     faultfree_cache: Dict[str, str] = {}
-    if jobs > 1:
-        _prefill_baselines(plan, baseline_cache, faultfree_cache, jobs)
 
     for index, record in enumerate(results):
         if record is None:
             outcome.violations.append(f"request {index} was never dispatched")
             continue
         kind, payload, response = record
-        if response is None or isinstance(response, str):
-            outcome.violations.append(
-                f"request {index} got no response ({response or 'hang'})"
-            )
+        if response is None:
+            outcome.violations.append(f"request {index} got no response (hang)")
             continue
         status = response.get("status", "<missing>")
         outcome.count(status)
@@ -377,7 +265,7 @@ def run_storm(
         if confidence == "full":
             ff_key = f"{payload['workload']}:{payload['seed']}"
             if ff_key not in faultfree_cache:
-                faultfree_cache[ff_key] = faultfree_baseline(
+                faultfree_cache[ff_key] = _batch_verdict(
                     payload["workload"], payload["seed"]
                 )
             if served != faultfree_cache[ff_key]:
@@ -400,9 +288,8 @@ def render_storm(outcome: StormOutcome) -> str:
         lines.append(f"  {status + ':':<16} {outcome.by_status[status]}")
     lines.append(f"  verdict matches: {outcome.verdict_matches}")
     lines.append(f"  degraded (explicit): {outcome.degraded}")
-    if outcome.drained is not None:
-        lines.append(f"  drained cleanly: {outcome.drained}")
-    for reason, count in sorted((outcome.shed or {}).items()):
+    lines.append(f"  drained cleanly: {outcome.drained}")
+    for reason, count in sorted(outcome.shed.items()):
         if count:
             lines.append(f"  shed [{reason}]: {count}")
     if outcome.violations:

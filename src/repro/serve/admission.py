@@ -1,9 +1,10 @@
-"""Admission control: a bounded queue with watermark shedding.
+"""Admission control: a bounded FIFO queue with watermark shedding.
 
 The daemon admits work through exactly one gate.  Three regimes, by
 queue depth:
 
-* **below the high watermark** — everything is admitted FIFO;
+* **below the high watermark** (¾ of capacity) — everything is
+  admitted;
 * **at or above the high watermark** — *cold* requests (those whose
   artifact is not already cached, i.e. the expensive ones) are shed
   with an ``overloaded`` response and a ``retry_after`` hint, while
@@ -12,12 +13,7 @@ queue depth:
   producer and never grows without bound, so backpressure is always
   explicit: a client sees ``overloaded``, not a hang.
 
-Dequeue supports **batch grouping**: a worker that just served module
-key *K* asks for another *K* request first, so requests sharing a
-compiled module run consecutively and keep the module's closures and
-base world hot.  Preference never starves the head: after
-``FAIRNESS_LIMIT`` consecutive preferred picks the head request is
-served regardless.
+Workers take entries in arrival order.
 """
 
 from __future__ import annotations
@@ -25,9 +21,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from typing import Optional
-
-# Consecutive same-key preferred picks before the head must be served.
-FAIRNESS_LIMIT = 8
 
 
 class Admitted:
@@ -51,21 +44,18 @@ class ShedReason:
 
 
 class AdmissionQueue:
-    """Bounded, watermark-shedding, batch-grouping request queue."""
+    """Bounded, watermark-shedding FIFO request queue."""
 
-    def __init__(self, capacity: int = 64, high_watermark: Optional[int] = None) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.high_watermark = (
-            high_watermark if high_watermark is not None else max(1, capacity * 3 // 4)
-        )
+        self.high_watermark = max(1, capacity * 3 // 4)
         self._entries: deque = deque()
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._draining = False
         self._closed = False
-        self._preferred_streak = 0
         # Shed accounting, by reason.
         self.shed = {
             ShedReason.QUEUE_FULL: 0,
@@ -96,27 +86,15 @@ class AdmissionQueue:
 
     # -- consumer side ---------------------------------------------------------
 
-    def take(
-        self, prefer_key: Optional[str] = None, timeout: Optional[float] = None
-    ) -> Optional[Admitted]:
-        """Next entry (preferring *prefer_key* for batch grouping), or
-        None on timeout / after close with an empty queue."""
+    def take(self, timeout: Optional[float] = None) -> Optional[Admitted]:
+        """The oldest entry, or None on timeout / after close with an
+        empty queue."""
         with self._lock:
             while not self._entries:
                 if self._closed or self._draining:
                     return None
                 if not self._available.wait(timeout):
                     return None
-            if prefer_key is not None and self._preferred_streak < FAIRNESS_LIMIT:
-                for index, entry in enumerate(self._entries):
-                    if entry.module_key == prefer_key:
-                        if index == 0:
-                            self._preferred_streak = 0  # the head anyway
-                        else:
-                            self._preferred_streak += 1
-                        del self._entries[index]
-                        return entry
-            self._preferred_streak = 0
             return self._entries.popleft()
 
     # -- lifecycle -------------------------------------------------------------

@@ -117,9 +117,9 @@ class ServeRequest:
     # -- identity --------------------------------------------------------------
 
     def module_key(self) -> str:
-        """Admission/breaker identity: requests sharing a compiled
-        module (and input spec) share this key, so batch grouping keeps
-        one module's closures and base world hot on a worker."""
+        """Factory/breaker identity: requests sharing a compiled
+        module (and input spec) share this key, and so one warm
+        factory and one breaker."""
         if self.workload is not None:
             return f"workload:{self.workload}:{self.seed}"
         import hashlib

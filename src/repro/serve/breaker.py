@@ -3,11 +3,11 @@
 A workload whose engine keeps failing (supervisor-swallowed engine
 failures, not program crashes — a slave crashing under an attack input
 is a *result*) should stop consuming service capacity: the breaker
-trips **open** after ``threshold`` consecutive failures, fast-fails
-requests for that module key with an ``unavailable`` response while
-open, and **half-opens** after ``cooldown`` seconds — exactly one
-probe request is let through; success closes the breaker, failure
-re-opens it for another cooldown.
+trips **open** after ``FAILURE_THRESHOLD`` consecutive failures,
+fast-fails requests for that module key with an ``unavailable``
+response while open, and **half-opens** after ``COOLDOWN_S``
+seconds — exactly one probe request is let through; success closes
+the breaker, failure re-opens it for another cooldown.
 
 The clock is injectable so tests drive state transitions without
 sleeping.
@@ -19,6 +19,11 @@ import threading
 import time
 from typing import Callable, Dict
 
+# Consecutive engine failures that open a breaker.
+FAILURE_THRESHOLD = 3
+# Seconds an open breaker waits before admitting a half-open probe.
+COOLDOWN_S = 30.0
+
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
@@ -27,17 +32,9 @@ HALF_OPEN = "half-open"
 class CircuitBreaker:
     """One module key's breaker state machine."""
 
-    __slots__ = ("threshold", "cooldown", "_clock", "_lock",
-                 "state", "failures", "opened_at", "trips")
+    __slots__ = ("_clock", "_lock", "state", "failures", "opened_at", "trips")
 
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.threshold = max(1, threshold)
-        self.cooldown = cooldown
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self.state = CLOSED
@@ -52,7 +49,7 @@ class CircuitBreaker:
             if self.state == CLOSED:
                 return True
             if self.state == OPEN:
-                if self._clock() - self.opened_at >= self.cooldown:
+                if self._clock() - self.opened_at >= COOLDOWN_S:
                     self.state = HALF_OPEN
                     return True  # this caller is the probe
                 return False
@@ -73,7 +70,7 @@ class CircuitBreaker:
                 self.trips += 1
                 return
             self.failures += 1
-            if self.failures >= self.threshold:
+            if self.failures >= FAILURE_THRESHOLD:
                 self.state = OPEN
                 self.opened_at = self._clock()
                 self.trips += 1
@@ -88,14 +85,7 @@ class CircuitBreaker:
 class BreakerBoard:
     """Breakers keyed by module key, created on first touch."""
 
-    def __init__(
-        self,
-        threshold: int = 3,
-        cooldown: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.threshold = threshold
-        self.cooldown = cooldown
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -104,9 +94,7 @@ class BreakerBoard:
         with self._lock:
             breaker = self._breakers.get(key)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    self.threshold, self.cooldown, self._clock
-                )
+                breaker = CircuitBreaker(self._clock)
                 self._breakers[key] = breaker
             return breaker
 

@@ -3,8 +3,8 @@
 ``LdxService`` is the transport-independent daemon core.  One instance
 owns:
 
-* a :class:`~repro.serve.admission.AdmissionQueue` (bounded, watermark
-  shedding, batch grouping) — the only gate work enters through;
+* a :class:`~repro.serve.admission.AdmissionQueue` (bounded, FIFO,
+  watermark shedding) — the only gate work enters through;
 * a :class:`FactoryCache` — the explicit lifecycle object for warm
   state: an LRU of :class:`~repro.core.engine.EngineFactory` keyed by
   module key, layered over the process-global content-addressed
@@ -15,8 +15,7 @@ owns:
 * a :class:`~repro.serve.breaker.BreakerBoard` — per-module-key
   circuit breakers tripping on repeated *engine* failures (program
   crashes are results, not failures);
-* worker threads draining the queue, each preferring its last module
-  key (batch admission);
+* worker threads draining the queue in arrival order;
 * per-request structured logs (JSON lines): request id, queue wait,
   service time, degradation rung, cache-hit flags, breaker state.
 
@@ -48,9 +47,16 @@ from repro.core.engine import EngineFactory
 from repro.core.supervisor import RunBudget
 from repro.serve import api
 from repro.serve.admission import Admitted, AdmissionQueue
-from repro.serve.breaker import BreakerBoard
+from repro.serve.breaker import COOLDOWN_S, BreakerBoard
 from repro.vos.faults import FaultConfig
 from repro.vos.world import World
+
+
+# Warm engine factories kept (LRU).
+MAX_FACTORIES = 32
+
+# Cap on every client deadline, in virtual time units.
+MAX_DEADLINE = 250_000.0
 
 
 class ServeConfig:
@@ -60,20 +66,10 @@ class ServeConfig:
         self,
         workers: int = 2,
         queue_capacity: int = 64,
-        high_watermark: Optional[int] = None,
-        max_deadline: float = 250_000.0,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 30.0,
-        max_factories: int = 32,
         log_stream: Optional[TextIO] = None,
     ) -> None:
         self.workers = max(1, workers)
         self.queue_capacity = queue_capacity
-        self.high_watermark = high_watermark
-        self.max_deadline = max_deadline
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.max_factories = max_factories
         self.log_stream = log_stream
 
 
@@ -112,8 +108,8 @@ class FactoryCache:
     drain so cache lifetime is explicit, not interpreter-exit cleanup.
     """
 
-    def __init__(self, capacity: int = 32) -> None:
-        self.capacity = max(1, capacity)
+    def __init__(self) -> None:
+        self.capacity = MAX_FACTORIES
         self._lock = threading.Lock()
         self._factories: "OrderedDict[str, EngineFactory]" = OrderedDict()
         self.hits = 0
@@ -197,26 +193,21 @@ class LdxService:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.queue = AdmissionQueue(
-            capacity=self.config.queue_capacity,
-            high_watermark=self.config.high_watermark,
-        )
-        self.factories = FactoryCache(self.config.max_factories)
-        self.breakers = BreakerBoard(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-        )
+        self.queue = AdmissionQueue(self.config.queue_capacity)
+        self.factories = FactoryCache()
+        self.breakers = BreakerBoard()
         self._log_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
         self._started = False
         self._drained = threading.Event()
-        # served/errors/rejected are only ever touched under _stats_lock
-        # — including reads: torn snapshots (e.g. /statz observing a
+        # The counters are only ever touched under _stats_lock —
+        # including reads: torn snapshots (e.g. /statz observing a
         # served bump but not the matching errors bump) made the
         # counters impossible to reconcile against submissions.
         self.served = 0
         self.errors = 0
         self.rejected = 0
+        self.log_errors = 0
         self._stats_lock = threading.Lock()
 
     # -- lifecycle -------------------------------------------------------------
@@ -283,6 +274,7 @@ class LdxService:
                 "served": self.served,
                 "errors": self.errors,
                 "rejected": self.rejected,
+                "log_errors": self.log_errors,
             }
         return {
             **counters,
@@ -331,7 +323,7 @@ class LdxService:
                 request.id,
                 api.STATUS_UNAVAILABLE,
                 f"circuit open for {key}",
-                retry_after=self.config.breaker_cooldown,
+                retry_after=COOLDOWN_S,
             )
             self._log_rejection(request.id, api.STATUS_UNAVAILABLE, key)
             return ticket.resolve(response)
@@ -361,14 +353,12 @@ class LdxService:
     # -- workers ---------------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        last_key: Optional[str] = None
         while True:
-            entry = self.queue.take(prefer_key=last_key, timeout=0.1)
+            entry = self.queue.take(timeout=0.1)
             if entry is None:
                 if self.queue.draining and self.queue.depth == 0:
                     return
                 continue
-            last_key = entry.module_key
             request, ticket, breaker = entry.request
             started = time.monotonic()
             queue_wait = started - entry.enqueued_at
@@ -448,7 +438,7 @@ class LdxService:
     ) -> dict:
         factory, config, warm = self._factory_for(request)
         budget = RunBudget.from_deadline(
-            min(request.deadline, self.config.max_deadline)
+            min(request.deadline, MAX_DEADLINE)
         )
         kwargs = budget.engine_kwargs()
         if request.fault_rate > 0.0:
@@ -491,8 +481,11 @@ class LdxService:
             try:
                 stream.write(json.dumps(record, sort_keys=True) + "\n")
                 stream.flush()
-            except Exception:
-                pass  # logging must never take a request down
+            except (OSError, ValueError):
+                # A failed or closed stream must never take a request
+                # down; /statz counts what was lost.
+                with self._stats_lock:
+                    self.log_errors += 1
 
     def _log_rejection(self, request_id, status: str, reason: str) -> None:
         with self._stats_lock:

@@ -11,7 +11,6 @@ import io
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -21,7 +20,6 @@ import pytest
 
 from repro.core import config_from_spec, run_dual
 from repro.core.supervisor import RunBudget
-from repro.eval.serve_chaos import _post, run_storm
 from repro.serve import (
     HttpTransport,
     LdxService,
@@ -29,6 +27,7 @@ from repro.serve import (
     StdioTransport,
     api,
 )
+from repro.serve.admission import ShedReason
 from repro.serve.service import _world_from_spec
 from repro.workloads import get_workload
 
@@ -150,23 +149,40 @@ def test_repeat_requests_hit_the_warm_factory():
 
 def test_overload_sheds_explicitly_and_backlog_still_drains():
     # No workers running: the queue fills deterministically.
-    service = _service(workers=1, queue_capacity=2, high_watermark=2)
+    service = _service(workers=1, queue_capacity=4)
     tickets = [
         service.submit({"id": f"q{i}", "workload": "tnftp", "variant": "leak"})
-        for i in range(4)
+        for i in range(5)
     ]
     shed = [t for t in tickets if t.done]
-    assert len(shed) == 2  # two admitted, two shed immediately
+    # Cold requests shed from the watermark, 3/4 of capacity.
+    assert len(shed) == 2  # three admitted, two shed immediately
     for ticket in shed:
         assert ticket.response["status"] == api.STATUS_OVERLOADED
-        assert ticket.response["reason"]
+        assert ticket.response["reason"] == ShedReason.WATERMARK_COLD
     # Start and drain: the admitted backlog completes with verdicts.
     service.start()
     assert service.drain(timeout=120)
     for ticket in tickets:
         assert ticket.done
     ok = [t for t in tickets if t.response["status"] == "ok"]
-    assert len(ok) == 2
+    assert len(ok) == 3
+
+
+def test_one_worker_serves_in_arrival_order():
+    # Submitted before the worker starts, so its queue holds a, b, a;
+    # the served order is the log's order of request records.
+    log = io.StringIO()
+    service = _service(workers=1, log_stream=log)
+    for request_id, workload in (("a1", "gzip"), ("b", "tnftp"), ("a2", "gzip")):
+        assert not service.submit(
+            {"id": request_id, "workload": workload, "variant": "leak"}
+        ).done
+    service.start()
+    assert service.drain(timeout=120)
+    records = [json.loads(line) for line in log.getvalue().splitlines()]
+    served = [r["id"] for r in records if r["event"] == "request"]
+    assert served == ["a1", "b", "a2"]
 
 
 def test_tiny_deadline_degrades_to_partial_never_hangs():
@@ -189,8 +205,34 @@ def test_tiny_deadline_degrades_to_partial_never_hangs():
         assert service.drain(timeout=120)
 
 
+def test_client_deadlines_are_capped(monkeypatch):
+    from repro.serve import service as service_module
+
+    deadlines = []
+
+    class RecordingBudget:
+        @staticmethod
+        def from_deadline(deadline):
+            deadlines.append(deadline)
+            return RunBudget.from_deadline(deadline)
+
+    monkeypatch.setattr(service_module, "RunBudget", RecordingBudget)
+    service = _service().start()
+    try:
+        for deadline in (1e12, 1000.0):
+            response = service.submit_and_wait(
+                {"id": "d", "workload": "tnftp", "variant": "leak",
+                 "deadline": deadline},
+                timeout=120,
+            )
+            assert response["status"] == "ok"
+    finally:
+        assert service.drain(timeout=120)
+    assert deadlines == [service_module.MAX_DEADLINE, 1000.0]
+
+
 def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
-    from repro.serve.breaker import BreakerBoard
+    from repro.serve.breaker import COOLDOWN_S, FAILURE_THRESHOLD, BreakerBoard
 
     class FakeClock:
         now = 0.0
@@ -199,8 +241,8 @@ def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
             return self.now
 
     clock = FakeClock()
-    service = _service(breaker_threshold=2).start()
-    service.breakers = BreakerBoard(threshold=2, cooldown=30.0, clock=clock)
+    service = _service().start()
+    service.breakers = BreakerBoard(clock)
     try:
         original = LdxService._factory_for
         state = {"explode": True}
@@ -212,21 +254,22 @@ def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
 
         monkeypatch.setattr(LdxService, "_factory_for", flaky)
         payload = {"id": "x", "workload": "gzip", "variant": "leak"}
-        for index in range(2):
+        for index in range(FAILURE_THRESHOLD):
             response = service.submit_and_wait(dict(payload, id=f"x{index}"),
                                                timeout=120)
             assert response["status"] == api.STATUS_ERROR
         # Breaker open: fast-fail without touching the engine.
-        response = service.submit_and_wait(dict(payload, id="x2"), timeout=120)
+        response = service.submit_and_wait(dict(payload, id="open"), timeout=120)
         assert response["status"] == api.STATUS_UNAVAILABLE
         assert "circuit open" in response["reason"]
+        assert response["retry_after"] == COOLDOWN_S
         # After the cooldown the next request is the half-open probe;
         # the engine is healthy again, so the breaker closes.
         state["explode"] = False
-        clock.now = 31.0
-        response = service.submit_and_wait(dict(payload, id="x3"), timeout=120)
+        clock.now = COOLDOWN_S
+        response = service.submit_and_wait(dict(payload, id="probe"), timeout=120)
         assert response["status"] == "ok"
-        response = service.submit_and_wait(dict(payload, id="x4"), timeout=120)
+        response = service.submit_and_wait(dict(payload, id="after"), timeout=120)
         assert response["status"] == "ok"
     finally:
         assert service.drain(timeout=120)
@@ -326,8 +369,6 @@ def test_http_transport_roundtrip_and_probes():
                 urllib.request.urlopen(bad, timeout=30)
             assert failure.value.code == 400
             assert json.loads(failure.value.read())["status"] == api.STATUS_INVALID
-        # The storm client reads the same diagnosis off an error status.
-        assert _post(base, "{nope")["status"] == api.STATUS_INVALID
         with urllib.request.urlopen(base + "/statz", timeout=10) as reply:
             stats = json.loads(reply.read())
         # The invalid requests were rejected at admission, not served.
@@ -338,20 +379,6 @@ def test_http_transport_roundtrip_and_probes():
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert not service.alive()  # drained
-
-
-def test_storm_client_names_transport_failures():
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    closed = f"http://127.0.0.1:{probe.getsockname()[1]}"
-    probe.close()  # nothing listens on the port any more
-    assert _post(closed, {"id": "c"}).startswith("ConnectionRefusedError: ")
-    outcome = run_storm(requests=1, url=closed, poison_every=0)
-    assert len(outcome.violations) == 1
-    assert "ConnectionRefusedError" in outcome.violations[0]
-    # A programming error is not a transport failure: it propagates.
-    with pytest.raises(TypeError):
-        _post(closed, 5)
 
 
 def test_sigterm_drains_stdio_daemon_to_exit_zero(tmp_path):

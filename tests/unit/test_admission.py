@@ -1,6 +1,6 @@
-"""Unit tests for the admission queue (bounds, shedding, grouping)."""
+"""Unit tests for the admission queue (bounds, shedding, FIFO order)."""
 
-from repro.serve.admission import FAIRNESS_LIMIT, Admitted, AdmissionQueue, ShedReason
+from repro.serve.admission import Admitted, AdmissionQueue, ShedReason
 
 
 def _entry(key="k", warm=False):
@@ -17,7 +17,7 @@ def test_fifo_below_watermark():
 
 
 def test_capacity_sheds_everything():
-    queue = AdmissionQueue(capacity=2, high_watermark=2)
+    queue = AdmissionQueue(capacity=2)
     assert queue.offer(_entry(warm=True)) is None
     assert queue.offer(_entry(warm=True)) is None
     assert queue.offer(_entry(warm=True)) == ShedReason.QUEUE_FULL
@@ -25,13 +25,13 @@ def test_capacity_sheds_everything():
 
 
 def test_watermark_sheds_cold_keeps_warm():
-    queue = AdmissionQueue(capacity=8, high_watermark=2)
-    assert queue.offer(_entry()) is None
-    assert queue.offer(_entry()) is None
-    # At the watermark: cold shed, warm admitted.
+    queue = AdmissionQueue(capacity=4)
+    for _ in range(3):
+        assert queue.offer(_entry()) is None
+    # At the watermark (3 of 4): cold shed, warm admitted.
     assert queue.offer(_entry(warm=False)) == ShedReason.WATERMARK_COLD
     assert queue.offer(_entry(warm=True)) is None
-    assert queue.depth == 3
+    assert queue.depth == 4
 
 
 def test_draining_sheds_everything_but_drains_backlog():
@@ -43,35 +43,15 @@ def test_draining_sheds_everything_but_drains_backlog():
     assert queue.take(timeout=0.01) is None
 
 
-def test_batch_grouping_prefers_same_key():
-    queue = AdmissionQueue(capacity=8)
-    queue.offer(_entry("a"))
-    queue.offer(_entry("b"))
-    queue.offer(_entry("a"))
-    # A worker that just served "a" gets the queued "a" ahead of "b".
-    assert queue.take(prefer_key="a").module_key == "a"
-    assert queue.take(prefer_key="a").module_key == "a"
-    assert queue.take(prefer_key="a").module_key == "b"
-
-
-def test_fairness_limit_caps_preferred_streak():
-    queue = AdmissionQueue(capacity=2 * FAIRNESS_LIMIT + 4)
-    queue.offer(_entry("head"))
-    for _ in range(FAIRNESS_LIMIT + 2):
-        queue.offer(_entry("hot"))
-    served = [queue.take(prefer_key="hot").module_key for _ in range(FAIRNESS_LIMIT + 1)]
-    # The head request is served before the streak can exceed the limit.
-    assert "head" in served
-
-
 def test_take_times_out_empty():
     queue = AdmissionQueue(capacity=2)
     assert queue.take(timeout=0.01) is None
 
 
 def test_saturated_tracks_watermark():
-    queue = AdmissionQueue(capacity=4, high_watermark=2)
+    queue = AdmissionQueue(capacity=4)
+    for _ in range(2):
+        queue.offer(_entry(warm=True))
     assert not queue.saturated
-    queue.offer(_entry(warm=True))
     queue.offer(_entry(warm=True))
     assert queue.saturated

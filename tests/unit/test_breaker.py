@@ -1,6 +1,14 @@
 """Unit tests for the per-workload circuit breaker."""
 
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, CircuitBreaker
+from repro.serve.breaker import (
+    CLOSED,
+    COOLDOWN_S,
+    FAILURE_THRESHOLD,
+    HALF_OPEN,
+    OPEN,
+    BreakerBoard,
+    CircuitBreaker,
+)
 
 
 class FakeClock:
@@ -11,42 +19,49 @@ class FakeClock:
         return self.now
 
 
+def _tripped(clock):
+    breaker = CircuitBreaker(clock)
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record_failure()
+    return breaker
+
+
 def test_closed_allows_and_counts_failures():
-    breaker = CircuitBreaker(threshold=3, clock=FakeClock())
+    breaker = CircuitBreaker(FakeClock())
     assert breaker.allow()
-    breaker.record_failure()
-    breaker.record_failure()
+    for _ in range(FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
     assert breaker.state == CLOSED
     assert breaker.allow()
 
 
 def test_threshold_trips_open():
-    clock = FakeClock()
-    breaker = CircuitBreaker(threshold=3, cooldown=30.0, clock=clock)
-    for _ in range(3):
-        breaker.record_failure()
+    breaker = CircuitBreaker(FakeClock())
+    breaker.record_failure()
+    breaker.record_failure()
+    assert breaker.state == CLOSED
+    breaker.record_failure()  # the third consecutive failure
     assert breaker.state == OPEN
     assert breaker.trips == 1
     assert not breaker.allow()
 
 
 def test_success_resets_failure_count():
-    breaker = CircuitBreaker(threshold=3, clock=FakeClock())
-    breaker.record_failure()
-    breaker.record_failure()
+    breaker = CircuitBreaker(FakeClock())
+    for _ in range(FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
     breaker.record_success()
-    breaker.record_failure()
-    breaker.record_failure()
+    for _ in range(FAILURE_THRESHOLD - 1):
+        breaker.record_failure()
     assert breaker.state == CLOSED
 
 
 def test_half_open_admits_exactly_one_probe():
     clock = FakeClock()
-    breaker = CircuitBreaker(threshold=1, cooldown=30.0, clock=clock)
-    breaker.record_failure()
-    assert breaker.state == OPEN
+    breaker = _tripped(clock)
+    clock.now = 29.5
     assert not breaker.allow()
-    clock.now = 31.0
+    clock.now = 30.0
     assert breaker.allow()  # the probe
     assert breaker.state == HALF_OPEN
     assert not breaker.allow()  # everyone else still fast-fails
@@ -54,9 +69,8 @@ def test_half_open_admits_exactly_one_probe():
 
 def test_probe_success_closes():
     clock = FakeClock()
-    breaker = CircuitBreaker(threshold=1, cooldown=30.0, clock=clock)
-    breaker.record_failure()
-    clock.now = 31.0
+    breaker = _tripped(clock)
+    clock.now = COOLDOWN_S + 1.0
     assert breaker.allow()
     breaker.record_success()
     assert breaker.state == CLOSED
@@ -65,22 +79,21 @@ def test_probe_success_closes():
 
 def test_probe_failure_reopens_for_another_cooldown():
     clock = FakeClock()
-    breaker = CircuitBreaker(threshold=1, cooldown=30.0, clock=clock)
-    breaker.record_failure()
-    clock.now = 31.0
+    breaker = _tripped(clock)
+    clock.now = COOLDOWN_S + 1.0
     assert breaker.allow()
     breaker.record_failure()
     assert breaker.state == OPEN
     assert breaker.trips == 2
     assert not breaker.allow()
-    clock.now = 62.0
+    clock.now = 2 * COOLDOWN_S + 2.0
     assert breaker.allow()
 
 
 def test_board_keys_breakers_independently():
-    clock = FakeClock()
-    board = BreakerBoard(threshold=1, cooldown=30.0, clock=clock)
-    board.breaker_for("a").record_failure()
+    board = BreakerBoard(FakeClock())
+    for _ in range(FAILURE_THRESHOLD):
+        board.breaker_for("a").record_failure()
     assert board.breaker_for("a").state == OPEN
     assert board.breaker_for("b").state == CLOSED
     assert board.breaker_for("a") is board.breaker_for("a")

@@ -71,6 +71,19 @@ def test_lru_evicts_least_recently_used():
     assert store.stats.memory_hits == 0
 
 
+def test_zero_capacity_keeps_no_memory_layer(tmp_path):
+    # The region code namespace's shape: every repeat reads disk.
+    store = ArtifactCache(capacity=0, cache_dir=str(tmp_path), payload_type=bytes)
+    built = []
+    for _ in range(2):
+        assert store.lookup("k", lambda: built.append(1) or b"code") == b"code"
+    assert built == [1]
+    assert len(store) == 0
+    stats = store.stats
+    assert (stats.misses, stats.disk_hits, stats.memory_hits) == (1, 1, 0)
+    assert cache.get_compiled_cache().capacity == 0
+
+
 def test_disabled_cache_always_recompiles():
     store = ArtifactCache(enabled=False)
     first = store.instrumented(SOURCE)

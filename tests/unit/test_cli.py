@@ -164,10 +164,16 @@ def test_counts_below_one_are_rejected(argv, value, capsys):
 
 # -- service verbs -----------------------------------------------------------
 
+REMOVED_SERVE_FLAGS = (
+    "--high-watermark", "--max-factories", "--breaker-threshold",
+    "--breaker-cooldown",
+)
+
 
 @pytest.mark.parametrize(
     "argv",
     [["serve", "--queue-capacity", "0"],
+     ["serve", "--workers", "0"],
      ["serve", "--high-watermark", "-1"],
      ["serve", "--max-factories", "-3"],
      ["serve", "--breaker-threshold", "0"],
@@ -179,10 +185,11 @@ def test_counts_below_one_are_rejected(argv, value, capsys):
     ids=lambda argv: f"{argv[0]}{argv[1]}",
 )
 def test_serve_knobs_below_one_are_rejected(argv, capsys):
-    # These used to die with a traceback, start a daemon that sheds
-    # every cold request, storm nothing and report success, or clamp the
-    # value to 1 without a word.  A nan cooldown never half-opened a
-    # breaker and put NaN into retry_after, which is not JSON.
+    # These used to die with a traceback, storm nothing and report
+    # success, or clamp the value to 1 without a word.  The watermark,
+    # breaker and factory settings are constants: their flags, whatever
+    # the value, are unknown and fail the same clean way instead of
+    # starting a daemon.
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -190,8 +197,10 @@ def test_serve_knobs_below_one_are_rejected(argv, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1
-    minimum = 0 if argv[1] == "--breaker-cooldown" else 1
-    assert f"must be >= {minimum}, got {argv[2]}" in errors[0]
+    if argv[1] in REMOVED_SERVE_FLAGS:
+        assert f"unrecognized arguments: {argv[1]} {argv[2]}" in errors[0]
+    else:
+        assert f"must be >= 1, got {argv[2]}" in errors[0]
 
 
 def test_chaos_rejects_a_single_fault_seed(capsys):

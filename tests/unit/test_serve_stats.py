@@ -7,7 +7,10 @@ at all — making ``served + rejected == submitted`` impossible to
 verify.  Every request must be accounted exactly once.
 """
 
+import io
 import threading
+
+import pytest
 
 from repro.serve import LdxService, ServeConfig
 from repro.serve import api
@@ -120,3 +123,37 @@ def test_stats_exposes_rejected_counter_at_rest():
     response = service.submit("definitely } not json").wait(5.0)
     assert response["status"] == api.STATUS_INVALID
     assert service.stats()["rejected"] == 1
+
+
+class _BrokenStream:
+    def write(self, text):
+        raise OSError("disk full")
+
+    def flush(self):
+        pass
+
+
+def test_failed_log_writes_are_counted_not_raised():
+    closed = io.StringIO()
+    closed.close()  # writing to it raises ValueError
+    for stream in (_BrokenStream(), closed):
+        service = LdxService(ServeConfig(workers=1, log_stream=stream))
+        assert service.stats()["log_errors"] == 0
+        response = service.submit("definitely } not json").wait(5.0)
+        assert response["status"] == api.STATUS_INVALID
+        assert service.stats()["log_errors"] == 1
+        assert service.stats()["rejected"] == 1
+
+
+def test_log_write_bugs_are_not_swallowed():
+    class _Buggy:
+        def write(self, text):
+            raise TypeError("a bug, not a stream failure")
+
+        def flush(self):
+            pass
+
+    service = LdxService(ServeConfig(log_stream=_Buggy()))
+    with pytest.raises(TypeError):
+        service.log({"event": "probe"})
+    assert service.stats()["log_errors"] == 0
