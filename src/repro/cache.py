@@ -30,7 +30,10 @@ its own namespace).
 
 **One persistence primitive.**  :class:`SqliteFile` backs the blob
 file of this cache and the results store
-(:mod:`repro.results.store`): WAL, a busy timeout, a 256 KiB
+(:mod:`repro.results.store`), which keeps its cells in the same
+``blobs`` table under :data:`RESULTS_SCHEMA_TAG`, read and written by
+the same :meth:`SqliteFile.read_blob` and
+:meth:`SqliteFile.write_blob`: WAL, a busy timeout, a 256 KiB
 page cache and the owner's ``synchronous`` level (``NORMAL`` for
 rebuildable blobs, since WAL's checksummed frames leave the old entry,
 the new one or nothing after a crash; ``FULL`` for results).  Each
@@ -99,10 +102,11 @@ def code_schema_tag() -> str:
     return f"{CODE_SCHEMA_VERSION}-{importlib.util.MAGIC_NUMBER.hex()}"
 
 # Bump when the pickled result-row layout of any eval/chaos cell class
-# changes.  Shared by the columnar results store (repro.results): a tag
-# bump orphans every stored cell, so a re-run recomputes them instead
-# of unpickling rows from an incompatible layout.
-RESULTS_SCHEMA_TAG = "ldx-results-v1"
+# changes.  The results store's namespace (repro.results): a tag bump
+# orphans every stored cell, so a re-run recomputes them instead of
+# unpickling rows from an incompatible layout.
+# v2: cells are rows of the blobs table, keyed by kind and payload.
+RESULTS_SCHEMA_TAG = "ldx-results-v2"
 
 
 # -- the persistence primitive -------------------------------------------------
@@ -132,20 +136,22 @@ def _digest(payload: bytes, namespace: str) -> str:
     return hashlib.sha256(namespace.encode() + payload).hexdigest()
 
 
-def seal(obj, namespace: str = "") -> Optional[Tuple[bytes, str]]:
+def seal(obj, namespace: str) -> Optional[Tuple[bytes, str]]:
     """``(payload, digest)`` to store *obj* under *namespace*, or None
     if it cannot be pickled."""
     try:
         payload = pickle.dumps(obj)
-    except Exception:
+    except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
         return None
     return payload, _digest(payload, namespace)
 
 
-def unseal(payload, digest, namespace: str = "", payload_type=None):
+def unseal(payload, digest, namespace: str, payload_type=None):
     """The object a stored row holds, or None if the row is damaged:
     verified before unpickling, so a corrupt payload (or one copied in
-    from another namespace) is a miss, never a wrong object."""
+    from another namespace) is a miss, never a wrong object.  Any
+    unpickling failure (say, a class that no longer exists) is damage
+    too; the caller counts it."""
     try:
         if _digest(payload, namespace) == digest:
             obj = pickle.loads(payload)
@@ -205,6 +211,38 @@ class SqliteFile:
                 if type(error) is sqlite3.DatabaseError:
                     self._heal()
                 return None
+
+    def read_blob(
+        self, namespace: str, key: str, payload_type=None
+    ) -> Tuple[object, bool]:
+        """``(obj, ok)`` for the ``blobs`` row under *namespace* and
+        *key*: ``(None, True)`` when there is none, ``(None, False)``
+        when the row is damaged (and deleted, unless a writer replaced
+        it since) or the file is busy, healed or unusable."""
+        where = (namespace, key)
+        rows = self.execute(
+            "SELECT payload, digest FROM blobs WHERE namespace = ? AND key = ?",
+            where,
+        )
+        if rows == []:
+            return None, True
+        obj = rows and unseal(*rows[0], namespace, payload_type)
+        if obj is None and rows:
+            self.execute(
+                "DELETE FROM blobs WHERE namespace = ? AND key = ? AND digest = ?",
+                where + rows[0][1:],
+            )
+        return obj, obj is not None
+
+    def write_blob(self, namespace: str, key: str, obj) -> bool:
+        """Seal *obj* into the ``blobs`` row under *namespace* and *key*,
+        in one transaction; False if it cannot be pickled or the write
+        did not happen."""
+        sealed = seal(obj, namespace)
+        return sealed is not None and self.execute(
+            "INSERT OR REPLACE INTO blobs VALUES (?, ?, ?, ?, ?)",
+            (namespace, key) + sealed + (time.time(),),
+        ) is not None
 
     def close(self) -> None:
         with self._lock:
@@ -352,11 +390,11 @@ def result_cell_key(source: str, params: Dict[str, object]) -> str:
 
     The same derivation the artifact cache uses, under the results
     schema tag: *source* is the MiniC text of the workload(s) the cell
-    executes and *params* are the cell's coordinates (kind, workload,
-    variant, seeds, chunk bounds, config fingerprint).  Editing a
-    workload or changing a cell's configuration changes the key, which
-    is exactly what makes re-runs incremental — an unchanged cell's key
-    is already present in the store.
+    executes and *params* are the cell's kind and payload (workload,
+    seeds, chunk bounds, fault rate, ...).  Editing a workload or
+    changing any part of a cell changes the key, which is exactly what
+    makes re-runs incremental — an unchanged cell's key is already
+    present in the store.
     """
     return artifact_key(source, params, schema_tag=RESULTS_SCHEMA_TAG)
 
@@ -491,23 +529,8 @@ class ArtifactCache:
     def _disk_load(self, key: str):
         if self._blobs is None:
             return None
-        where = (self.schema_tag, key)
-        rows = self._blobs.execute(
-            "SELECT payload, digest FROM blobs WHERE namespace = ? AND key = ?",
-            where,
-        )
-        if rows == []:
-            return None
-        artifact = rows and unseal(*rows[0], self.schema_tag, self.payload_type)
-        if artifact is None:
-            # A damaged row (dropped, unless a writer replaced it since),
-            # or a busy, healed or unusable file.
-            if rows:
-                self._blobs.execute(
-                    "DELETE FROM blobs WHERE namespace = ? AND key = ? "
-                    "AND digest = ?",
-                    where + rows[0][1:],
-                )
+        artifact, ok = self._blobs.read_blob(self.schema_tag, key, self.payload_type)
+        if not ok:
             with self._lock:
                 self.stats.disk_errors += 1
         return artifact
@@ -517,16 +540,12 @@ class ArtifactCache:
             return
         # The cache is an accelerator, never a correctness dependency:
         # a failed store only costs a future rebuild.
-        sealed = seal(artifact, self.schema_tag)
-        written = sealed and self._blobs.execute(
-            "INSERT OR REPLACE INTO blobs VALUES (?, ?, ?, ?, ?)",
-            (self.schema_tag, key) + sealed + (time.time(),),
-        )
+        written = self._blobs.write_blob(self.schema_tag, key, artifact)
         with self._lock:
-            if written is None:
-                self.stats.disk_errors += 1
-            else:
+            if written:
                 self.stats.stores += 1
+            else:
+                self.stats.disk_errors += 1
 
 
 # -- process-global caches -----------------------------------------------------
@@ -556,16 +575,11 @@ _ANALYSIS = ArtifactCache(schema_tag=ANALYSIS_SCHEMA_TAG, payload_type=None)
 _CODE = _code_cache()
 
 
-def configure(
-    cache_dir: Optional[str] = None,
-    enabled: bool = True,
-    capacity: int = 128,
-) -> ArtifactCache:
+def configure(cache_dir: Optional[str] = None, enabled: bool = True) -> ArtifactCache:
     """Replace the process-global caches; returns the artifact one."""
     global _GLOBAL, _ANALYSIS, _CODE
-    _GLOBAL = ArtifactCache(capacity=capacity, cache_dir=cache_dir, enabled=enabled)
+    _GLOBAL = ArtifactCache(cache_dir=cache_dir, enabled=enabled)
     _ANALYSIS = ArtifactCache(
-        capacity=capacity,
         cache_dir=cache_dir,
         enabled=enabled,
         schema_tag=ANALYSIS_SCHEMA_TAG,

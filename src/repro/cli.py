@@ -25,7 +25,7 @@ daemon (stdin JSONL by default, localhost HTTP with ``--http``; see
 docs/SERVICE.md); ``serve-chaos`` storms a service with concurrent
 requests under injected faults and checks the service invariants;
 ``report`` re-renders the eval tables or the chaos sweep straight from
-the columnar results store — sub-second, nothing executes.
+the results store — sub-second, nothing executes.
 
 ``eval`` and ``chaos`` are **incremental** by default: every completed
 cell persists into the results store (``--store-path``, default
@@ -171,7 +171,7 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
         "--store-path",
         default=DEFAULT_STORE_PATH,
         metavar="PATH",
-        help="columnar results store; completed cells persist there and "
+        help="results store; completed cells persist there and "
         f"re-runs execute only missing cells (default: {DEFAULT_STORE_PATH})",
     )
     parser.add_argument(
@@ -706,7 +706,7 @@ def main(argv: List[str] = None) -> int:
         "--store-path",
         default=DEFAULT_STORE_PATH,
         metavar="PATH",
-        help=f"columnar results store to read (default: {DEFAULT_STORE_PATH})",
+        help=f"results store to read (default: {DEFAULT_STORE_PATH})",
     )
     report_parser.set_defaults(handler=_cmd_report)
 

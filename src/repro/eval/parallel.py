@@ -25,10 +25,11 @@ configured).
 store — runs them in process for one job and over a process pool
 otherwise.  Executors stream ``(index, result)`` pairs back in
 completion order; :func:`run_cells` persists each completed cell in the
-results store the moment it arrives and reassembles **in plan order**,
-so the rendered report is byte-identical for any job count or
-interleaving, and an interrupt never discards finished work —
-re-running the same command reuses every persisted cell.
+results store, under its :func:`cell_key`, the moment it arrives and
+reassembles **in plan order**, so the rendered report is
+byte-identical for any job count or interleaving, and an interrupt
+never discards finished work — re-running the same command reuses
+every persisted cell.
 """
 
 from __future__ import annotations
@@ -140,6 +141,25 @@ def run_cell(cell: Cell):
 # -- scheduling ----------------------------------------------------------------
 
 
+def cell_key(cell: Cell) -> str:
+    """The cell's key in the results store: the sources of the
+    workloads it runs, its kind and its payload.
+
+    Editing a program or changing any part of a cell moves the key.
+    Interpreter backend, plan pruning and job count stay out: reports
+    are byte-identical across them, so cells are shared across them.
+    """
+    from repro.cache import result_cell_key
+    from repro.workloads import get_workload
+
+    kind, payload = cell
+    # A mutation cell runs the workloads named after its strategy;
+    # every other cell runs the one workload its payload starts with.
+    names = payload[1] if kind == "mutation" else payload[:1]
+    source = "\0".join(get_workload(name).source for name in names)
+    return result_cell_key(source, {"kind": kind, "payload": payload})
+
+
 def _executor_for(cells: Sequence[Cell], jobs: int):
     """The one executor choice: in process for one job or one cell, a
     local process pool otherwise."""
@@ -158,11 +178,11 @@ def run_cells(
 ) -> Tuple[List[object], Dict[str, int]]:
     """Run *cells*; results in cell order regardless of completion order.
 
-    With a results *store*, cells whose content-address key is already
-    present are served from it; only absent (or superseded-fingerprint)
-    cells execute, and every freshly executed cell **persists the
-    moment its result streams back** — an interrupt mid-run keeps every
-    finished cell, and re-running the same command reuses them.  The
+    With a results *store*, cells whose :func:`cell_key` is already
+    present are served from it; only absent cells execute, and every
+    freshly executed cell **persists the moment its result streams
+    back** — an interrupt mid-run keeps every finished cell, and
+    re-running the same command reuses them.  The
     {planned, executed, reused} counts are returned and, with a store,
     printed to stderr — CI greps that line to prove a warm re-run
     executed zero cells.  With no (or a disabled) store every cell is a
@@ -172,11 +192,9 @@ def run_cells(
         store = None
     results: List[object] = [None] * len(cells)
     if store is not None:
-        from repro.results import spec_for_cell
-
-        specs = [spec_for_cell(cell) for cell in cells]
-        found = store.get_cells([spec.key for spec in specs])
-        results = [found.get(spec.key) for spec in specs]
+        keys = [cell_key(cell) for cell in cells]
+        found = store.get_cells(keys)
+        results = [found.get(key) for key in keys]
     miss_indices = [i for i, result in enumerate(results) if result is None]
     reused = len(cells) - len(miss_indices)
     executed = 0
@@ -187,7 +205,7 @@ def run_cells(
                 index = miss_indices[position]
                 results[index] = result
                 if store is not None:
-                    store.put_cell(specs[index], result)
+                    store.put_cell(keys[index], result)
                 executed += 1
         except KeyboardInterrupt:
             # Every cell that finished is already in the store; account

@@ -36,7 +36,7 @@ def run_all(
     a process pool for ``jobs > 1`` — and reassembled in plan order, so
     the report is byte-identical for any job count.
 
-    With ``store_path`` the run is **incremental** against the columnar
+    With ``store_path`` the run is **incremental** against the
     results store (``repro.results``): every completed cell persists
     there keyed by its content address, cells whose key is already
     present are reused instead of re-executed (a warm re-run executes

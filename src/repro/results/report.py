@@ -18,30 +18,28 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.results.keys import spec_for_cell
 from repro.results.store import ResultsError, ResultsStore
 
 
 def _load_cells(store: ResultsStore, cells, what: str) -> List[object]:
     """Every cell's stored result, in plan order; raises on any gap."""
-    specs = [spec_for_cell(cell) for cell in cells]
-    found = store.get_cells([spec.key for spec in specs])
-    results = [found.get(spec.key) for spec in specs]
-    missing = [
-        spec for spec, result in zip(specs, results) if result is None
-    ]
+    from repro.eval.parallel import cell_key
+
+    keys = [cell_key(cell) for cell in cells]
+    found = store.get_cells(keys)
+    missing = [cell for cell, key in zip(cells, keys) if key not in found]
     if missing:
         preview = ", ".join(
-            f"{spec.kind}:{spec.workload}" for spec in missing[:5]
+            f"{kind}:{payload[0]}" for kind, payload in missing[:5]
         )
         if len(missing) > 5:
             preview += ", ..."
         raise ResultsError(
-            f"{len(missing)} of {len(specs)} {what} cells missing from "
+            f"{len(missing)} of {len(cells)} {what} cells missing from "
             f"{store.path} ({preview}); run `repro {what} "
             f"--store-path {store.path}` to fill the store"
         )
-    return results
+    return [found[key] for key in keys]
 
 
 def eval_report_from_store(store: ResultsStore) -> str:

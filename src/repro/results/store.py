@@ -1,20 +1,20 @@
-"""The columnar results store: every eval/chaos cell, queryable.
+"""The results store: every eval/chaos cell, kept like a cached blob.
 
 Before this module, every experiment result died in per-run text or
 JSON: re-running ``repro eval`` recomputed all ~28 workloads even when
 nothing changed.  The store fixes that with one SQLite database
 (default ``.repro-cache/results.sqlite``) holding two tables:
 
-* ``cells`` — one row per completed experiment cell (a Table 1 row, a
-  Table 4 seed chunk, a chaos seed chunk, ...), keyed by the same
-  content-address scheme as :mod:`repro.cache`
-  (:func:`repro.cache.result_cell_key`): workload source x variant x
-  schedule seed x fault seed x config fingerprint x schema tag.  The
-  coordinates are real columns, so the store is queryable; the result
-  object itself is a digest-verified pickle blob.  **Incremental
-  re-runs fall out of the keying**: an unchanged cell's key is already
-  present, so ``repro eval`` executes only absent keys and ``repro
-  report`` renders every table with zero execution.
+* ``blobs`` — one row per completed experiment cell (a Table 1 row, a
+  Table 4 seed chunk, a chaos seed chunk, ...), in the artifact
+  cache's row format under the namespace
+  :data:`repro.cache.RESULTS_SCHEMA_TAG`: a content-address key
+  (:func:`repro.eval.parallel.cell_key`: the sources of the workloads
+  the cell runs, its kind and its payload) and a digest-verified
+  pickle of the result.  **Incremental re-runs fall out of the
+  keying**: an unchanged cell's key is already present, so ``repro
+  eval`` executes only absent keys and ``repro report`` renders every
+  table with zero execution.
 * ``runs`` — one row per recorded eval/chaos invocation: the planning
   parameters (needed to re-derive the exact cell plan when reporting)
   plus executed/reused counts.
@@ -40,30 +40,16 @@ import sys
 import time
 from typing import Dict, Iterable, Optional
 
-from repro.cache import RESULTS_SCHEMA_TAG, SqliteFile, seal, unseal
+from repro.cache import BLOB_SCHEMA, RESULTS_SCHEMA_TAG, CacheStats, SqliteFile
 from repro.errors import ReproError
 
 DEFAULT_STORE_PATH = os.path.join(".repro-cache", "results.sqlite")
 
-_SCHEMA = f"""
+_SCHEMA = BLOB_SCHEMA + f"""
 CREATE TABLE IF NOT EXISTS meta (
     name  TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS cells (
-    key           TEXT PRIMARY KEY,
-    kind          TEXT NOT NULL,
-    workload      TEXT NOT NULL,
-    variant       TEXT NOT NULL DEFAULT '',
-    schedule_seed INTEGER,
-    fault_seed    INTEGER,
-    fingerprint   TEXT NOT NULL,
-    schema        TEXT NOT NULL,
-    payload       BLOB NOT NULL,
-    digest        TEXT NOT NULL,
-    created_at    REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS cells_by_kind ON cells (kind, workload, variant);
 CREATE TABLE IF NOT EXISTS runs (
     id         INTEGER PRIMARY KEY AUTOINCREMENT,
     kind       TEXT NOT NULL,
@@ -85,112 +71,57 @@ class ResultsError(ReproError):
     """Raised when a report is requested from an insufficient store."""
 
 
-class CellSpec:
-    """One cell's identity: its content-address key plus the columnar
-    coordinates stored alongside the payload."""
-
-    __slots__ = ("key", "kind", "workload", "variant", "schedule_seed",
-                 "fault_seed", "fingerprint")
-
-    def __init__(
-        self,
-        key: str,
-        kind: str,
-        workload: str,
-        variant: str = "",
-        schedule_seed: Optional[int] = None,
-        fault_seed: Optional[int] = None,
-        fingerprint: str = "",
-    ) -> None:
-        self.key = key
-        self.kind = kind
-        self.workload = workload
-        self.variant = variant
-        self.schedule_seed = schedule_seed
-        self.fault_seed = fault_seed
-        self.fingerprint = fingerprint
-
-    def __repr__(self) -> str:
-        return (
-            f"<CellSpec {self.kind}:{self.workload}:{self.variant} "
-            f"key={self.key[:12]}>"
-        )
-
-
-class StoreStats:
-    """Hit/miss/write accounting for one store instance."""
-
-    __slots__ = ("hits", "misses", "stores", "errors", "healed")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.errors = 0
-        self.healed = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-
 class ResultsStore:
-    """SQLite-backed columnar store for experiment cells.
+    """SQLite-backed store for experiment cells and recorded runs.
 
-    ``enabled=False`` turns every operation into a no-op returning a
-    miss, so callers never branch on whether a store is configured.
+    ``stats`` counts as the artifact cache does (``disk_hits``,
+    ``misses``, ``stores``, ``disk_errors``).  A file that cannot be
+    opened clears ``enabled``, which turns every later operation into
+    a no-op returning a miss.
     """
 
-    def __init__(self, path: str = DEFAULT_STORE_PATH, enabled: bool = True) -> None:
+    def __init__(self, path: str = DEFAULT_STORE_PATH) -> None:
         self.path = path
-        self.enabled = enabled
-        self.stats = StoreStats()
+        self.enabled = True
+        self.stats = CacheStats()
         self._db = SqliteFile(path, _SCHEMA, "FULL", check=_SAME_SCHEMA)
 
-    def _execute(self, query: str, params=(), *more) -> Optional[list]:
+    def _account(self, ok: bool) -> None:
+        """Count a failed operation; a file that cannot be opened
+        disables the store after one warning."""
+        if ok:
+            return
+        self.stats.disk_errors += 1
+        if self._db.broken is not None:
+            self.enabled = False
+            print(f"results store: {self._db.broken} ({self.path}); "
+                  "continuing without it", file=sys.stderr)
+
+    def _execute(self, query: str, params=()) -> Optional[list]:
         """:meth:`SqliteFile.execute` plus this store's accounting; None
         means a miss or a no-op."""
         if not self.enabled:
             return None
-        rows = self._db.execute(query, params, *more)
-        self.stats.healed = self._db.healed
-        if rows is None:
-            self.stats.errors += 1
-            if self._db.broken is not None:
-                self.enabled = False
-                print(f"results store: {self._db.broken} ({self.path}); "
-                      "continuing without it", file=sys.stderr)
+        rows = self._db.execute(query, params)
+        self._account(rows is not None)
         return rows
 
     def close(self) -> None:
         self._db.close()
-
-    def __enter__(self) -> "ResultsStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- cells -----------------------------------------------------------------
 
     def get_cell(self, key: str):
         """The result stored under *key*, or None (missing or corrupt
         rows are misses; corrupt rows are also deleted)."""
-        rows = self._execute(
-            "SELECT payload, digest, schema FROM cells WHERE key = ?", (key,)
-        )
         result = None
-        if rows:
-            payload, digest, schema = rows[0]
-            if schema == RESULTS_SCHEMA_TAG:
-                result = unseal(payload, digest)
-            if result is None:
-                # A damaged row must become a miss, never a wrong result.
-                self.stats.errors += 1
-                self._execute("DELETE FROM cells WHERE key = ?", (key,))
+        if self.enabled:
+            result, ok = self._db.read_blob(RESULTS_SCHEMA_TAG, key)
+            self._account(ok)
         if result is None:
             self.stats.misses += 1
         else:
-            self.stats.hits += 1
+            self.stats.disk_hits += 1
         return result
 
     def get_cells(self, keys: Iterable[str]) -> Dict[str, object]:
@@ -202,42 +133,14 @@ class ResultsStore:
                 found[key] = result
         return found
 
-    def put_cell(self, spec: CellSpec, result) -> None:
-        """Persist one completed cell, in one transaction; supersedes
-        any row that shares the cell's coordinates under a stale
-        fingerprint (the old config's result can never be reported
-        again)."""
+    def put_cell(self, key: str, result) -> None:
+        """Persist one completed cell under *key*, in one transaction."""
         if not self.enabled:
             return
-        sealed = seal(result)
-        if sealed is None:
-            self.stats.errors += 1
-            return
-        written = self._execute(
-            "DELETE FROM cells WHERE kind = ? AND workload = ? AND variant = ? "
-            "AND COALESCE(schedule_seed, -1) = COALESCE(?, -1) "
-            "AND COALESCE(fault_seed, -1) = COALESCE(?, -1) AND key != ?",
-            (spec.kind, spec.workload, spec.variant, spec.schedule_seed,
-             spec.fault_seed, spec.key),
-            ("INSERT OR REPLACE INTO cells "
-             "(key, kind, workload, variant, schedule_seed, fault_seed, "
-             " fingerprint, schema, payload, digest, created_at) "
-             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-             (spec.key, spec.kind, spec.workload, spec.variant,
-              spec.schedule_seed, spec.fault_seed, spec.fingerprint,
-              RESULTS_SCHEMA_TAG) + sealed + (time.time(),)),
-        )
-        if written is not None:
+        written = self._db.write_blob(RESULTS_SCHEMA_TAG, key, result)
+        self._account(written)
+        if written:
             self.stats.stores += 1
-
-    def cell_count(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            rows = self._execute("SELECT COUNT(*) FROM cells")
-        else:
-            rows = self._execute(
-                "SELECT COUNT(*) FROM cells WHERE kind = ?", (kind,)
-            )
-        return rows[0][0] if rows else 0
 
     # -- runs ------------------------------------------------------------------
 

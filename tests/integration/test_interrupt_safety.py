@@ -51,7 +51,7 @@ def _cell_count(store_path):
     except sqlite3.OperationalError:
         return 0
     try:
-        return conn.execute("SELECT COUNT(*) FROM cells").fetchone()[0]
+        return conn.execute("SELECT COUNT(*) FROM blobs").fetchone()[0]
     except sqlite3.OperationalError:
         return 0  # schema not committed yet
     finally:

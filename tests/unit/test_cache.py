@@ -2,12 +2,21 @@
 
 import os
 import sqlite3
+import sys
+import threading
 import time
+import types
 
 import pytest
 
 from repro import cache
-from repro.cache import BLOB_FILE, SCHEMA_TAG, ArtifactCache, artifact_key
+from repro.cache import (
+    ANALYSIS_SCHEMA_TAG,
+    BLOB_FILE,
+    SCHEMA_TAG,
+    ArtifactCache,
+    artifact_key,
+)
 from repro.instrument import InstrumentedModule, relevance_enabled
 
 SOURCE = """
@@ -153,6 +162,38 @@ def test_corrupted_entry_falls_back_to_recompile(tmp_path):
     assert _edit_rows(tmp_path, "SELECT COUNT(*) FROM blobs") == [(1,)]
 
 
+def test_row_naming_a_vanished_class_is_a_miss_and_deleted(tmp_path, monkeypatch):
+    """An intact digest over a pickle that no longer loads (its class
+    is gone) heals like a corrupt row: counted, deleted, a miss."""
+    module = types.ModuleType("vanishing_cache_module")
+
+    class Gone:
+        pass
+
+    Gone.__module__ = module.__name__
+    Gone.__qualname__ = "Gone"
+    module.Gone = Gone
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    analysis = dict(schema_tag=ANALYSIS_SCHEMA_TAG, payload_type=None, capacity=0)
+    ArtifactCache(cache_dir=str(tmp_path), **analysis).store("k", Gone())
+    monkeypatch.delitem(sys.modules, module.__name__)
+
+    reopened = ArtifactCache(cache_dir=str(tmp_path), **analysis)
+    assert reopened.load("k") is None
+    assert reopened.stats.disk_errors == 1
+    assert reopened.stats.misses == 1
+    assert _edit_rows(tmp_path, "SELECT COUNT(*) FROM blobs") == [(0,)]
+
+
+def test_unpicklable_artifact_counts_an_error(tmp_path):
+    store = ArtifactCache(cache_dir=str(tmp_path), payload_type=None)
+    lock = threading.Lock()
+    assert cache.seal(lock, SCHEMA_TAG) is None
+    assert store.store("k", lock) is lock
+    assert store.stats.disk_errors == 1
+    assert store.stats.stores == 0
+
+
 def test_unwritable_disk_layer_degrades_gracefully(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file where the cache dir should be")
@@ -254,7 +295,6 @@ def test_busy_file_is_a_miss_not_a_heal(tmp_path, monkeypatch):
 
 def test_concurrent_lookups_converge_on_one_artifact(tmp_path):
     """Racing builders reconcile on a single canonical object."""
-    import threading
 
     store = ArtifactCache(cache_dir=str(tmp_path))
     results = []
@@ -282,7 +322,6 @@ def test_concurrent_lookups_converge_on_one_artifact(tmp_path):
 def test_concurrent_instances_share_the_disk_entry_safely(tmp_path):
     """Separate cache instances (separate processes in spirit) racing
     on one cache dir never corrupt the published entry."""
-    import threading
 
     instances = [ArtifactCache(cache_dir=str(tmp_path)) for _ in range(4)]
     barrier = threading.Barrier(4)
@@ -307,7 +346,6 @@ def test_concurrent_stores_count_every_store(tmp_path):
     """Stats counters are updated under the lock: serve worker threads
     storing into one shared instance lose no increment."""
     import sys
-    import threading
 
     store = ArtifactCache(cache_dir=str(tmp_path), payload_type=bytes)
     threads_n, per_thread = 8, 40
