@@ -68,7 +68,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.controldep import control_dependence
 from repro.analysis.lockset import address_taken
-from repro.cfg.graph import function_digraph
 from repro.instrument.plan import (
     CounterAdd,
     LoopSync,
@@ -414,12 +413,13 @@ def prunable_counter_edges(
     """
     functions = module.functions
     may_reach = plan.may_reach_syscall
-    graphs = {name: function_digraph(fn) for name, fn in functions.items()}
 
     # Direct call sites per callee, with their scoped-ness: a scoped
     # call's counter entry dies at the return, so it never propagates
-    # the caller's tail.  Indirect calls are always scoped.
+    # the caller's tail.  Indirect calls are always scoped.  ``callees``
+    # is the reverse map: whose call sites read a function's tail.
     callsites: Dict[str, List[Tuple[str, int]]] = {name: [] for name in functions}
+    callees: Dict[str, Set[str]] = {name: set() for name in functions}
     for gname, fn in functions.items():
         scoped = plan.functions[gname].scoped_calls
         for index, instr in enumerate(fn.instrs):
@@ -429,73 +429,71 @@ def prunable_counter_edges(
                 and index not in scoped
             ):
                 callsites[instr.func].append((gname, index))
+                callees[gname].add(instr.func)
 
-    ret_observes: Dict[str, bool] = {name: False for name in functions}
-    observes: Dict[str, Dict[int, bool]] = {}
+    # The observation tail is backward reachability over predecessors
+    # from the nodes that observe on their own: syscalls, indirect calls,
+    # direct calls into ``may_reach_syscall`` and the sources of barrier
+    # edges.  Returns (every ``Ret`` and the terminal exit nop every ret
+    # funnels into) join the seeds once an unscoped caller's tail makes
+    # the function's return observe.
+    preds: Dict[str, Dict[int, List[int]]] = {}
+    ret_seeds: Dict[str, List[int]] = {}
+    observes: Dict[str, List[bool]] = {}
 
-    def recompute(fname: str) -> None:
-        fn = functions[fname]
-        graph = graphs[fname]
-        fplan = plan.functions[fname]
-        instrs = fn.instrs
+    def extend(fname: str, seeds: List[int]) -> None:
+        tail, fn_preds = observes[fname], preds[fname]
+        stack = list(seeds)
+        while stack:
+            node = stack.pop()
+            if not tail[node]:
+                tail[node] = True
+                stack.extend(fn_preds[node])
 
-        def instr_observes(index: int) -> bool:
-            instr = instrs[index]
+    for fname, fn in functions.items():
+        actions = plan.functions[fname].actions
+        preds[fname] = fn.predecessor_map()
+        seeds, returns = [], []
+        for index, instr in enumerate(fn.instrs):
             kind = type(instr)
-            if kind is ins.Syscall or kind is ins.CallIndirect:
-                return True
-            if kind is ins.CallDirect:
-                return instr.func in may_reach
-            if kind is ins.Ret:
-                return ret_observes[fname]
-            return False
+            succs = fn.successors(index)
+            if (
+                kind is ins.Syscall
+                or kind is ins.CallIndirect
+                or (kind is ins.CallDirect and instr.func in may_reach)
+                or any(
+                    type(action) is LoopSync
+                    for succ in succs
+                    for action in actions.get((index, succ), ())
+                )
+            ):
+                seeds.append(index)
+            if kind is ins.Ret or not succs:
+                returns.append(index)
+        ret_seeds[fname] = returns
+        observes[fname] = [False] * len(fn.instrs)
+        extend(fname, seeds)
 
-        def barrier_edge(src: int, dst: int) -> bool:
-            actions = fplan.actions.get((src, dst))
-            return bool(actions) and any(
-                type(action) is LoopSync for action in actions
-            )
+    def observed(fname: str, node: int) -> bool:
+        tail = observes[fname]
+        return node >= len(tail) or tail[node]
 
-        tail = {node: False for node in graph.nodes}
-        changed = True
-        while changed:
-            changed = False
-            for node in graph.nodes:
-                if tail[node]:
-                    continue
-                succs = graph.succs(node)
-                # A terminal node (the exit nop every ret funnels into)
-                # is the function's return: it observes exactly when an
-                # unscoped caller's tail does.
-                if (
-                    instr_observes(node)
-                    or (not succs and ret_observes[fname])
-                    or any(
-                        barrier_edge(node, succ) or tail[succ]
-                        for succ in succs
-                    )
-                ):
-                    tail[node] = True
-                    changed = True
-        observes[fname] = tail
-
-    for name in functions:
-        recompute(name)
-    changed = True
-    while changed:
-        changed = False
-        for fname in functions:
-            if ret_observes[fname]:
-                continue
-            for gname, index in callsites[fname]:
-                # The call falls through; conservatively observe when
-                # the successor is unknown.
-                if observes[gname].get(index + 1, True):
-                    ret_observes[fname] = True
-                    changed = True
-                    for name in functions:
-                        recompute(name)
-                    break
+    # A function's return observes once any unscoped call site of it
+    # falls into its caller's tail.  That flag only grows, and growing
+    # it grows only this function's tail, which only its callees' call
+    # sites read.
+    ret_observes: Set[str] = set()
+    pending = list(functions)
+    while pending:
+        fname = pending.pop()
+        if fname in ret_observes:
+            continue
+        # The call falls through; conservatively observe when the
+        # successor is unknown.
+        if any(observed(gname, index + 1) for gname, index in callsites[fname]):
+            ret_observes.add(fname)
+            extend(fname, ret_seeds[fname])
+            pending.extend(callees[fname])
 
     if relevance is None:
         relevance = getattr(plan, "relevance", None)
@@ -506,7 +504,7 @@ def prunable_counter_edges(
         for (src, dst), actions in fplan.actions.items():
             if not all(type(action) is CounterAdd for action in actions):
                 continue  # barriers and loop bookkeeping stay untouched
-            if observes[fname].get(dst, True):
+            if observed(fname, dst):
                 continue  # an event can still sample the entry
             if fn_relevance is not None and (
                 src not in fn_relevance.elidable

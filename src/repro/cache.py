@@ -399,6 +399,15 @@ def result_cell_key(source: str, params: Dict[str, object]) -> str:
     return artifact_key(source, params, schema_tag=RESULTS_SCHEMA_TAG)
 
 
+# Entries the memory LRU keeps.  A batch run touches one artifact and
+# one analysis per workload (28), and the serve daemon's warm set is
+# its FactoryCache (32) plus the sources arriving between two reuses.
+# An instrumented artifact with its memoized compilation and landed
+# regions holds ~220 KB, so each never-seen source the daemon serves
+# stays resident until this many newer keys displace it.
+LRU_CAPACITY = 64
+
+
 class ArtifactCache:
     """A two-layer (memory LRU + optional disk) artifact cache.
 
@@ -411,7 +420,7 @@ class ArtifactCache:
 
     def __init__(
         self,
-        capacity: int = 128,
+        capacity: int = LRU_CAPACITY,
         cache_dir: Optional[str] = None,
         enabled: bool = True,
         schema_tag: str = SCHEMA_TAG,

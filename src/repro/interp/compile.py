@@ -64,7 +64,6 @@ import sys
 import weakref
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.errors import LoweringError
 from repro.instrument.plan import FunctionPlan, ModulePlan, fold_counter_adds
 from repro.interp.builtins import BUILTINS
 from repro.interp.events import SyscallEvent
@@ -143,21 +142,20 @@ class CompiledFunction:
 class CompiledModule:
     """Compiled form of a whole module under one plan.
 
-    Holds strong references to the module and plan it was compiled
-    against so the identity-keyed memo below can never serve a stale
-    entry for a recycled object id.
+    Holds a strong reference to the plan it was compiled against so the
+    memo below, keyed by ``id(plan)``, can never serve a stale entry for
+    a recycled object id.  Nothing in it refers to the module, the
+    memo's weak key, so the entry dies with the module.
     """
 
-    __slots__ = ("functions", "module", "plan")
+    __slots__ = ("functions", "plan")
 
     def __init__(
         self,
         functions: Dict[str, CompiledFunction],
-        module: IRModule,
         plan: Optional[ModulePlan],
     ) -> None:
         self.functions = functions
-        self.module = module
         self.plan = plan
 
     def steps_for(self, name: str) -> List[Step]:
@@ -182,7 +180,10 @@ class _FunctionCompiler:
         link: Optional[Dict[str, Tuple[Optional[FunctionPlan], List[Step]]]] = None,
         artifact: Optional[str] = None,
     ) -> None:
-        self.module = module
+        # The callee table, not the module: lazy region steps keep the
+        # compiler alive, and a reference to the module would keep the
+        # memo's weak key alive with it.
+        self.functions = module.functions
         self.function = function
         self.plan = plan
         self.global_names = global_names
@@ -659,9 +660,8 @@ class _FunctionCompiler:
         return step
 
     def _compile_calldirect(self, index: int, instr: ins.CallDirect) -> Step:
-        try:
-            target = self.module.function(instr.func)
-        except LoweringError:
+        target = self.functions.get(instr.func)
+        if target is None:
             # Unknown callee: keep the switch backend's runtime error.
             def step(machine, thread, frame, _instr=instr):
                 return machine._enter_call(
@@ -1642,7 +1642,7 @@ def compile_module(
     for name, compiled in functions.items():
         function_plan = plan.functions.get(name) if plan is not None else None
         link[name] = (function_plan, compiled.steps)
-    return CompiledModule(functions, module, plan)
+    return CompiledModule(functions, plan)
 
 
 # -- in-process compilation memo --------------------------------------------------

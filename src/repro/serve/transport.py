@@ -135,6 +135,10 @@ class StdioTransport:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted connection.  ``_reply`` writes the
+    # headers and the body separately; with Nagle's algorithm on, a
+    # keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     # The service writes structured logs; silence the default chatter.
     def log_message(self, format, *args):  # noqa: A002 (stdlib signature)

@@ -7,10 +7,13 @@ breakers and transports add latency and explicit degradation, never
 verdict changes.
 """
 
+import contextlib
+import http.client
 import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -27,6 +30,7 @@ from repro.serve import (
     StdioTransport,
     api,
 )
+from repro.serve import transport as transport_module
 from repro.serve.admission import ShedReason
 from repro.serve.service import _world_from_spec
 from repro.workloads import get_workload
@@ -335,8 +339,10 @@ def test_stdio_reader_failure_is_logged_then_ends_input():
     assert errors == [{"event": "reader-error", "error": "OSError: stream torn"}]
 
 
-def test_http_transport_roundtrip_and_probes():
-    service = _service()
+@contextlib.contextmanager
+def _http_daemon(service):
+    """An HTTP transport serving *service* on an ephemeral port; stops
+    and drains it on exit."""
     transport = HttpTransport(service, port=0)
     thread = threading.Thread(
         target=transport.serve_forever,
@@ -344,8 +350,29 @@ def test_http_transport_roundtrip_and_probes():
         daemon=True,
     )
     thread.start()
-    base = f"http://127.0.0.1:{transport.port}"
     try:
+        yield transport
+    finally:
+        transport.request_stop()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert not service.alive()  # drained
+
+
+def _json_reply(connection, method, path, body=None, headers=None):
+    """One request on *connection*; (status, response, parsed body).  The
+    reply must frame itself: ``Content-Length`` equals the body read."""
+    connection.request(method, path, body=body, headers=headers or {})
+    reply = connection.getresponse()
+    raw = reply.read()
+    assert int(reply.getheader("Content-Length")) == len(raw)
+    return reply.status, reply, json.loads(raw)
+
+
+def test_http_transport_roundtrip_and_probes():
+    service = _service()
+    with _http_daemon(service) as transport:
+        base = f"http://127.0.0.1:{transport.port}"
         with urllib.request.urlopen(base + "/healthz", timeout=10) as reply:
             assert json.loads(reply.read())["alive"] is True
         with urllib.request.urlopen(base + "/readyz", timeout=10) as reply:
@@ -374,11 +401,109 @@ def test_http_transport_roundtrip_and_probes():
         # The invalid requests were rejected at admission, not served.
         assert stats["served"] == 1
         assert stats["errors"] == 0
-    finally:
-        transport.request_stop()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert not service.alive()  # drained
+
+
+def test_http_connections_disable_nagle(monkeypatch):
+    """Every accepted connection has TCP_NODELAY set, so a reply's
+    second write leaves at once instead of waiting for the client's
+    delayed ACK."""
+    nodelay = []
+    real_setup = transport_module._Handler.setup
+
+    def recording_setup(handler):
+        real_setup(handler)
+        nodelay.append(handler.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY
+        ))
+
+    monkeypatch.setattr(transport_module._Handler, "setup", recording_setup)
+    with _http_daemon(_service()) as transport:
+        for _ in range(2):
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", transport.port, timeout=30
+            )
+            try:
+                assert _json_reply(connection, "GET", "/healthz")[0] == 200
+            finally:
+                connection.close()
+    assert len(nodelay) == 2
+    assert all(nodelay)
+
+
+def test_keep_alive_connection_serves_back_to_back_requests_in_order():
+    requests = [
+        {"id": f"r{i}", "workload": workload, "variant": "leak"}
+        for i, workload in enumerate(("gzip", "tnftp") * 25)
+    ]
+    batch = {}
+    for workload in ("gzip", "tnftp"):
+        program = get_workload(workload)
+        batch[workload] = _canonical(run_dual(
+            program.instrumented, program.build_world(1),
+            program.leak_variant(),
+        ))
+    with _http_daemon(_service()) as transport:
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", transport.port, timeout=120
+        )
+        try:
+            replies = []
+            for request in requests:
+                replies.append(_json_reply(
+                    connection, "POST", "/v1/infer", json.dumps(request)
+                ))
+                if len(replies) == 1:
+                    sock = connection.sock
+            assert connection.sock is sock  # one connection throughout
+        finally:
+            connection.close()
+    assert [payload["id"] for _, _, payload in replies] == [
+        request["id"] for request in requests
+    ]
+    for (status, _, payload), request in zip(replies, requests):
+        assert status == 200
+        assert payload["status"] == "ok"
+        assert json.dumps(payload["verdict"], sort_keys=True) == (
+            batch[request["workload"]]
+        )
+
+
+def test_probes_and_rejections_frame_replies_on_a_reused_connection():
+    service = _service()
+    with _http_daemon(service) as transport:
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", transport.port, timeout=60
+        )
+        try:
+            status, _, payload = _json_reply(connection, "GET", "/healthz")
+            assert (status, payload) == (200, {"alive": True})
+            sock = connection.sock
+            status, _, payload = _json_reply(connection, "GET", "/statz")
+            assert status == 200
+            assert payload["served"] == 0
+            assert payload["queue"]["capacity"] == service.queue.capacity
+            # A declared body over the cap is refused before it is read.
+            status, _, payload = _json_reply(
+                connection, "POST", "/v1/infer",
+                headers={"Content-Length": str(transport_module.MAX_BODY_BYTES + 1)},
+            )
+            assert status == 413
+            assert payload["status"] == api.STATUS_INVALID
+            # Draining: a late arrival is shed with 429 and Retry-After.
+            service.begin_drain()
+            status, reply, payload = _json_reply(
+                connection, "POST", "/v1/infer",
+                json.dumps({"id": "late", "workload": "gzip", "variant": "leak"}),
+            )
+            assert status == 429
+            assert payload["status"] == api.STATUS_OVERLOADED
+            assert payload["id"] == "late"
+            assert reply.getheader("Retry-After") == str(payload["retry_after"])
+            status, _, payload = _json_reply(connection, "GET", "/healthz")
+            assert (status, payload) == (200, {"alive": True})
+            assert connection.sock is sock  # one connection throughout
+        finally:
+            connection.close()
 
 
 def test_sigterm_drains_stdio_daemon_to_exit_zero(tmp_path):

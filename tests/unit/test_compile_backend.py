@@ -1,5 +1,8 @@
 """Unit tests for the threaded-code compiler and backend plumbing."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import cache
@@ -119,6 +122,22 @@ def test_compile_memo_reuses_compilations():
     clear_compile_memo()
     third = compiled_for_module(module, None, fuse=True)
     assert third is not first
+
+
+def test_compile_memo_entry_dies_with_its_module():
+    """The memo's key is weak and nothing compiled refers back to the
+    module, so a long-running process that compiles many programs
+    frees each compilation, landed regions included, with its module."""
+    source = "fn add(a, b) {\n    return a + b;\n}\n" + LOOP.replace(
+        "total + i", "add(total, i)"
+    )
+    artifact = instrument_module(compile_source(source))
+    result = run_native(artifact.module, World(), plan=artifact.plan, backend="threaded")
+    assert result.stdout == "190"
+    module = weakref.ref(artifact.module)
+    del artifact, result
+    gc.collect()
+    assert module() is None
 
 
 def test_observed_baseline_shares_the_native_compilation(monkeypatch):
