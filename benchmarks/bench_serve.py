@@ -37,12 +37,12 @@ def test_warm_service_latency_beats_one_shot(benchmark):
     service = LdxService(ServeConfig(workers=1, log_stream=io.StringIO())).start()
     payload = {"id": "warm", "workload": WORKLOAD, "variant": "leak"}
     try:
-        warmup = service.submit_and_wait(payload, timeout=120)
+        warmup = service.submit(payload)
         assert warmup["status"] == "ok"
         assert warmup["cache"]["factory"] == "miss"
 
         def warm_request():
-            response = service.submit_and_wait(payload, timeout=120)
+            response = service.submit(payload)
             assert response["status"] == "ok"
             assert response["cache"]["factory"] == "hit"
             return response
@@ -84,11 +84,7 @@ def test_service_throughput_under_storm(benchmark):
         ]
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=8) as pool:
-            responses = list(
-                pool.map(
-                    lambda p: service.submit_and_wait(p, timeout=300), payloads
-                )
-            )
+            responses = list(pool.map(service.submit, payloads))
         elapsed = time.perf_counter() - start
         assert service.drain(timeout=120)
         return responses, elapsed

@@ -10,7 +10,7 @@ Usage::
     python -m repro analyze program.mc | --workload NAME | --all [--dump-ir]
     python -m repro profile WORKLOAD [--top N] [--json PATH]
     python -m repro serve [--http PORT] [--workers N] [--queue-capacity N]
-    python -m repro serve-chaos [--requests N] [--fault-rate R] [--workers N]
+    python -m repro serve-chaos [--requests N] [--workers N] [--queue-capacity N]
 
 ``leak`` dual-executes a MiniC program with LDX and reports causality;
 ``run`` executes it natively; ``eval`` regenerates the paper's tables
@@ -615,10 +615,6 @@ def _cmd_serve_chaos(args) -> int:
         requests=args.requests,
         workers=args.workers,
         queue_capacity=args.queue_capacity,
-        fault_rate=args.fault_rate,
-        fault_seed=args.fault_seed,
-        tiny_deadline_every=args.tiny_deadline_every,
-        poison_every=args.poison_every,
     )
     print(render_storm(outcome))
     return 0 if storm_ok(outcome) else 1
@@ -817,7 +813,7 @@ def main(argv: List[str] = None) -> int:
     )
     serve_parser.add_argument(
         "--workers", type=_at_least(1, "worker count"), default=2, metavar="N",
-        help="worker threads draining the admission queue",
+        help="requests run at once (later ones wait in arrival order)",
     )
     serve_parser.add_argument(
         "--queue-capacity", type=_at_least(1, "queue capacity"), default=64,
@@ -842,28 +838,12 @@ def main(argv: List[str] = None) -> int:
     )
     serve_chaos_parser.add_argument(
         "--workers", type=_at_least(1, "worker count"), default=2, metavar="N",
-        help="service worker threads",
+        help="requests the service runs at once",
     )
     serve_chaos_parser.add_argument(
         "--queue-capacity", type=_at_least(1, "queue capacity"), default=8,
         metavar="N",
         help="admission queue bound (small by default to exercise shedding)",
-    )
-    serve_chaos_parser.add_argument(
-        "--tiny-deadline-every", type=int, default=7, metavar="N",
-        help="every Nth request gets a near-zero deadline (0 disables)",
-    )
-    serve_chaos_parser.add_argument(
-        "--poison-every", type=int, default=11, metavar="N",
-        help="every Nth request is malformed/oversized (0 disables)",
-    )
-    serve_chaos_parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the deterministic fault-injection plan",
-    )
-    serve_chaos_parser.add_argument(
-        "--fault-rate", type=_rate, default=0.1,
-        help="transient-fault probability per eligible syscall (0 disables)",
     )
     _add_cache_options(serve_chaos_parser)
     _add_backend_option(serve_chaos_parser)

@@ -18,7 +18,7 @@ and the outcome is checked against the **service invariants**:
 4. poisoned requests come back ``invalid`` with a diagnosis;
 5. degradation is always explicit: a non-``full`` confidence is
    backed by a populated degradation report;
-6. after the storm the service drains cleanly: no stuck workers, no
+6. after the storm the service drains cleanly: no stuck requests, no
    leaked watchdog threads.
 
 Request mixes are a pure function of the storm parameters, so two
@@ -40,6 +40,14 @@ from repro.serve import LdxService, ServeConfig, api
 STORM_WORKLOADS = ("gzip", "bzip2", "tnftp", "mp3info")
 
 TINY_DEADLINE = 10.0
+
+# The storm's fixed mix: every Nth request gets TINY_DEADLINE, every
+# Nth is malformed, and each well-formed one injects transient faults
+# at FAULT_RATE from its own seed (FAULT_SEED + its index).
+TINY_DEADLINE_EVERY = 7
+POISON_EVERY = 11
+FAULT_RATE = 0.1
+FAULT_SEED = 0
 
 # Poison cycle: each kind must produce an `invalid` response.
 _POISON_KINDS = ("not-json", "unknown-key", "bad-variant", "oversized")
@@ -87,20 +95,14 @@ def _poison_payload(kind: str, index: int):
     }
 
 
-def plan_storm(
-    requests: int,
-    fault_rate: float,
-    fault_seed: int,
-    tiny_deadline_every: int,
-    poison_every: int,
-) -> List[Tuple[str, object]]:
+def plan_storm(requests: int) -> List[Tuple[str, object]]:
     """The deterministic request mix: (kind, payload) per request,
     where kind is ``ok`` (a well-formed workload request) or
     ``poison``."""
     plan: List[Tuple[str, object]] = []
     poison_cycle = 0
     for index in range(requests):
-        if poison_every and (index + 1) % poison_every == 0:
+        if (index + 1) % POISON_EVERY == 0:
             plan.append(
                 ("poison",
                  _poison_payload(_POISON_KINDS[poison_cycle % len(_POISON_KINDS)],
@@ -109,7 +111,7 @@ def plan_storm(
             poison_cycle += 1
             continue
         deadline = DEFAULT_DEADLINE
-        if tiny_deadline_every and (index + 1) % tiny_deadline_every == 0:
+        if (index + 1) % TINY_DEADLINE_EVERY == 0:
             deadline = TINY_DEADLINE
         plan.append(
             ("ok", {
@@ -118,8 +120,8 @@ def plan_storm(
                 "variant": "leak",
                 "seed": 1,
                 "deadline": deadline,
-                "fault_seed": fault_seed + index,
-                "fault_rate": fault_rate,
+                "fault_seed": FAULT_SEED + index,
+                "fault_rate": FAULT_RATE,
             })
         )
     return plan
@@ -155,15 +157,9 @@ def run_storm(
     requests: int = 60,
     workers: int = 2,
     queue_capacity: int = 8,
-    fault_rate: float = 0.1,
-    fault_seed: int = 0,
-    tiny_deadline_every: int = 7,
-    poison_every: int = 11,
 ) -> StormOutcome:
     """Throw one storm; see the module docstring for the invariants."""
-    plan = plan_storm(
-        requests, fault_rate, fault_seed, tiny_deadline_every, poison_every
-    )
+    plan = plan_storm(requests)
     outcome = StormOutcome()
     outcome.requests = len(plan)
 
@@ -189,7 +185,7 @@ def run_storm(
                     return
                 cursor["next"] = index + 1
             kind, payload = plan[index]
-            results[index] = (kind, payload, service.submit(payload).wait(120.0))
+            results[index] = (kind, payload, service.submit(payload))
 
     clients = [
         threading.Thread(target=_client, name=f"storm-client-{i}", daemon=True)
@@ -214,9 +210,6 @@ def run_storm(
             outcome.violations.append(f"request {index} was never dispatched")
             continue
         kind, payload, response = record
-        if response is None:
-            outcome.violations.append(f"request {index} got no response (hang)")
-            continue
         status = response.get("status", "<missing>")
         outcome.count(status)
         if kind == "poison":

@@ -4,11 +4,11 @@ Layers, bottom up:
 
 * :mod:`repro.serve.api` — the wire format: request parsing/validation
   and the canonical (batch-identical) verdict payload;
-* :mod:`repro.serve.admission` — the bounded FIFO admission queue with
+* :mod:`repro.serve.admission` — the bounded FIFO admission gate with
   watermark shedding;
 * :mod:`repro.serve.breaker` — per-workload circuit breakers;
-* :mod:`repro.serve.service` — :class:`LdxService`: workers, the
-  warm :class:`FactoryCache`, deadlines via
+* :mod:`repro.serve.service` — :class:`LdxService`: each request on
+  its caller's thread, the warm :class:`FactoryCache`, deadlines via
   :class:`~repro.core.supervisor.RunBudget`, structured logs, drain;
 * :mod:`repro.serve.transport` — stdin-JSONL and localhost-HTTP shells.
 
@@ -31,9 +31,9 @@ from repro.serve.api import (
     parse_request,
     verdict_payload,
 )
-from repro.serve.admission import Admitted, AdmissionQueue, ShedReason
+from repro.serve.admission import AdmissionQueue, ShedReason
 from repro.serve.breaker import BreakerBoard, CircuitBreaker
-from repro.serve.service import FactoryCache, LdxService, ServeConfig, Ticket
+from repro.serve.service import FactoryCache, LdxService, ServeConfig
 from repro.serve.transport import HttpTransport, StdioTransport
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "ok_response",
     "parse_request",
     "verdict_payload",
-    "Admitted",
     "AdmissionQueue",
     "ShedReason",
     "BreakerBoard",
@@ -59,7 +58,6 @@ __all__ = [
     "FactoryCache",
     "LdxService",
     "ServeConfig",
-    "Ticket",
     "HttpTransport",
     "StdioTransport",
 ]

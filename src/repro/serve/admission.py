@@ -1,7 +1,9 @@
-"""Admission control: a bounded FIFO queue with watermark shedding.
+"""Admission control: a bounded FIFO gate with watermark shedding.
 
-The daemon admits work through exactly one gate.  Three regimes, by
-queue depth:
+Every request runs on the thread that received it, and enters through
+exactly one gate.  At most ``slots`` requests run at once; later ones
+wait in arrival order.  Three regimes, by the number waiting (the
+depth):
 
 * **below the high watermark** (¾ of capacity) — everything is
   admitted;
@@ -9,30 +11,18 @@ queue depth:
   artifact is not already cached, i.e. the expensive ones) are shed
   with an ``overloaded`` response and a ``retry_after`` hint, while
   warm requests still ride — load sheds the costly tail first;
-* **at capacity** — everything is shed.  The queue never blocks a
-  producer and never grows without bound, so backpressure is always
-  explicit: a client sees ``overloaded``, not a hang.
+* **at capacity** — everything is shed.  The wait never grows without
+  bound, so backpressure is always explicit: a client sees
+  ``overloaded``, not a hang.
 
-Workers take entries in arrival order.
+Once draining starts, new offers shed; a waiter already admitted still
+runs.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from typing import Optional
-
-
-class Admitted:
-    """One queue entry: the request plus its admission metadata."""
-
-    __slots__ = ("request", "module_key", "warm", "enqueued_at")
-
-    def __init__(self, request, module_key: str, warm: bool, enqueued_at: float) -> None:
-        self.request = request
-        self.module_key = module_key
-        self.warm = warm
-        self.enqueued_at = enqueued_at
 
 
 class ShedReason:
@@ -44,18 +34,23 @@ class ShedReason:
 
 
 class AdmissionQueue:
-    """Bounded, watermark-shedding FIFO request queue."""
+    """Bounded, watermark-shedding FIFO gate in front of ``slots``
+    concurrent runs."""
 
-    def __init__(self, capacity: int = 64) -> None:
+    def __init__(self, capacity: int = 64, slots: int = 1) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.high_watermark = max(1, capacity * 3 // 4)
-        self._entries: deque = deque()
+        self.slots = max(1, slots)
         self._lock = threading.Lock()
-        self._available = threading.Condition(self._lock)
+        self._changed = threading.Condition(self._lock)
+        # Turns in arrival order: admitted waiters hold the numbers
+        # [_next_turn, _issued); the holder of _next_turn runs next.
+        self._issued = 0
+        self._next_turn = 0
+        self._running = 0
         self._draining = False
-        self._closed = False
         # Shed accounting, by reason.
         self.shed = {
             ShedReason.QUEUE_FULL: 0,
@@ -64,51 +59,50 @@ class AdmissionQueue:
         }
         self.admitted = 0
 
-    # -- producer side ---------------------------------------------------------
-
-    def offer(self, entry: Admitted) -> Optional[str]:
-        """Admit *entry*, or return the shed reason (None = admitted)."""
+    def enter(self, warm: bool) -> Optional[str]:
+        """Admit the caller and block until it may run, or return the
+        shed reason at once.  None means admitted: the caller must
+        :meth:`leave` when its run ends."""
         with self._lock:
-            if self._draining or self._closed:
+            if self._draining:
                 self.shed[ShedReason.DRAINING] += 1
                 return ShedReason.DRAINING
-            depth = len(self._entries)
+            depth = self._issued - self._next_turn
             if depth >= self.capacity:
                 self.shed[ShedReason.QUEUE_FULL] += 1
                 return ShedReason.QUEUE_FULL
-            if depth >= self.high_watermark and not entry.warm:
+            if depth >= self.high_watermark and not warm:
                 self.shed[ShedReason.WATERMARK_COLD] += 1
                 return ShedReason.WATERMARK_COLD
-            self._entries.append(entry)
+            turn = self._issued
+            self._issued += 1
             self.admitted += 1
-            self._available.notify()
+            while turn != self._next_turn or self._running >= self.slots:
+                self._changed.wait()
+            self._next_turn += 1
+            self._running += 1
+            # The next in line may find a free slot too.
+            self._changed.notify_all()
             return None
 
-    # -- consumer side ---------------------------------------------------------
-
-    def take(self, timeout: Optional[float] = None) -> Optional[Admitted]:
-        """The oldest entry, or None on timeout / after close with an
-        empty queue."""
+    def leave(self) -> None:
+        """Release the slot an admitted caller ran in."""
         with self._lock:
-            while not self._entries:
-                if self._closed or self._draining:
-                    return None
-                if not self._available.wait(timeout):
-                    return None
-            return self._entries.popleft()
-
-    # -- lifecycle -------------------------------------------------------------
+            self._running -= 1
+            self._changed.notify_all()
 
     def begin_drain(self) -> None:
-        """Stop admitting; queued entries remain to be drained."""
+        """Stop admitting; admitted waiters still run."""
         with self._lock:
             self._draining = True
-            self._available.notify_all()
 
-    def close(self) -> None:
+    def wait_idle(self, timeout: Optional[float] = None) -> bool:
+        """Block until nothing runs or waits; False on timeout."""
         with self._lock:
-            self._closed = True
-            self._available.notify_all()
+            return self._changed.wait_for(
+                lambda: self._running == 0 and self._issued == self._next_turn,
+                timeout,
+            )
 
     @property
     def draining(self) -> bool:
@@ -118,18 +112,17 @@ class AdmissionQueue:
     @property
     def depth(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return self._issued - self._next_turn
 
     @property
     def saturated(self) -> bool:
         """Readiness-probe input: at/above the high watermark."""
-        with self._lock:
-            return len(self._entries) >= self.high_watermark
+        return self.depth >= self.high_watermark
 
     def snapshot(self) -> dict:
         with self._lock:
             return {
-                "depth": len(self._entries),
+                "depth": self._issued - self._next_turn,
                 "capacity": self.capacity,
                 "high_watermark": self.high_watermark,
                 "admitted": self.admitted,

@@ -228,6 +228,11 @@ def parse_request(payload) -> ServeRequest:
                 raise RequestError(
                     f"world.{mapping_key} must map strings to strings"
                 )
+        if not isinstance(world_spec.get("stdin", ""), str):
+            raise RequestError("world.stdin must be a string")
+        world_seed = world_spec.get("seed", 1)
+        if not isinstance(world_seed, int) or isinstance(world_seed, bool):
+            raise RequestError("world.seed must be an int")
         request = ServeRequest(
             request_id,
             source=source,

@@ -1,10 +1,13 @@
-"""The causality service: request lifecycle, workers, drain.
+"""The causality service: request lifecycle, admission, drain.
 
-``LdxService`` is the transport-independent daemon core.  One instance
+``LdxService`` is the transport-independent daemon core.  A request
+runs start to finish on the thread that submitted it (an HTTP
+connection thread, the stdio reader, a storm client).  One instance
 owns:
 
 * a :class:`~repro.serve.admission.AdmissionQueue` (bounded, FIFO,
-  watermark shedding) — the only gate work enters through;
+  watermark shedding) — the only gate work enters through, which lets
+  at most ``ServeConfig.workers`` requests run at once;
 * a :class:`FactoryCache` — the explicit lifecycle object for warm
   state: an LRU of :class:`~repro.core.engine.EngineFactory` keyed by
   module key, layered over the process-global content-addressed
@@ -15,7 +18,6 @@ owns:
 * a :class:`~repro.serve.breaker.BreakerBoard` — per-module-key
   circuit breakers tripping on repeated *engine* failures (program
   crashes are results, not failures);
-* worker threads draining the queue in arrival order;
 * per-request structured logs (JSON lines): request id, queue wait,
   service time, degradation rung, cache-hit flags, breaker state.
 
@@ -29,9 +31,9 @@ time (:class:`~repro.core.supervisor.RunBudget`), so a timed-out
 request degrades into a diagnosed partial verdict instead of hanging.
 
 Graceful drain: :meth:`begin_drain` stops admission (new offers shed
-with ``draining``), lets workers finish everything already admitted —
-each run bounded by its budget — then flushes the caches and reports
-final statistics.
+with ``draining``); :meth:`drain` then waits until every admitted
+request has run — each bounded by its budget — flushes the caches and
+reports final statistics.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, TextIO
+from typing import Dict, Optional, TextIO
 
 from repro.core.engine import EngineFactory
 from repro.core.supervisor import RunBudget
 from repro.serve import api
-from repro.serve.admission import Admitted, AdmissionQueue
+from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import COOLDOWN_S, BreakerBoard
 from repro.vos.faults import FaultConfig
 from repro.vos.world import World
@@ -71,30 +73,6 @@ class ServeConfig:
         self.workers = max(1, workers)
         self.queue_capacity = queue_capacity
         self.log_stream = log_stream
-
-
-class Ticket:
-    """A pending response; transports wait on it."""
-
-    __slots__ = ("_event", "response")
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self.response: Optional[dict] = None
-
-    def resolve(self, response: dict) -> "Ticket":
-        self.response = response
-        self._event.set()
-        return self
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[dict]:
-        if not self._event.wait(timeout):
-            return None
-        return self.response
-
-    @property
-    def done(self) -> bool:
-        return self._event.is_set()
 
 
 class FactoryCache:
@@ -193,13 +171,12 @@ class LdxService:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        self.queue = AdmissionQueue(self.config.queue_capacity)
+        self.queue = AdmissionQueue(self.config.queue_capacity,
+                                    self.config.workers)
         self.factories = FactoryCache()
         self.breakers = BreakerBoard()
         self._log_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self._started = False
-        self._drained = threading.Event()
+        self._drained = False
         # The counters are only ever touched under _stats_lock —
         # including reads: torn snapshots (e.g. /statz observing a
         # served bump but not the matching errors bump) made the
@@ -213,15 +190,6 @@ class LdxService:
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "LdxService":
-        if self._started:
-            return self
-        self._started = True
-        for index in range(self.config.workers):
-            thread = threading.Thread(
-                target=self._worker_loop, name=f"ldx-serve-{index}", daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
         self.log({"event": "start", "workers": self.config.workers,
                   "queue": self.queue.snapshot()})
         return self
@@ -232,17 +200,10 @@ class LdxService:
         self.log({"event": "drain-begin", "queue": self.queue.snapshot()})
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: drain the queue, stop workers, flush the
+        """Graceful shutdown: wait for admitted requests, then flush the
         caches.  True when everything drained within *timeout*."""
         self.begin_drain()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for thread in self._threads:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            thread.join(remaining)
-        drained = not any(thread.is_alive() for thread in self._threads)
-        self.queue.close()
+        drained = self.queue.wait_idle(timeout)
         factory_stats = self.factories.close()
         with self._stats_lock:
             served, errors, rejected = self.served, self.errors, self.rejected
@@ -256,13 +217,13 @@ class LdxService:
             "queue": self.queue.snapshot(),
             "breakers": self.breakers.snapshot(),
         })
-        self._drained.set()
+        self._drained = True
         return drained
 
     # -- probes ----------------------------------------------------------------
 
     def alive(self) -> bool:
-        return not self._drained.is_set()
+        return not self._drained
 
     def ready(self) -> bool:
         """Readiness: admitting and below the high watermark."""
@@ -283,12 +244,11 @@ class LdxService:
             "breakers": self.breakers.snapshot(),
         }
 
-    # -- submission ------------------------------------------------------------
+    # -- requests --------------------------------------------------------------
 
-    def submit(self, payload) -> Ticket:
-        """Parse, admit and enqueue one request; always resolves the
-        returned ticket eventually (immediately on rejection)."""
-        ticket = Ticket()
+    def submit(self, payload) -> dict:
+        """Answer one request on the calling thread: parse, breaker,
+        admission, run.  Always returns a response."""
         try:
             request = (
                 payload
@@ -296,74 +256,24 @@ class LdxService:
                 else api.parse_request(payload)
             )
         except api.RequestError as error:
-            # Echo the request id back when it is salvageable, so the
-            # client can correlate the rejection (wire payloads arrive
-            # as raw JSONL lines, not dicts).
-            raw = payload
-            if isinstance(raw, (str, bytes)):
-                try:
-                    raw = json.loads(raw)
-                except (ValueError, RecursionError):
-                    raw = None
-            request_id = None
-            if isinstance(raw, dict):
-                candidate = raw.get("id")
-                if isinstance(candidate, str):
-                    request_id = candidate
-            response = api.error_response(
-                request_id, api.STATUS_INVALID, str(error)
-            )
-            self._log_rejection(request_id, api.STATUS_INVALID, str(error))
-            return ticket.resolve(response)
+            return self._reject(_salvage_id(payload), api.STATUS_INVALID,
+                                str(error))
 
         key = request.module_key()
-        breaker = self.breakers.breaker_for(key)
-        if not breaker.allow():
-            response = api.error_response(
-                request.id,
-                api.STATUS_UNAVAILABLE,
-                f"circuit open for {key}",
-                retry_after=COOLDOWN_S,
-            )
-            self._log_rejection(request.id, api.STATUS_UNAVAILABLE, key)
-            return ticket.resolve(response)
+        if not self.breakers.allow(key):
+            return self._reject(request.id, api.STATUS_UNAVAILABLE,
+                                f"circuit open for {key}",
+                                retry_after=COOLDOWN_S)
 
-        entry = Admitted(
-            request=(request, ticket, breaker),
-            module_key=key,
-            warm=self.factories.contains(key),
-            enqueued_at=time.monotonic(),
-        )
-        reason = self.queue.offer(entry)
+        enqueued = time.monotonic()
+        warm = self.factories.contains(key)
+        reason = self.queue.enter(warm)
         if reason is not None:
-            response = api.error_response(
-                request.id,
-                api.STATUS_OVERLOADED,
-                reason,
-                retry_after=1.0,
-                queue_depth=self.queue.depth,
-            )
-            self._log_rejection(request.id, api.STATUS_OVERLOADED, reason)
-            return ticket.resolve(response)
-        return ticket
-
-    def submit_and_wait(self, payload, timeout: Optional[float] = None) -> Optional[dict]:
-        return self.submit(payload).wait(timeout)
-
-    # -- workers ---------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        while True:
-            entry = self.queue.take(timeout=0.1)
-            if entry is None:
-                if self.queue.draining and self.queue.depth == 0:
-                    return
-                continue
-            request, ticket, breaker = entry.request
-            started = time.monotonic()
-            queue_wait = started - entry.enqueued_at
+            return self._reject(request.id, api.STATUS_OVERLOADED, reason,
+                                retry_after=1.0, queue_depth=self.queue.depth)
+        try:
             try:
-                response = self._serve(request, entry, queue_wait, started)
+                response = self._serve(request, key, warm, enqueued)
                 failed = bool(
                     response["status"] == api.STATUS_OK
                     and response["degradation"]["engine_failures"]
@@ -373,7 +283,7 @@ class LdxService:
                     request.id, api.STATUS_INVALID, str(error)
                 )
                 failed = False  # a bad request is not an engine failure
-            except Exception as error:  # never let a request kill a worker
+            except Exception as error:  # answer, never propagate
                 response = api.error_response(
                     request.id,
                     api.STATUS_ERROR,
@@ -382,15 +292,14 @@ class LdxService:
                 failed = True
                 with self._stats_lock:
                     self.errors += 1
-            if failed:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
+            self.breakers.record(key, failed)
             with self._stats_lock:
                 self.served += 1
-            ticket.resolve(response)
+            return response
+        finally:
+            self.queue.leave()
 
-    def _factory_for(self, request: api.ServeRequest) -> tuple:
+    def _factory_for(self, request: api.ServeRequest, key: str) -> tuple:
         """(factory, config, warm-flag) for one request."""
         if request.workload is not None:
             from repro.workloads import get_workload
@@ -409,7 +318,7 @@ class LdxService:
             else:
                 config = workload.config()
             factory, warm = self.factories.lookup(
-                request.module_key(),
+                key,
                 lambda: EngineFactory.for_workload(workload, seed=request.seed),
             )
             return factory, config, warm
@@ -426,17 +335,19 @@ class LdxService:
                 ) from None
             return EngineFactory(instrumented, _world_from_spec(request.world_spec))
 
-        factory, warm = self.factories.lookup(request.module_key(), build)
+        factory, warm = self.factories.lookup(key, build)
         return factory, request.config(), warm
 
     def _serve(
         self,
         request: api.ServeRequest,
-        entry: Admitted,
-        queue_wait: float,
-        started: float,
+        key: str,
+        admitted_warm: bool,
+        enqueued: float,
     ) -> dict:
-        factory, config, warm = self._factory_for(request)
+        started = time.monotonic()
+        queue_wait = started - enqueued
+        factory, config, warm = self._factory_for(request, key)
         budget = RunBudget.from_deadline(
             min(request.deadline, MAX_DEADLINE)
         )
@@ -455,12 +366,12 @@ class LdxService:
                 "service_s": round(service_time, 6),
                 "dual_time": result.dual_time,
             },
-            cache={"factory": "hit" if warm else "miss", "warm": entry.warm},
+            cache={"factory": "hit" if warm else "miss", "warm": admitted_warm},
         )
         self.log({
             "event": "request",
             "id": request.id,
-            "key": entry.module_key,
+            "key": key,
             "status": api.STATUS_OK,
             "rung": result.degradation.verdict_confidence,
             "causality": result.report.causality_detected,
@@ -487,7 +398,7 @@ class LdxService:
                 with self._stats_lock:
                     self.log_errors += 1
 
-    def _log_rejection(self, request_id, status: str, reason: str) -> None:
+    def _reject(self, request_id, status: str, reason: str, **extra) -> dict:
         with self._stats_lock:
             self.rejected += 1
         self.log({
@@ -497,3 +408,18 @@ class LdxService:
             "reason": reason,
             "queue_depth": self.queue.depth,
         })
+        return api.error_response(request_id, status, reason, **extra)
+
+
+def _salvage_id(payload) -> Optional[str]:
+    """The id of a request that failed validation, when it has one, so
+    the client can correlate the rejection (wire payloads arrive as raw
+    JSONL lines or HTTP bodies, not dicts)."""
+    if isinstance(payload, (str, bytes)):
+        try:
+            payload = json.loads(payload)
+        except (ValueError, RecursionError):
+            return None
+    if isinstance(payload, dict) and isinstance(payload.get("id"), str):
+        return payload["id"]
+    return None

@@ -5,11 +5,13 @@ payloads are identical JSON objects either way.
 
 * :class:`StdioTransport` reads one request per line from stdin and
   writes one response per line to stdout, **in request order** (so
-  batch clients and the CI smoke test can diff outputs directly).
-  EOF triggers a graceful drain.
+  batch clients and the CI smoke test can diff outputs directly).  Its
+  reader thread runs each request itself, one at a time, so the pipe
+  is the backpressure.  EOF triggers a graceful drain.
 
 * :class:`HttpTransport` binds ``127.0.0.1`` only (the service is a
-  local sidecar, not a network daemon) and maps service statuses onto
+  local sidecar, not a network daemon), runs each request on its
+  connection's thread and maps service statuses onto
   HTTP codes: ``ok`` 200, ``invalid`` 400, ``overloaded`` 429 (with a
   ``Retry-After`` header), ``unavailable`` 503, ``error`` 500.  It also
   exposes ``GET /healthz`` (liveness), ``GET /readyz`` (readiness:
@@ -17,7 +19,7 @@ payloads are identical JSON objects either way.
 
 SIGTERM/SIGINT trigger the drain protocol on either transport: stop
 admitting (late arrivals get explicit ``overloaded``/``draining``
-responses), finish in-flight work, flush caches, exit 0.
+responses), finish admitted work, flush caches, exit 0.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ from typing import Optional
 
 from repro.serve import api
 from repro.serve.service import LdxService
-
-# An in-flight run is bounded by its RunBudget; if a response still has
-# not arrived after this many wall seconds something is deeply wrong and
-# we answer for the worker rather than hang the client.
-RESPONSE_WAIT_CAP = 600.0
 
 _HTTP_STATUS = {
     api.STATUS_OK: 200,
@@ -67,69 +64,52 @@ class StdioTransport:
         self.service = service
         self.in_stream = in_stream if in_stream is not None else sys.stdin
         self.out_stream = out_stream if out_stream is not None else sys.stdout
-        self._tickets: "queue.Queue" = queue.Queue()
-        self._stop = threading.Event()
+        self._stopping = False
+        # Woken on EOF, a read failure or a stop request.  SimpleQueue's
+        # put() is reentrant, so a signal handler may call it while the
+        # main thread waits in get().
+        self._wake: "queue.SimpleQueue" = queue.SimpleQueue()
+        # Held while a line is answered, so no response is cut off.
+        self._answering = threading.Lock()
 
     def request_stop(self) -> None:
-        self._stop.set()
+        if self._stopping:
+            return
+        self._stopping = True
+        self._wake.put(None)
         self.service.begin_drain()
 
     def _reader(self) -> None:
         try:
             for line in self.in_stream:
-                if self._stop.is_set():
-                    break
                 line = line.strip()
                 if not line:
                     continue
-                self._tickets.put(self.service.submit(line))
+                with self._answering:
+                    if self._stopping:
+                        break
+                    response = self.service.submit(line)
+                    self.out_stream.write(api.encode(response) + "\n")
+                    self.out_stream.flush()
         except Exception as error:
             # A broken stream ends input like EOF does, but on the record.
             self.service.log({"event": "reader-error",
                               "error": f"{type(error).__name__}: {error}"})
         finally:
-            self._tickets.put(None)  # EOF sentinel
+            self._stopping = True
+            self._wake.put(None)
 
     def serve_forever(self, handle_signals: bool = True) -> int:
         if handle_signals:
             install_signal_handlers(self.request_stop)
         self.service.start()
-        reader = threading.Thread(target=self._reader, name="ldx-serve-stdin",
-                                  daemon=True)
-        reader.start()
-        eof = False
-        while not eof:
-            try:
-                ticket = self._tickets.get(timeout=0.1)
-            except queue.Empty:
-                if self._stop.is_set() and self._tickets.empty():
-                    break
-                continue
-            if ticket is None:
-                eof = True
-                break
-            response = ticket.wait(RESPONSE_WAIT_CAP)
-            if response is None:
-                response = api.error_response(
-                    None, api.STATUS_ERROR, "response wait cap exceeded"
-                )
-            self.out_stream.write(api.encode(response) + "\n")
-            self.out_stream.flush()
-        # Drain: stop admitting, let workers finish admitted work, then
-        # flush any responses that raced the shutdown.
-        self.service.begin_drain()
-        while True:
-            try:
-                ticket = self._tickets.get_nowait()
-            except queue.Empty:
-                break
-            if ticket is None:
-                continue
-            response = ticket.wait(RESPONSE_WAIT_CAP)
-            if response is not None:
-                self.out_stream.write(api.encode(response) + "\n")
-                self.out_stream.flush()
-        self.service.drain()
+        threading.Thread(target=self._reader, name="ldx-serve-stdin",
+                         daemon=True).start()
+        self._wake.get()
+        # A stop can arrive while the reader is blocked on input; the
+        # reader is then abandoned, but never mid-answer.
+        with self._answering:
+            self.service.drain()
         return 0
 
 
@@ -184,12 +164,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"body must be 0..{MAX_BODY_BYTES} bytes",
             ))
             return
-        body = self.rfile.read(length)
-        response = self.service.submit(body).wait(RESPONSE_WAIT_CAP)
-        if response is None:
-            response = api.error_response(
-                None, api.STATUS_ERROR, "response wait cap exceeded"
-            )
+        response = self.service.submit(self.rfile.read(length))
         headers = []
         if "retry_after" in response:
             headers.append(("Retry-After", str(response["retry_after"])))

@@ -17,6 +17,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -89,6 +90,45 @@ def _canonical(result) -> str:
     return json.dumps(api.verdict_payload(result), sort_keys=True)
 
 
+def _until(predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+def _hold(service, held_id="hold"):
+    """Make the request *held_id* wait at the top of ``_serve`` until
+    released; (entered, release) events."""
+    entered, release = threading.Event(), threading.Event()
+    real_serve = service._serve
+
+    def serve(request, *args):
+        if request.id == held_id:
+            entered.set()
+            assert release.wait(60)
+        return real_serve(request, *args)
+
+    service._serve = serve
+    return entered, release
+
+
+def _submit_async(service, payload):
+    """Submit on a thread of its own; call the result to join it and get
+    the response."""
+    box = []
+    thread = threading.Thread(target=lambda: box.append(service.submit(payload)),
+                              daemon=True)
+    thread.start()
+
+    def finish():
+        thread.join(timeout=120)
+        assert box, "request never answered"
+        return box[0]
+
+    return finish
+
+
 # -- verdict identity ----------------------------------------------------------
 
 
@@ -99,9 +139,8 @@ def test_workload_verdicts_identical_to_batch():
             ("leak", lambda w: w.leak_variant()),
             ("table3", lambda w: w.table3_variant()),
         ):
-            response = service.submit_and_wait(
-                {"id": variant, "workload": "gzip", "variant": variant},
-                timeout=120,
+            response = service.submit(
+                {"id": variant, "workload": "gzip", "variant": variant}
             )
             assert response["status"] == "ok"
             workload = get_workload("gzip")
@@ -118,7 +157,7 @@ def test_workload_verdicts_identical_to_batch():
 def test_source_request_verdict_identical_to_batch():
     service = _service().start()
     try:
-        response = service.submit_and_wait(_source_request(), timeout=120)
+        response = service.submit(_source_request())
         assert response["status"] == "ok"
         assert response["verdict"]["causality"] is True
 
@@ -139,8 +178,8 @@ def test_source_request_verdict_identical_to_batch():
 def test_repeat_requests_hit_the_warm_factory():
     service = _service().start()
     try:
-        first = service.submit_and_wait(_source_request("a"), timeout=120)
-        second = service.submit_and_wait(_source_request("b"), timeout=120)
+        first = service.submit(_source_request("a"))
+        second = service.submit(_source_request("b"))
         assert first["cache"]["factory"] == "miss"
         assert second["cache"]["factory"] == "hit"
         assert second["verdict"] == first["verdict"]
@@ -152,48 +191,63 @@ def test_repeat_requests_hit_the_warm_factory():
 
 
 def test_overload_sheds_explicitly_and_backlog_still_drains():
-    # No workers running: the queue fills deterministically.
+    # One slot, held: later requests wait, so the backlog fills
+    # deterministically.
     service = _service(workers=1, queue_capacity=4)
-    tickets = [
-        service.submit({"id": f"q{i}", "workload": "tnftp", "variant": "leak"})
-        for i in range(5)
-    ]
-    shed = [t for t in tickets if t.done]
+    entered, release = _hold(service)
+    backlog = [_submit_async(service, {"id": "hold", "workload": "gzip",
+                                       "variant": "leak"})]
+    assert entered.wait(60)
+    for index in range(3):
+        backlog.append(_submit_async(
+            service, {"id": f"q{index}", "workload": "tnftp", "variant": "leak"}
+        ))
+        _until(lambda: service.queue.depth == index + 1)
     # Cold requests shed from the watermark, 3/4 of capacity.
-    assert len(shed) == 2  # three admitted, two shed immediately
-    for ticket in shed:
-        assert ticket.response["status"] == api.STATUS_OVERLOADED
-        assert ticket.response["reason"] == ShedReason.WATERMARK_COLD
-    # Start and drain: the admitted backlog completes with verdicts.
-    service.start()
+    for index in (3, 4):
+        response = service.submit(
+            {"id": f"q{index}", "workload": "tnftp", "variant": "leak"}
+        )
+        assert response["status"] == api.STATUS_OVERLOADED
+        assert response["reason"] == ShedReason.WATERMARK_COLD
+    # Drain with the backlog still waiting: it completes with verdicts.
+    service.begin_drain()
+    release.set()
     assert service.drain(timeout=120)
-    for ticket in tickets:
-        assert ticket.done
-    ok = [t for t in tickets if t.response["status"] == "ok"]
-    assert len(ok) == 3
+    responses = [finish() for finish in backlog]
+    assert [r["id"] for r in responses] == ["hold", "q0", "q1", "q2"]
+    assert all(r["status"] == "ok" for r in responses)
 
 
 def test_one_worker_serves_in_arrival_order():
-    # Submitted before the worker starts, so its queue holds a, b, a;
-    # the served order is the log's order of request records.
+    # The slot is held while a1, b, a2 arrive; the served order is the
+    # log's order of request records.
     log = io.StringIO()
     service = _service(workers=1, log_stream=log)
+    entered, release = _hold(service)
+    pending = [_submit_async(service, {"id": "hold", "workload": "gzip",
+                                       "variant": "leak"})]
+    assert entered.wait(60)
     for request_id, workload in (("a1", "gzip"), ("b", "tnftp"), ("a2", "gzip")):
-        assert not service.submit(
-            {"id": request_id, "workload": workload, "variant": "leak"}
-        ).done
-    service.start()
+        depth = service.queue.depth
+        pending.append(_submit_async(
+            service, {"id": request_id, "workload": workload, "variant": "leak"}
+        ))
+        _until(lambda: service.queue.depth == depth + 1)
+    release.set()
     assert service.drain(timeout=120)
+    for finish in pending:
+        assert finish()["status"] == "ok"
     records = [json.loads(line) for line in log.getvalue().splitlines()]
     served = [r["id"] for r in records if r["event"] == "request"]
-    assert served == ["a1", "b", "a2"]
+    assert served == ["hold", "a1", "b", "a2"]
 
 
 def test_tiny_deadline_degrades_to_partial_never_hangs():
     service = _service().start()
     try:
-        response = service.submit_and_wait(
-            _source_request("tiny", source=LOOPER, deadline=10.0), timeout=120
+        response = service.submit(
+            _source_request("tiny", source=LOOPER, deadline=10.0)
         )
         assert response is not None, "tiny-deadline request hung"
         assert response["status"] == "ok"
@@ -224,10 +278,9 @@ def test_client_deadlines_are_capped(monkeypatch):
     service = _service().start()
     try:
         for deadline in (1e12, 1000.0):
-            response = service.submit_and_wait(
+            response = service.submit(
                 {"id": "d", "workload": "tnftp", "variant": "leak",
-                 "deadline": deadline},
-                timeout=120,
+                 "deadline": deadline}
             )
             assert response["status"] == "ok"
     finally:
@@ -251,19 +304,18 @@ def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
         original = LdxService._factory_for
         state = {"explode": True}
 
-        def flaky(self, request):
+        def flaky(self, request, key):
             if state["explode"]:
                 raise RuntimeError("synthetic engine failure")
-            return original(self, request)
+            return original(self, request, key)
 
         monkeypatch.setattr(LdxService, "_factory_for", flaky)
         payload = {"id": "x", "workload": "gzip", "variant": "leak"}
         for index in range(FAILURE_THRESHOLD):
-            response = service.submit_and_wait(dict(payload, id=f"x{index}"),
-                                               timeout=120)
+            response = service.submit(dict(payload, id=f"x{index}"))
             assert response["status"] == api.STATUS_ERROR
         # Breaker open: fast-fail without touching the engine.
-        response = service.submit_and_wait(dict(payload, id="open"), timeout=120)
+        response = service.submit(dict(payload, id="open"))
         assert response["status"] == api.STATUS_UNAVAILABLE
         assert "circuit open" in response["reason"]
         assert response["retry_after"] == COOLDOWN_S
@@ -271,25 +323,52 @@ def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
         # the engine is healthy again, so the breaker closes.
         state["explode"] = False
         clock.now = COOLDOWN_S
-        response = service.submit_and_wait(dict(payload, id="probe"), timeout=120)
+        response = service.submit(dict(payload, id="probe"))
         assert response["status"] == "ok"
-        response = service.submit_and_wait(dict(payload, id="after"), timeout=120)
+        response = service.submit(dict(payload, id="after"))
         assert response["status"] == "ok"
+        # Closed with no failures again: the breaker is forgotten.
+        assert service.stats()["breakers"] == {}
+    finally:
+        assert service.drain(timeout=120)
+
+
+def test_never_seen_sources_that_succeed_leave_no_breakers():
+    service = _service().start()
+    try:
+        for index in range(40):
+            response = service.submit(_source_request(
+                f"n{index}", source=LEAKER.replace("64", str(index + 1))
+            ))
+            assert response["status"] == "ok"
+        assert service.stats()["breakers"] == {}
+    finally:
+        assert service.drain(timeout=120)
+
+
+@pytest.mark.parametrize("world", [{"seed": "x"}, {"stdin": 5}],
+                         ids=["seed-str", "stdin-int"])
+def test_malformed_world_values_are_invalid_before_engine_work(world):
+    service = _service().start()
+    try:
+        response = service.submit(_source_request("w", world=world))
+        assert response["status"] == api.STATUS_INVALID
+        stats = service.stats()
+        assert (stats["served"], stats["errors"], stats["rejected"]) == (0, 0, 1)
+        assert stats["factories"]["misses"] == 0
+        assert stats["breakers"] == {}
     finally:
         assert service.drain(timeout=120)
 
 
 def test_drain_stops_admission_and_joins_workers():
     service = _service().start()
-    response = service.submit_and_wait(
-        {"id": "a", "workload": "tnftp", "variant": "leak"}, timeout=120
-    )
+    response = service.submit({"id": "a", "workload": "tnftp", "variant": "leak"})
     assert response["status"] == "ok"
     service.begin_drain()
     late = service.submit({"id": "late", "workload": "tnftp", "variant": "leak"})
-    assert late.done
-    assert late.response["status"] == api.STATUS_OVERLOADED
-    assert "draining" in late.response["reason"]
+    assert late["status"] == api.STATUS_OVERLOADED
+    assert "draining" in late["reason"]
     assert service.drain(timeout=120)
     assert not service.alive()
     assert not service.ready()
@@ -342,11 +421,13 @@ def test_stdio_reader_failure_is_logged_then_ends_input():
 @contextlib.contextmanager
 def _http_daemon(service):
     """An HTTP transport serving *service* on an ephemeral port; stops
-    and drains it on exit."""
+    and drains it on exit, and checks that it exits 0."""
     transport = HttpTransport(service, port=0)
+    codes = []
     thread = threading.Thread(
-        target=transport.serve_forever,
-        kwargs={"handle_signals": False, "announce_stream": io.StringIO()},
+        target=lambda: codes.append(transport.serve_forever(
+            handle_signals=False, announce_stream=io.StringIO()
+        )),
         daemon=True,
     )
     thread.start()
@@ -356,6 +437,7 @@ def _http_daemon(service):
         transport.request_stop()
         thread.join(timeout=60)
         assert not thread.is_alive()
+        assert codes == [0]
         assert not service.alive()  # drained
 
 
@@ -506,6 +588,63 @@ def test_probes_and_rejections_frame_replies_on_a_reused_connection():
             connection.close()
 
 
+def test_stdio_stop_mid_request_writes_the_response_then_exits_zero():
+    service = _service()
+    entered, release = _hold(service)
+    read_fd, write_fd = os.pipe()
+    with os.fdopen(read_fd) as in_stream, os.fdopen(write_fd, "w") as feed:
+        # Input stays open: only the stop request ends serving.
+        feed.write(json.dumps({"id": "hold", "workload": "gzip",
+                               "variant": "leak"}) + "\n")
+        feed.flush()
+        out = io.StringIO()
+        transport = StdioTransport(service, in_stream=in_stream, out_stream=out)
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(
+                transport.serve_forever(handle_signals=False)
+            ),
+            daemon=True,
+        )
+        thread.start()
+        assert entered.wait(60)
+        transport.request_stop()
+        release.set()
+        thread.join(timeout=120)
+        assert codes == [0]
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [(r["id"], r["status"]) for r in responses] == [("hold", "ok")]
+        assert not service.alive()
+        feed.close()  # EOF lets the abandoned reader end
+        _until(lambda: not [t for t in threading.enumerate()
+                            if t.name == "ldx-serve-stdin"])
+
+
+def test_http_stop_mid_request_answers_200_then_exits_zero():
+    service = _service()
+    entered, release = _hold(service)
+    with _http_daemon(service) as transport:
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", transport.port, timeout=120
+        )
+        replies = []
+        client = threading.Thread(target=lambda: replies.append(_json_reply(
+            connection, "POST", "/v1/infer",
+            json.dumps({"id": "hold", "workload": "gzip", "variant": "leak"}),
+        )), daemon=True)
+        client.start()
+        try:
+            assert entered.wait(60)
+            transport.request_stop()
+            release.set()
+            client.join(timeout=120)
+        finally:
+            connection.close()
+    # Leaving the block joined serve_forever and checked it returned 0.
+    [(status, _, payload)] = replies
+    assert (status, payload["id"], payload["status"]) == (200, "hold", "ok")
+
+
 def test_sigterm_drains_stdio_daemon_to_exit_zero(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -530,3 +669,36 @@ def test_sigterm_drains_stdio_daemon_to_exit_zero(tmp_path):
     finally:
         if process.poll() is None:
             process.kill()
+
+
+def test_sigterm_drains_http_daemon_to_exit_zero(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--http", "0", "--workers", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+        cwd=str(tmp_path),
+    )
+    try:
+        announce = json.loads(process.stdout.readline())
+        assert announce["event"] == "listening"
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", announce["port"], timeout=120
+        )
+        try:
+            status, _, payload = _json_reply(
+                connection, "POST", "/v1/infer",
+                json.dumps({"id": "a", "workload": "tnftp", "variant": "leak"}),
+            )
+        finally:
+            connection.close()
+        assert (status, payload["status"]) == (200, "ok")
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=120) == 0
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.stdout.close()

@@ -93,10 +93,33 @@ def test_probe_failure_reopens_for_another_cooldown():
 def test_board_keys_breakers_independently():
     board = BreakerBoard(FakeClock())
     for _ in range(FAILURE_THRESHOLD):
-        board.breaker_for("a").record_failure()
-    assert board.breaker_for("a").state == OPEN
-    assert board.breaker_for("b").state == CLOSED
-    assert board.breaker_for("a") is board.breaker_for("a")
+        board.record("a", failed=True)
+    assert not board.allow("a")
+    assert board.allow("b")
     snapshot = board.snapshot()
     assert snapshot["a"]["state"] == OPEN
-    assert snapshot["b"]["trips"] == 0
+    assert list(snapshot) == ["a"]
+
+
+def test_board_keeps_only_breakers_with_failures_on_record():
+    clock = FakeClock()
+    board = BreakerBoard(clock)
+    # Unknown keys pass and leave nothing behind, success or not.
+    for index in range(40):
+        assert board.allow(f"k{index}")
+        board.record(f"k{index}", failed=False)
+    assert board.snapshot() == {}
+    # A failure makes a breaker; a success that closes it with no
+    # failures forgets it again.
+    board.record("a", failed=True)
+    assert board.snapshot() == {"a": {"state": CLOSED, "failures": 1, "trips": 0}}
+    board.record("a", failed=False)
+    assert board.snapshot() == {}
+    # A tripped breaker stays until its probe succeeds.
+    for _ in range(FAILURE_THRESHOLD):
+        board.record("a", failed=True)
+    clock.now = COOLDOWN_S
+    assert board.allow("a")  # the probe
+    assert board.snapshot()["a"]["state"] == HALF_OPEN
+    board.record("a", failed=False)
+    assert board.snapshot() == {}

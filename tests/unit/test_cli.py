@@ -166,7 +166,8 @@ def test_counts_below_one_are_rejected(argv, value, capsys):
 
 REMOVED_SERVE_FLAGS = (
     "--high-watermark", "--max-factories", "--breaker-threshold",
-    "--breaker-cooldown",
+    "--breaker-cooldown", "--tiny-deadline-every", "--poison-every",
+    "--fault-seed", "--fault-rate",
 )
 
 
@@ -178,7 +179,11 @@ REMOVED_SERVE_FLAGS = (
      ["serve", "--max-factories", "-3"],
      ["serve", "--breaker-threshold", "0"],
      ["serve-chaos", "--queue-capacity", "0"],
-     ["serve-chaos", "--requests", "-1"]]
+     ["serve-chaos", "--requests", "-1"],
+     ["serve-chaos", "--tiny-deadline-every", "0"],
+     ["serve-chaos", "--poison-every", "0"],
+     ["serve-chaos", "--fault-seed", "3"],
+     ["serve-chaos", "--fault-rate", "0.0"]]
     + [pytest.param(["serve", "--breaker-cooldown", value],
                     id=f"serve--breaker-cooldown-{value}")
        for value in ("nan", "inf", "-5")],
@@ -187,9 +192,9 @@ REMOVED_SERVE_FLAGS = (
 def test_serve_knobs_below_one_are_rejected(argv, capsys):
     # These used to die with a traceback, storm nothing and report
     # success, or clamp the value to 1 without a word.  The watermark,
-    # breaker and factory settings are constants: their flags, whatever
-    # the value, are unknown and fail the same clean way instead of
-    # starting a daemon.
+    # breaker and factory settings and the storm's mix are constants:
+    # their flags, whatever the value, are unknown and fail the same
+    # clean way instead of starting a daemon or a storm.
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -235,19 +240,10 @@ def test_chaos_interrupt_prints_resume_hint(tmp_path, monkeypatch, capsys):
 
 
 def test_serve_chaos_smoke(capsys):
-    code = main(
-        [
-            "serve-chaos",
-            "--requests",
-            "6",
-            "--workers",
-            "2",
-            "--poison-every",
-            "3",
-            "--fault-rate",
-            "0.0",
-        ]
-    )
+    # Eleven requests: the storm's fixed mix makes the 7th a
+    # tiny-deadline request and the 11th a poisoned one.
+    code = main(["serve-chaos", "--requests", "11", "--workers", "2"])
     out = capsys.readouterr().out
     assert code == 0
+    assert "  invalid:         1" in out
     assert "all service invariants hold" in out

@@ -109,6 +109,20 @@ def test_world_mappings_must_be_string_to_string():
         api.parse_request(_source_payload(world={"bogus": {}}))
 
 
+@pytest.mark.parametrize(
+    "world, field",
+    [({"seed": "x"}, "world.seed"), ({"seed": True}, "world.seed"),
+     ({"seed": 1.5}, "world.seed"), ({"stdin": 5}, "world.stdin")],
+    ids=["seed-str", "seed-bool", "seed-float", "stdin-int"],
+)
+def test_world_values_are_typed_at_parse_time(world, field):
+    # These used to reach the engine: a str seed answered `error` and
+    # counted a breaker failure, an int stdin answered `ok` with an
+    # engine failure in its degradation.
+    with pytest.raises(api.RequestError, match=field):
+        api.parse_request(_source_payload(world=world))
+
+
 def test_bad_config_spec_rejected_at_admission():
     with pytest.raises(api.RequestError):
         api.parse_request(_source_payload(sources={"bogus": True}))

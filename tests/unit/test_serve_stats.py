@@ -2,7 +2,7 @@
 
 Regression: ``served``/``errors`` were incremented under
 ``_stats_lock`` but read without it, so a /statz probe racing the
-workers could observe torn snapshots, and rejections were not counted
+requests could observe torn snapshots, and rejections were not counted
 at all — making ``served + rejected == submitted`` impossible to
 verify.  Every request must be accounted exactly once.
 """
@@ -32,7 +32,7 @@ def _service(**kwargs) -> LdxService:
 def _stub_serve(service, fail_ids=()):
     """Replace the engine-backed _serve with an instant responder."""
 
-    def serve(request, entry, queue_wait, started):
+    def serve(request, *args):
         if request.id in fail_ids:
             raise RuntimeError("stubbed engine blow-up")
         return {
@@ -72,9 +72,7 @@ def test_concurrent_storm_accounts_every_request():
             }
             if index % 13 == 0:
                 payload = "{ not json"  # invalid -> immediate rejection
-            ticket = service.submit(payload)
-            response = ticket.wait(30.0)
-            assert response is not None, f"request {index} hung"
+            response = service.submit(payload)
             with submitted_lock:
                 submitted.append(response["status"])
 
@@ -95,7 +93,7 @@ def test_concurrent_storm_accounts_every_request():
     assert len(submitted) == total
     stats = service.stats()
     # The satellite's invariant: every submission is accounted exactly
-    # once — served by a worker or rejected at admission.
+    # once — served or rejected at admission.
     assert stats["served"] + stats["rejected"] == total
     assert stats["errors"] == len(
         [status for status in submitted if status == api.STATUS_ERROR]
@@ -120,7 +118,7 @@ def test_stats_exposes_rejected_counter_at_rest():
     assert stats["served"] == 0
     assert stats["errors"] == 0
     assert stats["rejected"] == 0
-    response = service.submit("definitely } not json").wait(5.0)
+    response = service.submit("definitely } not json")
     assert response["status"] == api.STATUS_INVALID
     assert service.stats()["rejected"] == 1
 
@@ -139,7 +137,7 @@ def test_failed_log_writes_are_counted_not_raised():
     for stream in (_BrokenStream(), closed):
         service = LdxService(ServeConfig(workers=1, log_stream=stream))
         assert service.stats()["log_errors"] == 0
-        response = service.submit("definitely } not json").wait(5.0)
+        response = service.submit("definitely } not json")
         assert response["status"] == api.STATUS_INVALID
         assert service.stats()["log_errors"] == 1
         assert service.stats()["rejected"] == 1

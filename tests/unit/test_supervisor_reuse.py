@@ -229,6 +229,8 @@ def test_no_threads_leak_after_many_runs():
 
 
 def test_service_workers_exit_after_drain():
+    # Requests run on the submitting thread: the service starts no
+    # thread of its own, and the engine's watchdogs end with each run.
     import io
 
     from repro.serve import LdxService, ServeConfig
@@ -238,11 +240,13 @@ def test_service_workers_exit_after_drain():
         ServeConfig(workers=3, log_stream=io.StringIO())
     ).start()
     for index in range(4):
-        response = service.submit_and_wait(
-            {"id": f"r{index}", "workload": "tnftp", "variant": "leak"},
-            timeout=60,
+        response = service.submit(
+            {"id": f"r{index}", "workload": "tnftp", "variant": "leak"}
         )
         assert response["status"] == "ok"
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("ldx-serve-")]
+    assert set(threading.enumerate()) == before
     assert service.drain(timeout=60)
     after = set(threading.enumerate())
     assert after == before
