@@ -20,7 +20,11 @@ Records (as ``extra_info`` in the pytest-benchmark JSON):
 * cold vs warm region landings: every region the 28 workloads' drives
   land, emitted, compiled and stored into a fresh on-disk code
   namespace, then found by artifact identity and bound from it — a
-  warm landing must be at least 10x cheaper and emit nothing;
+  warm landing must be at least 10x cheaper and emit nothing.  The
+  cold replay's generated binder source is counted and gated (at most
+  ``CODE_BYTES_CAP`` in total and ``BINDER_BYTES_CAP`` for any one
+  binder: deterministic counts, unlike the timings), with its
+  ``compile()`` calls and emitted region members recorded beside it;
 * the profiler's off-path cost: without the opcode-profiler observer
   the driver loop ``Machine`` fixes at construction must *be* the
   plain threaded loop, and with it the observed threaded loop
@@ -57,6 +61,8 @@ REPS = 15
 SPEEDUP_FLOOR = 3.2
 WARM_COMPILE_RATIO = 10.0
 WARM_CODE_RATIO = 10.0
+CODE_BYTES_CAP = 1_200_000
+BINDER_BYTES_CAP = 32_000
 
 
 def _drive(machine):
@@ -223,12 +229,13 @@ def test_compile_cache_cold_vs_warm(benchmark):
 def test_region_code_cache_cold_vs_warm(benchmark, monkeypatch, tmp_path):
     """A warm region landing is a key lookup and a bind, nothing more.
 
-    Records every region landing of one threaded drive of each of the
-    28 workloads (with the code cache off), then replays each whole
-    landing, ``_compile_region``, twice: cold (emit the binder, compile
-    it and store it into a fresh cache dir) and warm (a fresh
-    process-equivalent over that dir: find the code by the artifact's
-    identity, load it and bind it).  The warm replay must emit nothing.
+    Records every region landing that generates code in one threaded
+    drive of each of the 28 workloads (with the code cache off), then
+    replays each whole landing, ``_compile_region``, twice: cold (emit
+    the binder, compile it and store it into a fresh cache dir) and
+    warm (a fresh process-equivalent over that dir: find the code by
+    the artifact's identity, load it and bind it).  The warm replay
+    must emit nothing.
     """
     from repro.interp import compile as compile_mod
 
@@ -237,8 +244,11 @@ def test_region_code_cache_cold_vs_warm(benchmark, monkeypatch, tmp_path):
     landings = []
 
     def recording(self, start, base):
-        landings.append((self, start, base))
-        return real_compile_region(self, start, base)
+        run = real_compile_region(self, start, base)
+        if run is not base[start]:
+            # A single-instruction region is its base step: no code.
+            landings.append((self, start, base))
+        return run
 
     cache.configure(enabled=False)
     clear_compile_memo()
@@ -253,14 +263,25 @@ def test_region_code_cache_cold_vs_warm(benchmark, monkeypatch, tmp_path):
             compiler._compile_region(start, base)
 
     emitted = []
+    members = []
     real_emit = compiler_cls._emit_region_parts
 
     def counting_emit(self, *args):
         emitted.append(args[0])
-        return real_emit(self, *args)
+        parts = real_emit(self, *args)
+        members.append(parts[2]["members"])
+        return parts
+
+    sources = []
+    real_compile = compile
+
+    def recording_compile(source, filename, mode, *args, **kwargs):
+        sources.append(source)
+        return real_compile(source, filename, mode, *args, **kwargs)
 
     try:
         monkeypatch.setattr(compiler_cls, "_emit_region_parts", counting_emit)
+        monkeypatch.setattr(compile_mod, "compile", recording_compile, raising=False)
         cache.configure(cache_dir=str(tmp_path))
         start = time.perf_counter()
         land_all()
@@ -282,14 +303,30 @@ def test_region_code_cache_cold_vs_warm(benchmark, monkeypatch, tmp_path):
         clear_compile_memo()
 
     ratio = cold_seconds / warm_seconds
+    code_bytes = sum(len(source) for source in sources)
+    largest = max(len(source) for source in sources)
     benchmark.extra_info["regions"] = len(landings)
     benchmark.extra_info["cold_ms"] = round(cold_seconds * 1000, 3)
     benchmark.extra_info["warm_ms"] = round(warm_seconds * 1000, 3)
     benchmark.extra_info["warm_speedup"] = round(ratio, 2)
+    benchmark.extra_info["binder_source_bytes"] = code_bytes
+    benchmark.extra_info["largest_binder_bytes"] = largest
+    benchmark.extra_info["compile_calls"] = len(sources)
+    benchmark.extra_info["emitted_members"] = sum(members)
     print(
         f"\nregion landings cold {cold_seconds * 1000:.1f}ms  "
         f"warm {warm_seconds * 1000:.1f}ms  ({ratio:.1f}x) over "
-        f"{len(landings)} regions"
+        f"{len(landings)} regions; binder source {code_bytes:,} bytes "
+        f"(largest {largest:,}) in {len(sources)} compile() calls, "
+        f"{sum(members):,} emitted members"
+    )
+
+    assert code_bytes <= CODE_BYTES_CAP, (
+        f"cold landings generated {code_bytes:,} bytes of binder source, "
+        f"over the {CODE_BYTES_CAP:,}-byte cap"
+    )
+    assert largest <= BINDER_BYTES_CAP, (
+        f"a {largest:,}-byte binder is over the {BINDER_BYTES_CAP:,}-byte cap"
     )
 
     assert warm_seconds * WARM_CODE_RATIO < cold_seconds, (

@@ -52,12 +52,18 @@ def test_warm_service_latency_beats_one_shot(benchmark):
         )
         assert response["verdict"]["causality"] is True
 
+        # Both paths are timed here, so the comparison holds with
+        # pytest-benchmark's own timing disabled too.
+        warm_start = time.perf_counter()
+        for _ in range(ROUNDS):
+            response = warm_request()
+        warm_mean = (time.perf_counter() - warm_start) / ROUNDS
+
         cold_start = time.perf_counter()
         cold_result = None
         for _ in range(3):
             cold_result = _one_shot()
         cold_mean = (time.perf_counter() - cold_start) / 3
-        warm_mean = benchmark.stats.stats.mean
 
         benchmark.extra_info["cold_one_shot_mean_s"] = cold_mean
         benchmark.extra_info["warm_over_cold"] = warm_mean / cold_mean

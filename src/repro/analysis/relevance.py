@@ -245,12 +245,17 @@ class ModuleRelevance:
 
 
 class _UnionFind:
-    """Flow-insensitive alias classes over the names of one function."""
+    """Flow-insensitive alias classes over the names of one function.
 
-    __slots__ = ("parent",)
+    Joins come first (:func:`_build_aliases`); the first
+    :meth:`members` call then groups every name under its root once.
+    """
+
+    __slots__ = ("parent", "_classes")
 
     def __init__(self) -> None:
         self.parent: Dict[str, str] = {}
+        self._classes: Optional[Dict[str, List[str]]] = None
 
     def find(self, name: str) -> str:
         parent = self.parent
@@ -265,12 +270,21 @@ class _UnionFind:
         left_root, right_root = self.find(left), self.find(right)
         if left_root != right_root:
             self.parent[left_root] = right_root
+            self._classes = None
 
     def members(self, name: str) -> List[str]:
+        """*name*'s class: its root, then the other names in the order
+        they were first joined."""
+        classes = self._classes
+        if classes is None:
+            classes = {}
+            for other in self.parent:
+                root = self.find(other)
+                if other != root:
+                    classes.setdefault(root, []).append(other)
+            self._classes = classes
         root = self.find(name)
-        out = [root]
-        out.extend(n for n in self.parent if n != root and self.find(n) == root)
-        return out
+        return [root, *classes.get(root, ())]
 
 
 def _build_aliases(function: IRFunction) -> _UnionFind:

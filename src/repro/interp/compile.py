@@ -27,10 +27,11 @@ with everything pre-resolved:
   foldable out-edges, decided once by ``analysis/relevance.py``)
   becomes *superinstruction regions*: one ``exec``-generated closure
   per landing index walks the CFG through fusible instructions,
-  inlining branches as tail-duplicated if/else, turning edges back to
-  its head into ``while True`` re-entries, and holding the virtual
-  clock, instruction count and path-local registers in Python locals,
-  so the driver loop runs once per region pass instead of once per
+  inlining branches as if/else whose arms meet again at the branch's
+  join (the code after it is emitted once), turning edges back to its
+  head into ``while True`` re-entries, and holding the virtual clock,
+  instruction count and path-local registers in Python locals, so the
+  driver loop runs once per region pass instead of once per
   instruction.  A module compiled without a plan fuses nothing.
   A region's code is a pure function of the instrumented artifact: it
   is stored under the artifact's identity (:func:`region_key`) as a
@@ -44,7 +45,8 @@ switch interpreter, bit for bit.  That drives three non-obvious rules:
 * virtual-clock charges are floats, and float addition is not
   associative — a folded counter edge still charges
   ``costs.edge_action`` once per original action, in sequence, never as
-  one multiplied add;
+  one multiplied add (a region folds a run of charges into one
+  left-to-right sum, which adds in that same sequence);
 * a region pre-checks a conservative instruction budget for one pass
   and, near the limit, runs only its unfused base step, so the budget
   error fires at the exact instruction with the exact state;
@@ -79,9 +81,10 @@ BACKENDS = (BACKEND_SWITCH, BACKEND_THREADED)
 # out-edge; it returns an event when the thread must yield.
 Step = Callable[["Machine", "ThreadState", "Frame"], Optional[object]]
 
-# Region size limits: total emitted members per generated region (tail
-# duplication counts every copy; bounds code size), the per-path member
-# limit (bounds how many instructions one pass can execute), and the
+# Region size limits: total emitted members per generated region (a
+# member emitted in several arms counts every copy; bounds code size),
+# the per-path member limit (bounds how many instructions one pass can
+# execute; a join continues the longer arm's count), and the
 # conservative instruction-budget bound per pass derived from it (every
 # path member at most once, plus the terminator prologue).  Any setting
 # is byte-safe: caps only shape how much code one region covers.
@@ -98,6 +101,48 @@ _INT_FAST_BINOPS = {
     "<": "<", "<=": "<=", ">": ">", ">=": ">=",
     "==": "==", "!=": "!=",
 }
+
+# What a region walk can prove about a local ("any" is written but
+# unproven); a proven shape is exact, so ``type(x) is int`` holds for
+# "int" and fails for every other proven shape.
+_PROVEN_SHAPES = ("int", "bool", "str", "list")
+
+
+def _shape_guard(operands, shape: str) -> Optional[str]:
+    """The run-time check that every ``(temp, proven type)`` operand is
+    exactly *shape*: "" when all are proven, None when one is proven
+    to be another shape (the check could never pass)."""
+    checks = []
+    for temp, proven in operands:
+        if proven == shape:
+            continue
+        if proven in _PROVEN_SHAPES:
+            return None
+        checks.append(f"type({temp}) is {shape}")
+    return " and ".join(checks)
+
+
+# Binops whose result is a Python bool whatever the operands (see
+# ``repro.ir.ops``: ``_equals`` and ``_compare``).
+_COMPARISONS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+
+# Constant values a binder writes as literals.
+_LITERAL_TYPES = (int, bool, str, type(None))
+# Binder parameter names of the handler tables' entries: one parameter
+# per handler a region calls, however many members call it.
+_HANDLER_PARAMS = {
+    "BINOP_FUNCS": {op: f"bo{k}" for k, op in enumerate(BINOP_FUNCS)},
+    "UNOP_FUNCS": {op: f"uo{k}" for k, op in enumerate(UNOP_FUNCS)},
+    "BUILTINS": {name: f"h{k}" for k, name in enumerate(BUILTINS)},
+}
+
+
+def _handler(env: Dict[str, str], table: str, key: str) -> str:
+    """The binder parameter bound to ``table[key]``, added to *env*."""
+    name = _HANDLER_PARAMS[table][key]
+    env[name] = f"{table}[{key!r}]"
+    return name
+
 
 # -- backend selection ----------------------------------------------------------
 
@@ -167,6 +212,35 @@ class CompiledModule:
 
 
 # -- the compiler ----------------------------------------------------------------
+
+
+class _Path:
+    """What a region walk knows at one point of an emitted path.
+
+    *cum* is the counter compensation ``(delta, count)`` not yet
+    flushed; *count* and *charges* are the instructions not yet added
+    to ``n`` and the clock terms (``"icost"``/``"ec"``, in execution
+    order) not yet added to ``clock``; *visited* and *length* bound the
+    path; *bindings* and *types* are the register cache of
+    :meth:`_FunctionCompiler._emit_member`.
+    """
+
+    __slots__ = ("cum", "count", "charges", "visited", "length", "bindings", "types")
+
+    def __init__(self, cum, count, charges, visited, length, bindings, types):
+        self.cum = cum
+        self.count = count
+        self.charges = charges
+        self.visited = visited
+        self.length = length
+        self.bindings = bindings
+        self.types = types
+
+    def fork(self) -> "_Path":
+        return _Path(
+            self.cum, self.count, self.charges, self.visited, self.length,
+            dict(self.bindings), dict(self.types),
+        )
 
 
 class _FunctionCompiler:
@@ -848,10 +922,11 @@ class _FunctionCompiler:
         ``_reader(_instrs[17].src)``), never as the objects themselves:
         the generated code must stay a pure function of the artifact.
 
-        Every emitted region path is straight-line (tail duplication,
-        no merges), so a local read can be cached in a Python temp and
-        reused by later members on the same path: *bindings* maps a
-        local name to the temp currently holding its value.  Stores
+        Between joins every emitted path is straight-line, so a local
+        read can be cached in a Python temp and reused by later members
+        on the same path: *bindings* maps a local name to the temp
+        currently holding its value (a join keeps, or copies into a
+        join temp, what every arm has bound).  Stores
         always write ``fl`` through immediately (a region can spill or
         raise at any member), so re-entering the region top — where the
         emitted code reloads every temp it uses — is always safe.
@@ -900,9 +975,14 @@ class _FunctionCompiler:
         if kind is ins.Nop or kind is ins.Jump:
             return [], False
         if kind is ins.Const:
-            env[f"v{pos}"] = f"_instrs[{index}].value"
             value = instr.value
             vt = type(value)
+            # A plain int, bool, str or nil is its own literal; any
+            # other value is rebuilt from the instruction.
+            env[f"v{pos}"] = (
+                repr(value) if vt in _LITERAL_TYPES
+                else f"_instrs[{index}].value"
+            )
             const_type = (
                 "int" if vt is int else
                 "bool" if vt is bool else
@@ -933,7 +1013,7 @@ class _FunctionCompiler:
             return [f"w{pos}(machine, frame, r{pos}(machine, frame))"], False
         xv = f"xv{pos}"
         if kind is ins.Binop:
-            env[f"b{pos}"] = f"BINOP_FUNCS[_instrs[{index}].op]"
+            bop = _handler(env, "BINOP_FUNCS", instr.op)
             if (
                 self._is_local(instr.dst)
                 and self._is_local(instr.left)
@@ -965,22 +1045,33 @@ class _FunctionCompiler:
                         # the induction-variable workhorses.
                         want_int(instr.left)
                         want_int(instr.right)
-                    guard = f"type({xl}) is int and type({xr}) is int"
+                    # Check only the shapes not proven on this path.
+                    operands = ((xl, tl), (xr, tr))
+                    guards = [_shape_guard(operands, "int")]
                     if instr.op in ("==", "!="):
-                        guard = (
-                            f"({guard}) or "
-                            f"(type({xl}) is str and type({xr}) is str)"
+                        guards.append(_shape_guard(operands, "str"))
+                    guards = [guard for guard in guards if guard is not None]
+                    if not guards:
+                        lines.append(
+                            f"fl[{instr.dst!r}] = ({xv} := {bop}({xl}, {xr}))"
                         )
-                    lines.append(
-                        f"fl[{instr.dst!r}] = ({xv} := ({xl} {fast} {xr}) "
-                        f"if {guard} else b{pos}({xl}, {xr}))"
-                    )
+                    else:
+                        guard = (
+                            guards[0] if len(guards) == 1
+                            else " or ".join(f"({guard})" for guard in guards)
+                        )
+                        lines.append(
+                            f"fl[{instr.dst!r}] = ({xv} := ({xl} {fast} {xr}) "
+                            f"if {guard} else {bop}({xl}, {xr}))"
+                        )
                 else:
                     lines.append(
-                        f"fl[{instr.dst!r}] = ({xv} := b{pos}({xl}, {xr}))"
+                        f"fl[{instr.dst!r}] = ({xv} := {bop}({xl}, {xr}))"
                     )
                 bindings[instr.dst] = xv
-                wr(instr.dst, None)
+                # Every comparison handler returns a Python bool, as
+                # the bare operator does on the shapes it is used for.
+                wr(instr.dst, "bool" if instr.op in _COMPARISONS else None)
                 return lines, False
             env[f"rl{pos}"] = f"_reader(_instrs[{index}].left)"
             env[f"rr{pos}"] = f"_reader(_instrs[{index}].right)"
@@ -989,11 +1080,11 @@ class _FunctionCompiler:
                 bindings.pop(instr.dst, None)
                 wr(instr.dst, None)
             return [
-                f"w{pos}(machine, frame, b{pos}"
+                f"w{pos}(machine, frame, {bop}"
                 f"(rl{pos}(machine, frame), rr{pos}(machine, frame)))"
             ], False
         if kind is ins.Unop:
-            env[f"u{pos}"] = f"UNOP_FUNCS[_instrs[{index}].op]"
+            uop = _handler(env, "UNOP_FUNCS", instr.op)
             if self._is_local(instr.dst) and self._is_local(instr.operand):
                 xo = rd(instr.operand)
                 to = types.get(instr.operand)
@@ -1006,7 +1097,7 @@ class _FunctionCompiler:
                     want_int(instr.operand)
                     lines.append(
                         f"fl[{instr.dst!r}] = ({xv} := -{xo} "
-                        f"if type({xo}) is int else u{pos}({xo}))"
+                        f"if type({xo}) is int else {uop}({xo}))"
                     )
                 elif instr.op == "not":
                     if to == "bool":
@@ -1016,10 +1107,10 @@ class _FunctionCompiler:
                         return lines, False
                     lines.append(
                         f"fl[{instr.dst!r}] = ({xv} := (not {xo}) "
-                        f"if {xo} is True or {xo} is False else u{pos}({xo}))"
+                        f"if {xo} is True or {xo} is False else {uop}({xo}))"
                     )
                 else:
-                    lines.append(f"fl[{instr.dst!r}] = ({xv} := u{pos}({xo}))")
+                    lines.append(f"fl[{instr.dst!r}] = ({xv} := {uop}({xo}))")
                 bindings[instr.dst] = xv
                 wr(instr.dst, None)
                 return lines, False
@@ -1029,10 +1120,10 @@ class _FunctionCompiler:
                 bindings.pop(instr.dst, None)
                 wr(instr.dst, None)
             return [
-                f"w{pos}(machine, frame, u{pos}(r{pos}(machine, frame)))"
+                f"w{pos}(machine, frame, {uop}(r{pos}(machine, frame)))"
             ], False
         if kind is ins.CallBuiltin:
-            env[f"h{pos}"] = f"BUILTINS[_instrs[{index}].name]"
+            handler = _handler(env, "BUILTINS", instr.name)
             if instr.name == "len" and len(instr.args) == 1:
                 xa = rd(instr.args[0])
                 ta = types.get(instr.args[0])
@@ -1042,7 +1133,7 @@ class _FunctionCompiler:
                     lines.append(
                         f"fl[{instr.dst!r}] = ({xv} := len({xa}) "
                         f"if type({xa}) is str or type({xa}) is list "
-                        f"else h{pos}([{xa}]))"
+                        f"else {handler}([{xa}]))"
                     )
                 bindings[instr.dst] = xv
                 # The builtin returns an int or raises: int either way.
@@ -1063,7 +1154,7 @@ class _FunctionCompiler:
                     f"    {xa}.append({val})",
                     f"    {xv} = {xa}",
                     "else:",
-                    f"    {xv} = h{pos}([{xa}, {val}])",
+                    f"    {xv} = {handler}([{xa}, {val}])",
                     f"fl[{instr.dst!r}] = {xv}",
                 ])
                 bindings[instr.dst] = xv
@@ -1074,18 +1165,18 @@ class _FunctionCompiler:
                 if types.get(instr.args[0]) == "list":
                     lines.append(
                         f"fl[{instr.dst!r}] = ({xv} := {xa}.pop() "
-                        f"if {xa} else h{pos}([{xa}]))"
+                        f"if {xa} else {handler}([{xa}]))"
                     )
                 else:
                     lines.append(
                         f"fl[{instr.dst!r}] = ({xv} := {xa}.pop() "
-                        f"if type({xa}) is list and {xa} else h{pos}([{xa}]))"
+                        f"if type({xa}) is list and {xa} else {handler}([{xa}]))"
                     )
                 bindings[instr.dst] = xv
                 wr(instr.dst, None)
                 return lines, False
             args = ", ".join(rd(arg) for arg in instr.args)
-            lines.append(f"fl[{instr.dst!r}] = ({xv} := h{pos}([{args}]))")
+            lines.append(f"fl[{instr.dst!r}] = ({xv} := {handler}([{args}]))")
             bindings[instr.dst] = xv
             wr(instr.dst, None)
             return lines, False
@@ -1100,14 +1191,14 @@ class _FunctionCompiler:
                 tb, ti = types.get(instr.base), types.get(instr.index)
                 if ti != "int":
                     want_int(instr.index)
-                if (tb == "list" or tb == "str") and ti == "int":
-                    # Shapes proven: only the bounds check remains.
-                    check = f"0 <= {xi} < len({xb})"
-                else:
-                    check = (
-                        f"(type({xb}) is list or type({xb}) is str) "
-                        f"and type({xi}) is int and 0 <= {xi} < len({xb})"
-                    )
+                # Shapes proven on this path go unchecked: at least
+                # the bounds check remains.
+                checks = []
+                if tb != "list" and tb != "str":
+                    checks.append(f"(type({xb}) is list or type({xb}) is str)")
+                if ti != "int":
+                    checks.append(f"type({xi}) is int")
+                check = " and ".join(checks + [f"0 <= {xi} < len({xb})"])
                 lines.extend([
                     f"if {check}:",
                     f"    fl[{instr.dst!r}] = ({xv} := {xb}[{xi}])",
@@ -1142,13 +1233,12 @@ class _FunctionCompiler:
                 tb, ti = types.get(instr.base), types.get(instr.index)
                 if ti != "int":
                     want_int(instr.index)
-                if tb == "list" and ti == "int":
-                    check = f"0 <= {xi} < len({xb})"
-                else:
-                    check = (
-                        f"type({xb}) is list "
-                        f"and type({xi}) is int and 0 <= {xi} < len({xb})"
-                    )
+                checks = []
+                if tb != "list":
+                    checks.append(f"type({xb}) is list")
+                if ti != "int":
+                    checks.append(f"type({xi}) is int")
+                check = " and ".join(checks + [f"0 <= {xi} < len({xb})"])
                 lines.extend([
                     f"if {check}:",
                     f"    {xb}[{xi}] = {src}",
@@ -1182,16 +1272,23 @@ class _FunctionCompiler:
     #
     # A region walk follows the CFG through every fusible instruction
     # (a straight-line chain is the region with no branch arm),
-    # inlining interior CJumps as generated if/else with tail
-    # duplication, turning edges back to the region head into
-    # `while True` re-entries, and spilling to the driver at revisits
-    # of interior nodes (inner loops get their own regions).
-    # Counter compensation along each emitted path is a compile-time
-    # constant, so it flushes as ONE literal add at each exit instead
-    # of one add per edge — the "single precomputed aggregate add" of
-    # the paper's Algorithm 2.  Virtual-clock charges stay one float
-    # add per original action, in sequence: float addition is not
-    # associative and the contract is byte identity.
+    # inlining interior CJumps as generated if/else, turning edges back
+    # to the region head into `while True` re-entries, and spilling to
+    # the driver at revisits of interior nodes (inner loops get their
+    # own regions).  Each branch's arms end at its *join*, the first
+    # node both arms reach (:meth:`_region_joins`): an arm that gets
+    # there falls out of the if/else, and the code from the join on is
+    # emitted once, not once per arm.  Arms that re-enter, leave the
+    # region or spill before the join end as their own paths.
+    # Counter compensation along a path is a compile-time constant, so
+    # it flushes as ONE literal add at each exit (or join) instead of
+    # one add per edge — the "single precomputed aggregate add" of the
+    # paper's Algorithm 2.  The instruction count and virtual-clock
+    # charges fold the same way: one ``n += k`` and one left-to-right
+    # chain ``clock = clock + icost + ec + icost``, which performs the
+    # switch backend's float additions in their order (never a
+    # multiplied add: float addition is not associative and the
+    # contract is byte identity).
 
     def _compile_region(self, start: int, base: List[Step]) -> Step:
         """The region step at *start*.
@@ -1200,7 +1297,20 @@ class _FunctionCompiler:
         emitted and compiled only on a miss), then bound to this
         compiler's live objects: a warm landing is key lookup,
         ``marshal.loads``, ``exec`` and a ``bind`` call per variant.
+
+        A region that would hold only its head instruction is its base
+        step: handing the next instruction straight to its base step
+        saves the driver one iteration, which the region's prologue and
+        exit cost again, so it gets no code at all.
         """
+        instr = self.function.instrs[start]
+        kind = type(instr)
+        if kind is ins.CJump:
+            targets = (instr.true_target, instr.false_target)
+        else:
+            targets = (instr.target if kind is ins.Jump else start + 1,)
+        if all(target != start and target not in self.fusible for target in targets):
+            return base[start]
         key = None
         if self.artifact is not None:
             key = region_key(self.artifact, self.function.name, start)
@@ -1230,17 +1340,19 @@ class _FunctionCompiler:
         # candidate set records which locals would shed per-iteration
         # int guards if proven int at entry, and its read set records
         # which locals the region loads from the frame.
-        env, body, state = self._emit_region_parts(start, frozenset())
+        joins = self._region_joins(start)
+        env, body, state = self._emit_region_parts(start, joins, frozenset())
         carried = ()
         if state["loop"] and state["reads"]:
             # Self-reentering region: keep every local the body reads
             # in a Python register, loaded once at region entry and
-            # reconciled at each back-edge, so iterations never reload
-            # from the locals dict.  (Writes still go through ``fl``
-            # eagerly, so any exit sees a consistent frame.)
+            # reconciled at each join and back-edge, so iterations
+            # never reload from the locals dict.  (Writes still go
+            # through ``fl`` eagerly, so any exit sees a consistent
+            # frame.)
             carried = tuple(sorted(state["reads"]))
             env, body, state = self._emit_region_parts(
-                start, frozenset(), carried
+                start, joins, frozenset(), carried
             )
         sources = [self._assemble_region(start, env, body, state, (), carried)]
         if state["loop"] and state["candidates"]:
@@ -1252,7 +1364,7 @@ class _FunctionCompiler:
             trial = frozenset(state["candidates"])
             while trial:
                 env_h, body_h, state_h = self._emit_region_parts(
-                    start, trial, carried
+                    start, joins, trial, carried
                 )
                 bad = state_h["violations"]
                 if not bad:
@@ -1269,9 +1381,88 @@ class _FunctionCompiler:
                 trial = trial - bad
         return sources
 
+    def _region_joins(self, start: int) -> Dict[int, int]:
+        """The join of every two-way branch the region at *start* can
+        inline: the first node, in reverse postorder of the region's
+        graph, that both arms reach.
+
+        The graph's nodes are the fusible instructions reachable from
+        *start*; a non-fusible successor (where the region hands over
+        to a base step) and *start* as a successor (a re-entry) are
+        sinks, so arms that both leave through the same terminator, or
+        both re-enter, join there too.  In structured code this is the
+        branch's immediate postdominator once early exits are set
+        aside.  Any choice is byte-safe: an arm that never meets its
+        join just ends on its own.
+        """
+        instrs = self.function.instrs
+        fusible = self.fusible
+        reenter = -1
+
+        def successors(index: int) -> Tuple[int, ...]:
+            if index == reenter or index not in fusible:
+                return ()
+            instr = instrs[index]
+            kind = type(instr)
+            if kind is ins.CJump:
+                targets = (instr.true_target, instr.false_target)
+            elif kind is ins.Jump:
+                targets = (instr.target,)
+            else:
+                targets = (index + 1,)
+            return tuple(reenter if t == start else t for t in targets)
+
+        # Depth-first from the head, dropping back edges (to a node
+        # still on the stack): the walk spills at those revisits, so
+        # what lies beyond them is never inlined.  What remains is a
+        # DAG, and its reverse postorder is a topological order.
+        dag: Dict[int, List[int]] = {start: []}
+        active = {start}
+        postorder: List[int] = []
+        stack = [(start, iter(successors(start)))]
+        while stack:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if nxt in active:
+                    continue
+                dag[node].append(nxt)
+                if nxt not in dag:
+                    dag[nxt] = []
+                    active.add(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
+            else:
+                stack.pop()
+                active.discard(node)
+                postorder.append(node)
+        by_rank = postorder[::-1]
+        rank = {node: position for position, node in enumerate(by_rank)}
+        # reach[n]: bit set of rank[m] for every m reachable from n.
+        reach: Dict[int, int] = {}
+        for node in postorder:
+            bits = 1 << rank[node]
+            for nxt in dag[node]:
+                bits |= reach[nxt]
+            reach[node] = bits
+        joins: Dict[int, int] = {}
+        for node in postorder:
+            instr = instrs[node] if node != reenter else None
+            if (
+                type(instr) is not ins.CJump
+                or instr.true_target == instr.false_target
+                or len(dag[node]) != 2
+            ):
+                continue
+            common = reach[dag[node][0]] & reach[dag[node][1]]
+            if common:
+                join = by_rank[(common & -common).bit_length() - 1]
+                joins[node] = start if join == reenter else join
+        return joins
+
     def _emit_region_parts(
         self,
         start: int,
+        joins: Dict[int, int],
         hoist: frozenset,
         carried: Tuple[str, ...] = (),
     ) -> Tuple[Dict[str, str], List[Tuple[int, str]], Dict[str, object]]:
@@ -1280,143 +1471,229 @@ class _FunctionCompiler:
         env: Dict[str, str] = {"s0": f"_base[{start}]"}
         body: List[Tuple[int, str]] = []
         state: Dict[str, object] = {
-            "emitted": 0, "loop": False, "ec": False, "cs": False,
+            "emitted": 0, "members": 0, "phis": 0,
+            "loop": False, "ec": False, "cs": False,
             "candidates": set(), "violations": set(), "reads": set(),
         }
         # Loop-carried registers: ``lcK`` holds local *name* across
-        # iterations (loaded in the region prologue; each back-edge
-        # reconciles the register with the path's current binding).
+        # iterations (loaded in the region prologue; each join and
+        # back-edge reconciles the register with the path's current
+        # binding).
         creg = {name: f"lc{k}" for k, name in enumerate(carried)}
 
-        def emit(depth: int, text: str) -> None:
-            body.append((depth, text))
+        def chain(base: str, path: _Path, extra: Tuple[str, ...] = ()) -> str:
+            # The path's pending clock charges, one left-to-right sum:
+            # ``clock + icost + ec`` adds in the same order, with the
+            # same roundings, as ``clock += icost; clock += ec``.
+            terms = path.charges + extra
+            if "ec" in terms:
+                state["ec"] = True
+            return " + ".join((base,) + terms)
 
-        def emit_flush(depth: int, cum: Tuple[int, int]) -> None:
+        def emit_flush(out: List, depth: int, cum: Tuple[int, int]) -> None:
             # The path's whole counter compensation as one literal add.
             delta, count = cum
             if count:
                 if delta:
                     state["cs"] = True
-                    emit(depth, f"cs[-1] += {delta}")
-                emit(depth, f"st.edge_actions += {count}")
+                    out.append((depth, f"cs[-1] += {delta}"))
+                out.append((depth, f"st.edge_actions += {count}"))
 
-        def emit_spill(depth: int, target: int, cum: Tuple[int, int]) -> None:
-            emit_flush(depth, cum)
-            emit(depth, "st.instructions = n")
-            emit(depth, "thread.clock = clock")
-            emit(depth, f"frame.index = {target}")
-            emit(depth, "return None")
-
-        def emit_term(depth: int, target: int, cum: Tuple[int, int]) -> None:
-            emit(depth, "n += 1")
-            emit(depth, "clock += icost")
-            emit_flush(depth, cum)
-            emit(depth, "st.instructions = n")
-            emit(depth, "thread.clock = clock")
-            emit(depth, f"frame.index = {target}")
-            env[f"t{target}"] = f"_base[{target}]"
-            emit(depth, f"return t{target}(machine, thread, frame)")
-
-        def emit_reenter(
-            depth: int, cum: Tuple[int, int], bindings: Dict[str, str]
+        def emit_exit(
+            out: List, depth: int, path: _Path, target: int, terminator: bool
         ) -> None:
-            emit_flush(depth, cum)
+            # A terminator is one more instruction, charged like any.
+            count = path.count + terminator
+            extra = ("icost",) if terminator else ()
+            emit_flush(out, depth, path.cum)
+            out.append((depth, f"st.instructions = n + {count}" if count
+                        else "st.instructions = n"))
+            out.append((depth, f"thread.clock = {chain('clock', path, extra)}"))
+            out.append((depth, f"frame.index = {target}"))
+
+        def emit_spill(out: List, depth: int, target: int, path: _Path) -> None:
+            emit_exit(out, depth, path, target, False)
+            out.append((depth, "return None"))
+
+        def emit_term(out: List, depth: int, target: int, path: _Path) -> None:
+            emit_exit(out, depth, path, target, True)
+            env[f"t{target}"] = f"_base[{target}]"
+            out.append((depth, f"return t{target}(machine, thread, frame)"))
+
+        def emit_reenter(out: List, depth: int, path: _Path) -> None:
             state["loop"] = True
             # The next iteration may overflow the budget: hand back to
             # the driver, whose prologue + this region's entry check
             # single-step to the exact overflow state.
-            emit(depth, f"if n + {REGION_BOUND} > limit:")
-            emit(depth + 1, "st.instructions = n")
-            emit(depth + 1, "thread.clock = clock")
-            emit(depth + 1, f"frame.index = {start}")
-            emit(depth + 1, "return None")
-            emit(depth, "n += 1")
-            emit(depth, "clock += icost")
+            out.append((depth, f"if n + {path.count + REGION_BOUND} > limit:"))
+            emit_spill(out, depth + 1, start, path)
+            emit_flush(out, depth, path.cum)
+            # The head instruction of the next iteration is counted
+            # and charged here, after its budget check.
+            out.append((depth, f"n += {path.count + 1}"))
+            out.append((depth, f"clock = {chain('clock', path, ('icost',))}"))
             # Reconcile the carried registers with this path's current
             # values before jumping back to the region top (whose code
-            # reads the entry registers).  One tuple assignment: the
-            # copies are parallel (a register may feed another, as in
-            # ``prev = cur`` loops), so sources must all be read
-            # before any register is written.
-            targets, sources = [], []
-            for name in carried:
-                reg = creg[name]
-                cur = bindings.get(name)
-                if cur is None:
-                    targets.append(reg)
-                    sources.append("fl.get(%r)" % name)
-                elif cur != reg:
-                    targets.append(reg)
-                    sources.append(cur)
-            if targets:
-                emit(
-                    depth,
-                    ", ".join(targets) + " = " + ", ".join(sources),
-                )
-            emit(depth, "continue")
+            # reads the entry registers).
+            emit_assign(out, depth, [
+                (creg[name], path.bindings.get(name), name)
+                for name in carried
+            ])
+            out.append((depth, "continue"))
 
-        def charge_edge(
-            depth: int, src: int, dst: int, cum: Tuple[int, int]
-        ) -> Tuple[int, int]:
+        def emit_assign(
+            out: List, depth: int, moves: List[Tuple[str, Optional[str], str]]
+        ) -> None:
+            # ``(register, current temp or None, local name)`` copies as
+            # ONE tuple assignment: the copies are parallel (a register
+            # may feed another, as in ``prev = cur`` loops), so sources
+            # must all be read before any register is written.
+            targets, sources = [], []
+            for register, current, name in moves:
+                if current is None:
+                    targets.append(register)
+                    sources.append("fl.get(%r)" % name)
+                elif current != register:
+                    targets.append(register)
+                    sources.append(current)
+            if targets:
+                out.append(
+                    (depth, ", ".join(targets) + " = " + ", ".join(sources))
+                )
+
+        def charge_edge(path: _Path, src: int, dst: int) -> None:
             actions = self._edge_actions(src, dst)
             if not actions:
-                return cum
+                return
             delta, count = fold_counter_adds(actions)
-            state["ec"] = True
-            for _ in range(count):
-                emit(depth, "clock += ec")
-            return (cum[0] + delta, cum[1] + count)
+            path.cum = (path.cum[0] + delta, path.cum[1] + count)
+            path.charges += ("ec",) * count
+
+        def merge(depth: int, arms: List[Tuple[_Path, List]]) -> Optional[_Path]:
+            """The state after a join, given the arms that fall into it.
+
+            Counter compensation and pending accounting survive only
+            when every arm carries the same; otherwise each arm flushes
+            its own.  A local keeps its temp when every arm binds it to
+            the same one; otherwise each arm copies its value into a
+            join temp (a carried local into its register), so the code
+            after the join still reads registers, not the frame.  Types
+            survive where the arms agree.
+            """
+            if not arms:
+                return None
+            if len(arms) == 1:
+                return arms[0][0]
+            paths = [path for path, _ in arms]
+            first = paths[0]
+            cum, count, charges = first.cum, first.count, first.charges
+            flush_cum = any(path.cum != cum for path in paths)
+            flush_clock = any(
+                (path.count, path.charges) != (count, charges) for path in paths
+            )
+            names = set(first.bindings)
+            for path in paths[1:]:
+                names &= path.bindings.keys()
+            names |= creg.keys()
+            reassigned = {
+                creg[name] for name in carried
+                if any(path.bindings.get(name) != creg[name] for path in paths)
+            }
+            bindings: Dict[str, str] = {}
+            for name in sorted(names):
+                temps = {path.bindings.get(name) for path in paths}
+                if name in creg:
+                    bindings[name] = creg[name]
+                elif len(temps) == 1 and not temps & reassigned:
+                    bindings[name] = temps.pop()
+                else:
+                    bindings[name] = f"j{state['phis']}"
+                    state["phis"] += 1
+            for path, out in arms:
+                if flush_cum:
+                    emit_flush(out, depth, path.cum)
+                if flush_clock:
+                    if path.count:
+                        out.append((depth, f"n += {path.count}"))
+                    if path.charges:
+                        out.append((depth, f"clock = {chain('clock', path)}"))
+                emit_assign(out, depth, [
+                    (temp, path.bindings.get(name), name)
+                    for name, temp in bindings.items()
+                ])
+            types: Dict[str, Optional[str]] = {}
+            for name in set().union(*(path.types for path in paths)):
+                seen = {path.types.get(name) for path in paths}
+                if len(seen) == 1:
+                    known = seen.pop()
+                    if known is not None:
+                        types[name] = known
+                elif None not in seen:
+                    types[name] = "any"
+                # A local some arm never touched stays unknown: its
+                # value may still be the region-entry one, which an
+                # entry guard can prove.
+            return _Path(
+                (0, 0) if flush_cum else cum,
+                0 if flush_clock else count,
+                () if flush_clock else charges,
+                frozenset().union(*(path.visited for path in paths)),
+                max(path.length for path in paths),
+                bindings,
+                types,
+            )
 
         def walk(
             index: int,
             depth: int,
-            cum: Tuple[int, int],
-            visited: frozenset,
-            first: bool,
-            bindings: Dict[str, str],
-            types: Dict[str, Optional[str]],
-        ) -> None:
-            path_len = len(visited)
+            path: _Path,
+            out: List,
+            stop: Optional[int],
+            first: bool = False,
+        ) -> Optional[_Path]:
+            """Emit the path from *index* into *out*; return its state
+            when it reaches *stop* (the enclosing join), None when it
+            ended (re-entry, terminator or spill)."""
             while True:
                 if not first:
+                    if index == stop:
+                        return path
                     if index == start:
-                        emit_reenter(depth, cum, bindings)
-                        return
+                        emit_reenter(out, depth, path)
+                        return None
                     if index not in fusible:
-                        emit_term(depth, index, cum)
-                        return
+                        emit_term(out, depth, index, path)
+                        return None
                     if (
-                        index in visited
-                        or path_len >= REGION_PATH_CAP
+                        index in path.visited
+                        or path.length >= REGION_PATH_CAP
                         or state["emitted"] >= REGION_CAP
                     ):
-                        emit_spill(depth, index, cum)
-                        return
+                        emit_spill(out, depth, index, path)
+                        return None
+                    path.count += 1
+                    path.charges += ("icost",)
+                first = False
                 instr = instrs[index]
                 kind = type(instr)
                 state["emitted"] += 1
-                visited = visited | {index}
-                path_len += 1
-                if not first:
-                    emit(depth, "n += 1")
-                    emit(depth, "clock += icost")
-                first = False
+                path.visited = path.visited | {index}
+                path.length += 1
                 if kind is ins.CJump:
                     pos = state["emitted"]
-                    env["truthy"] = "truthy"
                     cond_bool = False
                     if self._is_local(instr.cond):
-                        cond_bool = types.get(instr.cond) == "bool"
-                        xc = bindings.get(instr.cond)
+                        cond_bool = path.types.get(instr.cond) == "bool"
+                        xc = path.bindings.get(instr.cond)
                         if xc is None:
                             state["reads"].add(instr.cond)
                             xc = f"xc{pos}"
-                            emit(depth, f"{xc} = fl.get({instr.cond!r})")
-                            bindings[instr.cond] = xc
+                            out.append((depth, f"{xc} = fl.get({instr.cond!r})"))
+                            path.bindings[instr.cond] = xc
                     else:
                         xc = f"xc{pos}"
                         env[f"rc{pos}"] = f"_reader(_instrs[{index}].cond)"
-                        emit(depth, f"{xc} = rc{pos}(machine, frame)")
+                        out.append((depth, f"{xc} = rc{pos}(machine, frame)"))
                     # Comparison results are Python bools: test those
                     # by identity, call truthy() only for other types.
                     # A condition *proven* bool (e.g. computed by an
@@ -1424,6 +1701,7 @@ class _FunctionCompiler:
                     if cond_bool:
                         cond = xc
                     else:
+                        env["truthy"] = "truthy"
                         cond = (
                             f"{xc} is True or "
                             f"({xc} is not False and truthy({xc}))"
@@ -1434,40 +1712,57 @@ class _FunctionCompiler:
                         # evaluates (its type errors must surface —
                         # unless proven bool, where truthy() is total).
                         if not cond_bool:
-                            emit(depth, f"truthy({xc})")
-                        cum = charge_edge(depth, index, on_true, cum)
+                            out.append((depth, f"truthy({xc})"))
+                        charge_edge(path, index, on_true)
                         index = on_true
                         continue
-                    emit(depth, f"if {cond}:")
-                    walk(
-                        on_true, depth + 1,
-                        charge_edge(depth + 1, index, on_true, cum),
-                        visited, False, dict(bindings), dict(types),
+                    join = joins.get(index, stop)
+                    arms = []
+                    for target in (on_true, on_false):
+                        arm = path.fork()
+                        charge_edge(arm, index, target)
+                        lines: List[Tuple[int, str]] = []
+                        end = walk(target, depth + 1, arm, lines, join)
+                        arms.append((end, lines))
+                    path = merge(
+                        depth + 1, [arm for arm in arms if arm[0] is not None]
                     )
-                    emit(depth, "else:")
-                    walk(
-                        on_false, depth + 1,
-                        charge_edge(depth + 1, index, on_false, cum),
-                        visited, False, dict(bindings), dict(types),
-                    )
-                    return
+                    true_lines, false_lines = arms[0][1], arms[1][1]
+                    if true_lines:
+                        out.append((depth, f"if {cond}:"))
+                        out.extend(true_lines)
+                        if false_lines:
+                            out.append((depth, "else:"))
+                            out.extend(false_lines)
+                    elif false_lines:
+                        out.append((depth, f"if not ({cond}):"))
+                        out.extend(false_lines)
+                    elif not cond_bool:
+                        out.append((depth, f"truthy({xc})"))
+                    if path is None:
+                        return None
+                    index = join
+                    continue
+                state["members"] += 1
                 member_lines, needs_index = self._emit_member(
-                    state["emitted"], index, instr, env, bindings,
-                    types, hoist, state,
+                    state["emitted"], index, instr, env, path.bindings,
+                    path.types, hoist, state,
                 )
                 if needs_index:
-                    emit(depth, f"frame.index = {index}")
+                    out.append((depth, f"frame.index = {index}"))
                 for text in member_lines:
-                    emit(depth, text)
+                    out.append((depth, text))
                 # Fusible already means event-free with free-or-foldable
                 # out-edges: only the successor remains to be named.
                 succ = instr.target if kind is ins.Jump else index + 1
-                cum = charge_edge(depth, index, succ, cum)
+                charge_edge(path, index, succ)
                 index = succ
 
         walk(
-            start, 0, (0, 0), frozenset(), True, dict(creg),
-            {name: "int" for name in hoist},
+            start, 0,
+            _Path((0, 0), 0, (), frozenset(), 0, dict(creg),
+                  {name: "int" for name in hoist}),
+            body, None, first=True,
         )
         return env, body, state
 

@@ -1,13 +1,21 @@
-"""Hand-written lexer for MiniC.
+"""Lexer for MiniC.
 
 MiniC is the small C-like language the reproduction instruments and
 executes in place of LLVM-compiled C.  The lexer supports integers,
 double-quoted strings with the usual escapes, ``//`` line comments and
 ``/* */`` block comments.
+
+One compiled master pattern scans the ASCII lexemes every workload is
+made of, a match per token.  Everything else -- a token that starts
+with, or runs into, a non-ASCII character (Unicode names, digits
+``str.isdigit`` accepts), and every malformed lexeme -- is lexed by the
+character-at-a-time rules below, so both paths accept the same
+programs with the same tokens, locations and errors.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 from repro.errors import LexerError, SourceLocation
@@ -21,6 +29,23 @@ _ESCAPES = {
     '"': '"',
     "\\": "\\",
 }
+
+# Group order is match priority: a terminated block comment before the
+# "/" operator, and ``slow`` (an unterminated comment, or a string the
+# ``string`` group rejects) before any operator, so those go to the
+# character rules that diagnose them.
+_MASTER = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<line>//[^\n]*)"
+    r"|(?P<block>/\*.*?\*/)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<int>[0-9]+)"
+    r'|(?P<string>"(?:[^"\\\n]|\\[ntr0"\\])*")'
+    r'|(?P<slow>/\*|")'
+    "|(?P<punct>" + "|".join(re.escape(punct) for punct in PUNCTUATION) + ")",
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(.)")
 
 
 class Lexer:
@@ -36,13 +61,54 @@ class Lexer:
 
     def tokenize(self) -> List[Token]:
         """Return all tokens in the source, ending with an EOF token."""
+        source = self._source
+        size = len(source)
+        match = _MASTER.match
         tokens: List[Token] = []
-        while True:
-            self._skip_trivia()
-            if self._at_end():
-                tokens.append(Token(EOF, "", None, self._location()))
-                return tokens
-            tokens.append(self._next_token())
+        append = tokens.append
+        pos, line, line_start = 0, 1, 0
+        while pos < size:
+            found = match(source, pos)
+            kind = found.lastgroup if found is not None else "slow"
+            end = found.end() if found is not None else pos
+            if (kind == "name" or kind == "int") and end < size and (
+                source[end] >= "\x80"
+                or (kind == "int" and (source[end].isalpha() or source[end] == "_"))
+            ):
+                # A Unicode continuation, or a digit run the character
+                # rules reject: let them decide.
+                kind = "slow"
+            if kind == "slow":
+                self._pos, self._line = pos, line
+                self._column = pos - line_start + 1
+                self._skip_trivia()
+                if not self._at_end():
+                    append(self._next_token())
+                pos, line = self._pos, self._line
+                line_start = pos - self._column + 1
+                continue
+            text = found.group()
+            if kind == "space" or kind == "block":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rindex("\n") + 1
+            elif kind != "line":
+                location = SourceLocation(line, pos - line_start + 1)
+                if kind == "name":
+                    append(Token(
+                        text if text in KEYWORDS else NAME, text, text, location
+                    ))
+                elif kind == "punct":
+                    append(Token(text, text, text, location))
+                elif kind == "int":
+                    append(Token(INT, text, int(text), location))
+                else:
+                    value = _ESCAPE.sub(_unescape, text[1:-1])
+                    append(Token(STRING, value, value, location))
+            pos = end
+        append(Token(EOF, "", None, SourceLocation(line, pos - line_start + 1)))
+        return tokens
 
     # -- internals -----------------------------------------------------------
 
@@ -107,7 +173,12 @@ class Lexer:
         if self._peek().isalpha() or self._peek() == "_":
             raise LexerError("identifier cannot start with a digit", start)
         text = self._source[begin : self._pos]
-        return Token(INT, text, int(text), start)
+        try:
+            value = int(text)
+        except ValueError:
+            # str.isdigit() accepts digits int() does not (``²``).
+            raise LexerError(f"invalid integer literal {text!r}", start) from None
+        return Token(INT, text, value, start)
 
     def _lex_name(self) -> Token:
         start = self._location()
@@ -148,6 +219,10 @@ class Lexer:
                 self._advance(len(punct))
                 return Token(punct, punct, punct, start)
         raise LexerError(f"unexpected character {self._peek()!r}", start)
+
+
+def _unescape(found: "re.Match") -> str:
+    return _ESCAPES[found.group(1)]
 
 
 def tokenize(source: str) -> List[Token]:

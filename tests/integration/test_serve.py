@@ -361,6 +361,24 @@ def test_malformed_world_values_are_invalid_before_engine_work(world):
         assert service.drain(timeout=120)
 
 
+def test_unlexable_digit_is_invalid_not_an_engine_error():
+    # "²" passes str.isdigit() but not int(): the lexer must diagnose
+    # it, so the request is a bad program (invalid), not a service
+    # error that counts against the program's breaker.
+    service = _service().start()
+    try:
+        response = service.submit(_source_request(
+            "sup", source="fn main() { var x = \u00b2; return x; }"
+        ))
+        assert response["status"] == api.STATUS_INVALID
+        assert "lex error" in response["reason"]
+        stats = service.stats()
+        assert stats["errors"] == 0
+        assert stats["breakers"] == {}
+    finally:
+        assert service.drain(timeout=120)
+
+
 def test_drain_stops_admission_and_joins_workers():
     service = _service().start()
     response = service.submit({"id": "a", "workload": "tnftp", "variant": "leak"})

@@ -19,6 +19,7 @@ from repro.baselines.dualex import run_dualex
 from repro.baselines.native import run_native
 from repro.baselines.taint import run_taint
 from repro.core import FaultConfig, LdxConfig, SinkSpec, SourceSpec, run_dual
+from repro.errors import InterpreterError
 from repro.instrument import instrument_module
 from repro.interp import (
     get_default_backend,
@@ -283,3 +284,81 @@ def test_persisted_region_code_identical(tmp_path_factory, source):
     assert cold.disk_errors == warm.disk_errors == 0
     for threaded in runs:
         assert _native_observables(threaded) == _native_observables(switch)
+
+
+_DIAMOND_STATEMENTS = (
+    "s = s + i;", "y = y + 1;", "x = x + 1;", "s = s - y;", "y = s;",
+    "x = i;", "x = 3;", 'x = "k";',
+)
+
+
+@st.composite
+def diamond_loops(draw):
+    """A loop holding a chain of 1-8 diamonds, mostly astar's
+    ``if (a and b) continue;``: each short-circuit joins, each
+    ``continue`` joins the loop's increment, and the region code must
+    emit the shared tail once; the rest are if/else diamonds whose arms
+    assign different values and shapes.  ``x`` may start as a str, so
+    the int guard a region hoists for ``x = x + 1`` misses at entry and
+    the generic variant runs, or become one in a single arm, so the arms
+    disagree on its type; ``y = s`` binds one local to another's
+    register; a ``print`` in the body makes the loop region re-enter
+    after it."""
+    statement = st.sampled_from(_DIAMOND_STATEMENTS)
+    diamonds = draw(st.integers(1, 8))
+    x_init = draw(st.sampled_from(["0", "3", '"k"']))
+    lines = [
+        "fn main() {",
+        "  var s = 0;",
+        f"  var x = {x_init};",
+        "  var y = 1;",
+        f"  for (var i = 0; i < {draw(st.integers(0, 12))}; i = i + 1) {{",
+    ]
+    for _ in range(diamonds):
+        left = (
+            f"{draw(st.sampled_from(['i', 's', 'y']))} "
+            f"{draw(st.sampled_from(['<', '>', '==', '!=']))} "
+            f"{draw(st.integers(-1, 9))}"
+        )
+        right = draw(st.sampled_from([
+            f"i % {draw(st.integers(1, 4))} == {draw(st.integers(0, 3))}",
+            "x == 3", 'x != "k"', "y > s", "s < i",
+        ]))
+        cond = f"{left} {draw(st.sampled_from(['and', 'or']))} {right}"
+        if draw(st.integers(0, 3)):
+            skip = draw(st.sampled_from(("",) + _DIAMOND_STATEMENTS))
+            lines.append(f"    if ({cond}) {{ {skip} continue; }}")
+        else:
+            lines.append(
+                f"    if ({cond}) {{ {draw(statement)} }} "
+                f"else {{ {draw(statement)} }}"
+            )
+        lines.append(f"    {draw(statement)}")
+    if draw(st.booleans()):
+        lines.append("    print(s);")
+    lines += ["  }", "  print(s);", "  print(x);", "  print(y);", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def _native_or_crash(module, plan, backend):
+    try:
+        return _native_observables(
+            run_native(module, World(seed=1), plan=plan, backend=backend)
+        )
+    except InterpreterError as crash:
+        return str(crash)
+
+
+@given(diamond_loops())
+@settings(max_examples=40, deadline=None)
+def test_diamond_chains_identical_across_backends_and_plans(source):
+    # {switch, threaded} x {pruned, unpruned}: joined region code must
+    # observe exactly what the reference interpreter does.
+    module = compile_source(source)
+    observed = []
+    for prune in (True, False):
+        plan = instrument_module(module, prune=prune).plan
+        for backend in ("switch", "threaded"):
+            clear_compile_memo()
+            observed.append(_native_or_crash(module, plan, backend))
+    assert all(run == observed[0] for run in observed[1:])

@@ -7,7 +7,7 @@ import pytest
 
 from repro import cache
 from repro.baselines.native import run_native
-from repro.errors import InterpreterError
+from repro.errors import BudgetExceededError, InterpreterError
 from repro.instrument import instrument_module
 from repro.interp.compile import (
     BACKEND_SWITCH,
@@ -606,6 +606,151 @@ def test_small_region_caps_stay_byte_identical(monkeypatch):
     assert capped.stats.edge_actions == baseline.stats.edge_actions
 
 
+def _continue_chain(diamonds):
+    # astar's shape: a loop of ``if (a and b) continue;`` diamonds.
+    tests = "\n".join(
+        f"    if (m == {d} and s == {d}) {{ continue; }}"
+        for d in range(diamonds)
+    )
+    return (
+        "fn main() {\n  var s = 0;\n"
+        "  for (var m = 0; m < 40; m = m + 1) {\n"
+        f"{tests}\n    s = s + m;\n  }}\n  print(s);\n}}\n"
+    )
+
+
+def test_region_members_grow_linearly_with_diamonds(monkeypatch):
+    # Each diamond's arms meet again at a join, after which the rest of
+    # the loop body is emitted once: one more diamond adds a fixed
+    # number of emitted members.  Tail-duplicating every arm doubles
+    # them per diamond instead.  Caps are lifted so they cannot hide
+    # the growth.
+    from repro.interp import compile as compile_mod
+    from repro.ir import instructions as ins
+
+    monkeypatch.setattr(compile_mod, "REGION_CAP", 10**6)
+    monkeypatch.setattr(compile_mod, "REGION_PATH_CAP", 10**4)
+    monkeypatch.setattr(compile_mod, "REGION_BOUND", 10**4 + 2)
+    compiler_cls = compile_mod._FunctionCompiler
+    real_member = compiler_cls._emit_member
+    emitted = [0]
+
+    def counting(self, *args):
+        emitted[0] += 1
+        return real_member(self, *args)
+
+    monkeypatch.setattr(compiler_cls, "_emit_member", counting)
+    members = []
+    for diamonds in range(1, 9):
+        module = compile_source(_continue_chain(diamonds))
+        plan = instrument_module(module).plan
+        main = module.functions["main"]
+        head = next(
+            index for index, instr in enumerate(main.instrs)
+            if type(instr) is ins.Nop and instr.note == "loophead"
+        )
+        compiler = compiler_cls(
+            module, main, plan.functions["main"],
+            frozenset(module.global_values),
+            plan.relevance.functions["main"].fusible,
+        )
+        emitted[0] = 0
+        compiler._region_sources(head)
+        members.append(emitted[0])
+    steps = {later - earlier for earlier, later in zip(members, members[1:])}
+    assert len(steps) == 1 and steps.pop() > 0, members
+
+
+# At each if/else join the arms disagree: on ``x``'s shape (int in one
+# arm, str in the other, then ``x + 1``), and on the register ``y`` was
+# copied from (``s`` is rewritten in one arm, then ``y`` read).
+JOIN_PROGRAMS = {
+    "shapes": """
+fn main() {
+  var x = "k";
+  var s = 0;
+  for (var i = 0; i < 6; i = i + 1) {
+    if (i % 2 == 1) { x = 3; } else { x = x + 1; }
+    x = x + 1;
+    s = s + i;
+  }
+  print(x);
+  print(s);
+}
+""",
+    "registers": """
+fn main() {
+  var s = 1;
+  var t = 0;
+  for (var i = 0; i < 5; i = i + 1) {
+    var y = s;
+    if (i % 2 == 0) { s = s + 10; } else { t = t + 1; }
+    t = t + y;
+  }
+  print(s);
+  print(t);
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(JOIN_PROGRAMS))
+def test_joins_keep_only_what_every_arm_agrees_on(name):
+    switch, threaded = both_runs(JOIN_PROGRAMS[name], plan=True)
+    assert switch.stdout == threaded.stdout
+    assert switch.time == threaded.time
+    assert switch.stats.instructions == threaded.stats.instructions
+    assert switch.stats.edge_actions == threaded.stats.edge_actions
+
+
+def _budget_cut_state(module, plan, backend, limit):
+    clear_compile_memo()
+    machine = Machine(
+        module, Kernel(World()), plan=plan, backend=backend,
+        max_instructions=limit,
+    )
+    try:
+        while True:
+            event = machine.next_event()
+            if event is None:
+                break
+            resolve_event_locally(machine, event)
+    except BudgetExceededError:
+        pass
+    thread = machine.threads[0]
+    return (
+        machine.stats.instructions, machine.stats.edge_actions,
+        list(thread.counter_stack), thread.clock, thread.frames[-1].index,
+    )
+
+
+def test_budget_cut_at_reentry_flushes_the_path_once():
+    # A counter add on the loop's back edge: the re-entering path
+    # carries it, and a budget cut right at the re-entry must flush it
+    # exactly once before handing back to the driver.
+    from repro.instrument.plan import CounterAdd
+    from repro.ir import instructions as ins
+
+    module = compile_source(LOOP)
+    plan = instrument_module(module).plan
+    main = module.functions["main"]
+    back = next(
+        index for index, instr in enumerate(main.instrs)
+        if type(instr) is ins.Jump and instr.target < index
+    )
+    assert back in plan.relevance.functions["main"].fusible
+    plan.functions["main"].add_action(
+        (back, main.instrs[back].target), CounterAdd(2)
+    )
+    try:
+        for limit in range(10, 200):
+            assert _budget_cut_state(module, plan, "switch", limit) == (
+                _budget_cut_state(module, plan, "threaded", limit)
+            ), limit
+    finally:
+        clear_compile_memo()
+
+
 # -- lazily generated regions -----------------------------------------------------
 
 
@@ -682,6 +827,33 @@ def test_relevance_switch_does_not_change_compiled_code(monkeypatch):
             clear_compile_memo()
         assert emitted[0] == emitted[1]
         assert emitted[0][1], "no region was generated"
+
+
+def test_single_instruction_regions_are_their_base_steps(monkeypatch):
+    # A fusible instruction whose successors all leave the fusible set
+    # would make a one-member region: its landing installs the base
+    # step and generates nothing.
+    from repro.interp import compile as compile_mod
+
+    module = compile_source(LOOP)
+    plan = instrument_module(module).plan
+    main = module.functions["main"]
+    fusible = plan.relevance.functions["main"].fusible
+    compiler = compile_mod._FunctionCompiler(
+        module, main, plan.functions["main"],
+        frozenset(module.global_values), fusible,
+    )
+    base = [compiler._compile_one(i, instr) for i, instr in enumerate(main.instrs)]
+    single = [
+        index for index in sorted(fusible)
+        if all(succ != index and succ not in fusible
+               for succ in main.successors(index))
+    ]
+    assert single
+    calls = _count_compiles(monkeypatch)
+    for index in single:
+        assert compiler._compile_region(index, base) is base[index]
+    assert calls == []
 
 
 def test_planless_compile_generates_no_code_before_first_run(monkeypatch):

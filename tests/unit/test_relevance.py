@@ -6,6 +6,8 @@ edges that reach a syscall, and the all-sink-relevant fixed point where
 nothing but structural glue can be elided.
 """
 
+from hypothesis import given, settings
+
 from repro.analysis import compute_relevance
 from repro.baselines.native import run_native
 from repro.core import LdxConfig, SinkSpec, SourceSpec, run_dual
@@ -14,6 +16,8 @@ from repro.interp import relevance_enabled, set_relevance_enabled
 from repro.ir import compile_source
 from repro.ir import instructions as ins
 from repro.vos.world import World
+
+from tests.property.test_counter_properties import random_programs
 
 
 def _relevance(source):
@@ -295,3 +299,54 @@ def test_all_relevant_workload_byte_identical_on_off():
     finally:
         set_relevance_enabled(saved)
     assert observed[True] == observed[False]
+
+
+def _members_by_rescan(self, name):
+    # The definition the grouped classes must reproduce, order
+    # included: the root, then every other name whose root it is, in
+    # parent-map order (one find per name, per call).
+    root = self.find(name)
+    return [root] + [
+        other for other in self.parent
+        if other != root and self.find(other) == root
+    ]
+
+
+def _classification(module):
+    relevance = compute_relevance(module, instrument_module(module).plan)
+    return (
+        relevance.payload(),
+        sorted(relevance.relevant_syscalls),
+        {
+            name: (sorted(fn.relevant), sorted(fn.fusible))
+            for name, fn in relevance.functions.items()
+        },
+    )
+
+
+@given(random_programs())
+@settings(max_examples=40, deadline=None)
+def test_grouped_alias_classes_match_rescanned_members(source):
+    from repro.analysis import relevance as relevance_mod
+
+    module = compile_source(source)
+    grouped = _classification(module)
+    saved = relevance_mod._UnionFind.members
+    relevance_mod._UnionFind.members = _members_by_rescan
+    try:
+        rescanned = _classification(module)
+    finally:
+        relevance_mod._UnionFind.members = saved
+    assert grouped == rescanned
+
+
+def test_alias_classes_group_every_joined_name():
+    from repro.analysis.relevance import _UnionFind
+
+    aliases = _UnionFind()
+    for left, right in (("a", "b"), ("c", "d"), ("b", "d"), ("e", "f")):
+        aliases.join(left, right)
+    for name in "abcdef":
+        assert aliases.members(name) == _members_by_rescan(aliases, name)
+    assert sorted(aliases.members("a")) == ["a", "b", "c", "d"]
+    assert aliases.members("z") == ["z"]
