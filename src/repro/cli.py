@@ -52,11 +52,9 @@ import sys
 from typing import List
 
 from repro.baselines.native import run_native
-from repro.core import FaultConfig, LdxConfig, SinkSpec, SourceSpec, run_dual
+from repro.core import run_dual
 from repro.errors import ReproError
-from repro.instrument import instrument_module
 from repro.ir import compile_source
-from repro.vos.world import World
 
 
 def _unescape(text: str) -> str:
@@ -86,31 +84,23 @@ def _unescape(text: str) -> str:
     return "".join(out)
 
 
-def _build_world(args) -> World:
-    world = World(seed=args.seed)
-    world.stdin = args.stdin or ""
+def _world_spec(args) -> dict:
+    """The request ``world`` object the --stdin/--file/--endpoint/--seed
+    flags describe."""
+    files = {}
     for spec in args.file or []:
         if "=" not in spec:
             raise SystemExit(f"--file expects PATH=CONTENT, got {spec!r}")
         path, content = spec.split("=", 1)
-        world.fs.add_file(path, _unescape(content))
+        files[path] = _unescape(content)
+    endpoints = {}
     for spec in args.endpoint or []:
         if "=" not in spec:
             raise SystemExit(f"--endpoint expects HOST:PORT=REPLY, got {spec!r}")
         address, reply = spec.split("=", 1)
-        host, _, port_text = address.rpartition(":")
-        if not host:
-            raise SystemExit(
-                f"--endpoint address must be HOST:PORT, got {address!r}"
-            )
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise SystemExit(
-                f"--endpoint port must be an integer, got {port_text!r} in {spec!r}"
-            ) from None
-        world.network.register(host, port, lambda req, reply=reply: reply)
-    return world
+        endpoints[address] = reply
+    return {"stdin": args.stdin or "", "files": files,
+            "endpoints": endpoints, "seed": args.seed}
 
 
 def _add_world_options(parser: argparse.ArgumentParser) -> None:
@@ -245,7 +235,9 @@ def _rate(text: str) -> float:
     return value
 
 
-def _add_fault_options(parser: argparse.ArgumentParser, default_rate: float) -> None:
+def _add_fault_options(
+    parser: argparse.ArgumentParser, default_rate: float, deadline_help: str = ""
+) -> None:
     parser.add_argument(
         "--fault-rate",
         type=_rate,
@@ -256,16 +248,21 @@ def _add_fault_options(parser: argparse.ArgumentParser, default_rate: float) -> 
         "--watchdog-deadline",
         type=float,
         default=25_000.0,
-        help="virtual-time budget before the watchdog abandons a stalled thread",
+        help="virtual-time budget before the watchdog abandons a stalled "
+        "thread" + deadline_help,
     )
 
 
 def _cmd_run(args) -> int:
+    from repro.serve import api, service
+
     _apply_backend(args)
-    source = open(args.program).read()
-    result = run_native(
-        compile_source(source), _build_world(args), profile=args.profile_interp
-    )
+    module = compile_source(open(args.program).read())
+    try:
+        world = service._world_from_spec(_world_spec(args))
+    except api.RequestError as error:
+        raise SystemExit(str(error)) from None
+    result = run_native(module, world, profile=args.profile_interp)
     sys.stdout.write(result.stdout)
     if result.exit_code:
         print(f"\n[exit code {result.exit_code}]")
@@ -278,32 +275,34 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_leak(args) -> int:
-    source = open(args.program).read()
-    instrumented = instrument_module(compile_source(source))
-    sources = SourceSpec(
-        file_paths=set(args.secret_file or []),
-        stdin=args.secret_stdin,
-        network=set(args.secret_endpoint or []),
-        env_names=set(args.secret_env or []),
-        labels=set(args.secret_label or []),
-    )
-    if sources.count == 0:
+    from repro.serve import api
+    from repro.serve.service import run_request
+
+    sources = {
+        "files": args.secret_file or [],
+        "stdin": args.secret_stdin,
+        "network": args.secret_endpoint or [],
+        "env": args.secret_env or [],
+        "labels": args.secret_label or [],
+    }
+    if not any(sources.values()):
         raise SystemExit("specify at least one source (--secret-file, ...)")
-    sinks = (
-        SinkSpec.network_out() if args.sinks == "network" else SinkSpec.file_out()
-    )
-    faults = None
-    if args.fault_rate > 0.0:
-        faults = FaultConfig(seed=args.fault_seed, rate=args.fault_rate)
-    result = run_dual(
-        instrumented,
-        _build_world(args),
-        LdxConfig(sources, sinks),
-        faults=faults,
-        watchdog_deadline=args.watchdog_deadline,
-    )
+    try:
+        request = api.parse_request({
+            "id": "leak",
+            "source": open(args.program).read(),
+            "world": _world_spec(args),
+            "sources": sources,
+            "sinks": args.sinks,
+            "deadline": args.watchdog_deadline,
+            "fault_seed": args.fault_seed,
+            "fault_rate": args.fault_rate,
+        })
+    except api.RequestError as error:
+        raise SystemExit(str(error)) from None
+    result = run_request(request)
     print(result.report.summary())
-    if faults is not None or result.degradation.degraded:
+    if request.fault_rate > 0.0 or result.degradation.degraded:
         print(result.degradation.summary())
     for detection in result.report.detections:
         print(
@@ -659,7 +658,10 @@ def main(argv: List[str] = None) -> int:
         default=0,
         help="seed for the deterministic fault-injection plan",
     )
-    _add_fault_options(leak_parser, default_rate=0.0)
+    # A serve request's budget rule: RunBudget.from_deadline.
+    _add_fault_options(leak_parser, 0.0, "; it also caps each execution at "
+                       "deadline x 1,000 instructions (25M at the default); "
+                       "values above 250,000 count as 250,000")
     leak_parser.set_defaults(handler=_cmd_leak)
 
     eval_parser = commands.add_parser("eval", help="regenerate the paper's tables")

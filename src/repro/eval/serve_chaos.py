@@ -10,10 +10,11 @@ and the outcome is checked against the **service invariants**:
 
 1. every request is answered exactly once — overload, faults and
    poison produce explicit responses, never a hang;
-2. every ``ok`` verdict is byte-identical to a batch ``run_dual`` of
-   the same (program, input, mutation, faults, budget) — the service
-   layer adds latency and degradation rungs, never verdict changes;
-3. full-confidence verdicts also match the *fault-free* baseline:
+2. every ``ok`` verdict is byte-identical to the same request run on
+   its own through :func:`~repro.serve.service.run_request` (a fresh
+   factory, no admission, no concurrency) — the service layer adds
+   latency and degradation rungs, never verdict changes;
+3. full-confidence verdicts also match the *fault-free* request's:
    masked faults never change causality facts;
 4. poisoned requests come back ``invalid`` with a diagnosis;
 5. degradation is always explicit: a non-``full`` confidence is
@@ -32,9 +33,9 @@ import json
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import FaultConfig, run_dual
-from repro.core.supervisor import DEFAULT_DEADLINE, RunBudget
+from repro.core.supervisor import DEFAULT_DEADLINE
 from repro.serve import LdxService, ServeConfig, api
+from repro.serve.service import run_request
 
 # Fast, deterministic (non-racy) workloads for the storm mix.
 STORM_WORKLOADS = ("gzip", "bzip2", "tnftp", "mp3info")
@@ -127,30 +128,12 @@ def plan_storm(requests: int) -> List[Tuple[str, object]]:
     return plan
 
 
-def _batch_verdict(name: str, seed: int, **kwargs) -> str:
-    """The batch verdict (serialized) of a workload's leak variant:
-    exactly what `repro leak` / `repro eval` would compute."""
-    from repro.workloads import get_workload
-
-    workload = get_workload(name)
-    result = run_dual(
-        workload.instrumented,
-        workload.build_world(seed),
-        workload.leak_variant(),
-        **kwargs,
-    )
+def _verdict(payload: dict) -> str:
+    """The verdict (serialized) of one request run on its own, through
+    the same :func:`run_request` as the service but on a fresh factory,
+    with no admission and no other request in flight."""
+    result = run_request(api.parse_request(payload))
     return json.dumps(api.verdict_payload(result), sort_keys=True)
-
-
-def _baseline_verdict(payload: dict) -> str:
-    """The batch verdict of one well-formed request, under its budget
-    and faults."""
-    kwargs = RunBudget.from_deadline(payload["deadline"]).engine_kwargs()
-    if payload["fault_rate"] > 0.0:
-        kwargs["faults"] = FaultConfig(
-            seed=payload["fault_seed"], rate=payload["fault_rate"]
-        )
-    return _batch_verdict(payload["workload"], payload["seed"], **kwargs)
 
 
 def run_storm(
@@ -247,7 +230,7 @@ def run_storm(
                 )
         cache_key = json.dumps(payload, sort_keys=True)
         if cache_key not in baseline_cache:
-            baseline_cache[cache_key] = _baseline_verdict(payload)
+            baseline_cache[cache_key] = _verdict(payload)
         served = json.dumps(response["verdict"], sort_keys=True)
         if served != baseline_cache[cache_key]:
             outcome.violations.append(
@@ -258,9 +241,10 @@ def run_storm(
         if confidence == "full":
             ff_key = f"{payload['workload']}:{payload['seed']}"
             if ff_key not in faultfree_cache:
-                faultfree_cache[ff_key] = _batch_verdict(
-                    payload["workload"], payload["seed"]
-                )
+                faultfree_cache[ff_key] = _verdict({
+                    "id": "fault-free", "workload": payload["workload"],
+                    "variant": "leak", "seed": payload["seed"],
+                })
             if served != faultfree_cache[ff_key]:
                 outcome.violations.append(
                     f"request {index}: masked faults changed the verdict"

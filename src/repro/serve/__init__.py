@@ -2,14 +2,15 @@
 
 Layers, bottom up:
 
-* :mod:`repro.serve.api` — the wire format: request parsing/validation
-  and the canonical (batch-identical) verdict payload;
+* :mod:`repro.serve.api` — the wire format: request parsing (the one
+  run spec) and the canonical (batch-identical) verdict payload;
 * :mod:`repro.serve.admission` — the bounded FIFO admission gate with
   watermark shedding;
 * :mod:`repro.serve.breaker` — per-workload circuit breakers;
-* :mod:`repro.serve.service` — :class:`LdxService`: each request on
-  its caller's thread, the warm :class:`FactoryCache`, deadlines via
-  :class:`~repro.core.supervisor.RunBudget`, structured logs, drain;
+* :mod:`repro.serve.service` — ``run_request``, the one path from a
+  parsed request to a dual run (also `repro leak`'s), and
+  :class:`LdxService`: each request on its caller's thread, the warm
+  :class:`FactoryCache`, structured logs, drain;
 * :mod:`repro.serve.transport` — stdin-JSONL and localhost-HTTP shells.
 
 See ``docs/SERVICE.md`` for the protocol and robustness contract.

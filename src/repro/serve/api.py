@@ -27,9 +27,14 @@ Responses always echo the request id and carry a ``status``:
 * ``overloaded``  — shed by admission control (429 semantics);
 * ``unavailable`` — the per-workload circuit breaker is open.
 
+The parsed :class:`ServeRequest` is the one run spec: ``repro leak``
+turns its flags into a source request, and
+:func:`repro.serve.service.run_request` runs every request, batch or
+served.
+
 The **verdict payload is canonical**: it is built only from the
 :class:`~repro.core.report.DualResult` and is byte-identical (as
-serialized JSON) to what a batch ``repro run`` / ``repro eval`` of the
+serialized JSON) to what a batch ``repro leak`` / ``repro eval`` of the
 same (program, input, mutation, faults) produces — the service chaos
 harness enforces exactly this.  Degradation never hides inside an
 ``ok``: every response carries the degradation report and the
@@ -39,7 +44,7 @@ harness enforces exactly this.  Degradation never hides inside an
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import (
     ConfigSpecError,
@@ -70,7 +75,9 @@ _SOURCE_KEYS = {
     "id", "source", "world", "sources", "sinks", "mutation",
     "seed", "deadline", "fault_seed", "fault_rate",
 }
-_VARIANTS = ("default", "leak", "noleak", "table3")
+# Variant name -> the Workload method that returns its LdxConfig.
+_VARIANTS = {"default": "config", "leak": "leak_variant",
+             "noleak": "noleak_variant", "table3": "table3_variant"}
 
 
 class RequestError(ValueError):
@@ -78,41 +85,30 @@ class RequestError(ValueError):
 
 
 class ServeRequest:
-    """One parsed, validated inference request."""
+    """One parsed request: program, world, ``config`` (sources and
+    sinks), budget and faults, each resolved once by
+    :func:`parse_request`; :func:`repro.serve.service.run_request` runs it."""
 
     __slots__ = (
-        "id", "workload", "variant", "source", "world_spec",
-        "sources_spec", "sinks_spec", "mutation", "seed",
-        "deadline", "fault_seed", "fault_rate",
+        "id", "workload", "variant", "registered", "source", "world_spec",
+        "sources_spec", "sinks_spec", "config", "seed", "deadline",
+        "fault_seed", "fault_rate",
     )
 
-    def __init__(
-        self,
-        request_id: str,
-        workload: Optional[str] = None,
-        variant: str = "default",
-        source: Optional[str] = None,
-        world_spec: Optional[dict] = None,
-        sources_spec: Optional[dict] = None,
-        sinks_spec=None,
-        mutation: Optional[str] = None,
-        seed: int = 1,
-        deadline: float = DEFAULT_DEADLINE,
-        fault_seed: int = 0,
-        fault_rate: float = 0.0,
-    ) -> None:
+    def __init__(self, request_id: str, seed: int, deadline: float,
+                 fault_seed: int, fault_rate: float) -> None:
         self.id = request_id
-        self.workload = workload
-        self.variant = variant
-        self.source = source
-        self.world_spec = world_spec or {}
-        self.sources_spec = sources_spec
-        self.sinks_spec = sinks_spec
-        self.mutation = mutation
         self.seed = seed
         self.deadline = deadline
         self.fault_seed = fault_seed
         self.fault_rate = fault_rate
+        # Workload requests: the name, the registered Workload, the variant.
+        self.workload = self.registered = None
+        self.variant = "default"
+        # Source requests: the program and its world, sources and sinks.
+        self.source = self.sources_spec = self.sinks_spec = None
+        self.world_spec: dict = {}
+        self.config: Optional[LdxConfig] = None
 
     # -- identity --------------------------------------------------------------
 
@@ -133,15 +129,16 @@ class ServeRequest:
         hasher.update(f"\0{self.seed}".encode())
         return f"source:{hasher.hexdigest()[:16]}"
 
-    def config(self) -> LdxConfig:
-        """The LdxConfig this request asks for (source requests only;
-        workload requests take the registered variant's config)."""
-        try:
-            return config_from_spec(
-                self.sources_spec, self.sinks_spec, self.mutation
-            )
-        except ConfigSpecError as error:
-            raise RequestError(str(error)) from None
+
+def endpoint_address(address: str) -> Tuple[str, int]:
+    """(host, port) of a ``HOST:PORT`` endpoint address."""
+    host, _, port = address.rpartition(":")
+    try:
+        if host:
+            return host, int(port)
+    except ValueError:
+        pass
+    raise RequestError(f"endpoint address must be HOST:PORT, got {address!r}")
 
 
 def _field(payload: dict, name: str, kind, default):
@@ -151,9 +148,16 @@ def _field(payload: dict, name: str, kind, default):
     return value
 
 
+def _reject_unknown(keys, known: set, what: str) -> None:
+    unknown = set(keys) - known
+    if unknown:
+        raise RequestError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def parse_request(payload) -> ServeRequest:
-    """Validate one decoded JSON request; raise :class:`RequestError`
-    with a one-line diagnosis on anything malformed."""
+    """Validate one decoded JSON request and resolve everything its run
+    needs; raise :class:`RequestError` with a one-line diagnosis on
+    anything malformed."""
     if isinstance(payload, (str, bytes)):
         try:
             payload = json.loads(payload)
@@ -171,7 +175,7 @@ def parse_request(payload) -> ServeRequest:
     deadline = payload.get("deadline", DEFAULT_DEADLINE)
     if not isinstance(deadline, (int, float)) or isinstance(deadline, bool):
         raise RequestError("deadline must be a number (virtual-time units)")
-    if deadline <= 0:
+    if not deadline > 0:  # also NaN, which JSON decoding accepts
         raise RequestError("deadline must be positive")
     fault_seed = _field(payload, "fault_seed", int, 0)
     fault_rate = payload.get("fault_rate", 0.0)
@@ -180,75 +184,81 @@ def parse_request(payload) -> ServeRequest:
     if not 0.0 <= float(fault_rate) <= 1.0:
         raise RequestError("fault_rate must be in [0, 1]")
 
+    request = ServeRequest(
+        request_id, seed, float(deadline), fault_seed, float(fault_rate)
+    )
     if "workload" in payload:
-        unknown = set(payload) - _WORKLOAD_KEYS
-        if unknown:
-            raise RequestError(f"unknown request keys: {sorted(unknown)}")
-        name = payload["workload"]
-        if not isinstance(name, str):
-            raise RequestError("workload must be a string")
-        variant = payload.get("variant", "default")
-        if variant not in _VARIANTS:
-            raise RequestError(
-                f"unknown variant {variant!r}; expected one of {_VARIANTS}"
-            )
-        return ServeRequest(
-            request_id,
-            workload=name,
-            variant=variant,
-            seed=seed,
-            deadline=float(deadline),
-            fault_seed=fault_seed,
-            fault_rate=float(fault_rate),
-        )
+        _resolve_workload(payload, request)
+    elif "source" in payload:
+        _resolve_source(payload, request)
+    else:
+        raise RequestError("request needs either 'workload' or 'source'")
+    return request
 
-    if "source" in payload:
-        unknown = set(payload) - _SOURCE_KEYS
-        if unknown:
-            raise RequestError(f"unknown request keys: {sorted(unknown)}")
-        source = payload["source"]
-        if not isinstance(source, str) or not source.strip():
-            raise RequestError("source must be a non-empty string")
-        if len(source.encode()) > MAX_SOURCE_BYTES:
-            raise RequestError(
-                f"source exceeds {MAX_SOURCE_BYTES} bytes (oversized request)"
-            )
-        world_spec = payload.get("world", {})
-        if not isinstance(world_spec, dict):
-            raise RequestError("world must be an object")
-        unknown = set(world_spec) - {"stdin", "files", "endpoints", "env", "seed"}
-        if unknown:
-            raise RequestError(f"unknown world keys: {sorted(unknown)}")
-        for mapping_key in ("files", "endpoints", "env"):
-            mapping = world_spec.get(mapping_key, {})
-            if not isinstance(mapping, dict) or not all(
-                isinstance(k, str) and isinstance(v, str)
-                for k, v in mapping.items()
-            ):
-                raise RequestError(
-                    f"world.{mapping_key} must map strings to strings"
-                )
-        if not isinstance(world_spec.get("stdin", ""), str):
-            raise RequestError("world.stdin must be a string")
-        world_seed = world_spec.get("seed", 1)
-        if not isinstance(world_seed, int) or isinstance(world_seed, bool):
-            raise RequestError("world.seed must be an int")
-        request = ServeRequest(
-            request_id,
-            source=source,
-            world_spec=world_spec,
-            sources_spec=payload.get("sources"),
-            sinks_spec=payload.get("sinks"),
-            mutation=payload.get("mutation"),
-            seed=seed,
-            deadline=float(deadline),
-            fault_seed=fault_seed,
-            fault_rate=float(fault_rate),
-        )
-        request.config()  # validate the config spec at admission time
-        return request
 
-    raise RequestError("request needs either 'workload' or 'source'")
+def _resolve_workload(payload: dict, request: ServeRequest) -> None:
+    from repro.errors import WorkloadError
+    from repro.workloads import get_workload
+
+    _reject_unknown(payload, _WORKLOAD_KEYS, "request")
+    name = payload["workload"]
+    if not isinstance(name, str):
+        raise RequestError("workload must be a string")
+    variant = payload.get("variant", "default")
+    if variant not in _VARIANTS:
+        raise RequestError(
+            f"unknown variant {variant!r}; expected one of {tuple(_VARIANTS)}"
+        )
+    try:
+        workload = get_workload(name)
+    except WorkloadError as error:
+        raise RequestError(str(error)) from None
+    request.config = getattr(workload, _VARIANTS[variant])()
+    if request.config is None:
+        raise RequestError(f"workload {name!r} has no {variant} variant")
+    request.workload, request.registered = name, workload
+    request.variant = variant
+
+
+def _resolve_source(payload: dict, request: ServeRequest) -> None:
+    _reject_unknown(payload, _SOURCE_KEYS, "request")
+    source = payload["source"]
+    if not isinstance(source, str) or not source.strip():
+        raise RequestError("source must be a non-empty string")
+    if len(source.encode()) > MAX_SOURCE_BYTES:
+        raise RequestError(
+            f"source exceeds {MAX_SOURCE_BYTES} bytes (oversized request)"
+        )
+    world_spec = payload.get("world", {})
+    if not isinstance(world_spec, dict):
+        raise RequestError("world must be an object")
+    _reject_unknown(world_spec, {"stdin", "files", "endpoints", "env", "seed"},
+                    "world")
+    for mapping_key in ("files", "endpoints", "env"):
+        mapping = world_spec.get(mapping_key, {})
+        if not isinstance(mapping, dict) or not all(
+            isinstance(k, str) and isinstance(v, str)
+            for k, v in mapping.items()
+        ):
+            raise RequestError(
+                f"world.{mapping_key} must map strings to strings"
+            )
+    for address in world_spec.get("endpoints", {}):
+        endpoint_address(address)
+    if not isinstance(world_spec.get("stdin", ""), str):
+        raise RequestError("world.stdin must be a string")
+    world_seed = world_spec.get("seed", 1)
+    if not isinstance(world_seed, int) or isinstance(world_seed, bool):
+        raise RequestError("world.seed must be an int")
+    request.source, request.world_spec = source, world_spec
+    request.sources_spec = payload.get("sources")
+    request.sinks_spec = payload.get("sinks")
+    try:
+        request.config = config_from_spec(
+            request.sources_spec, request.sinks_spec, payload.get("mutation")
+        )
+    except ConfigSpecError as error:
+        raise RequestError(str(error)) from None
 
 
 # -- responses -----------------------------------------------------------------

@@ -46,7 +46,9 @@ from collections import OrderedDict
 from typing import Dict, Optional, TextIO
 
 from repro.core.engine import EngineFactory
+from repro.core.report import DualResult
 from repro.core.supervisor import RunBudget
+from repro.errors import ReproError
 from repro.serve import api
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import COOLDOWN_S, BreakerBoard
@@ -62,7 +64,9 @@ MAX_DEADLINE = 250_000.0
 
 
 class ServeConfig:
-    """Daemon tuning knobs (CLI flags map 1:1 onto these)."""
+    """Daemon settings.  ``workers`` and ``queue_capacity`` are `repro
+    serve`'s flags; ``log_stream`` (default stderr) is for in-process
+    callers such as `repro serve-chaos`."""
 
     def __init__(
         self,
@@ -145,25 +149,52 @@ class FactoryCache:
 
 
 def _world_from_spec(spec: dict) -> World:
+    """The World a request's ``world`` object describes (the one world
+    builder for `repro leak`, `repro run` and serve)."""
     world = World(seed=spec.get("seed", 1))
     world.stdin = spec.get("stdin", "")
     for path, content in sorted(spec.get("files", {}).items()):
         world.fs.add_file(path, content)
     for address, reply in sorted(spec.get("endpoints", {}).items()):
-        host, _, port_text = address.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise api.RequestError(
-                f"endpoint address must be HOST:PORT, got {address!r}"
-            ) from None
-        if not host:
-            raise api.RequestError(
-                f"endpoint address must be HOST:PORT, got {address!r}"
-            )
+        host, port = api.endpoint_address(address)
         world.network.register(host, port, lambda req, reply=reply: reply)
     world.env.update(spec.get("env", {}))
     return world
+
+
+def run_request(
+    request: api.ServeRequest, factories: Optional[FactoryCache] = None
+) -> DualResult:
+    """Run one parsed request (`repro leak`, the daemon, serve-chaos).
+
+    The factory comes from *factories* when given, else it is built
+    fresh; the budget is the request's deadline capped at
+    :data:`MAX_DEADLINE`.  A source that does not compile raises its
+    :class:`~repro.errors.ReproError`.
+    """
+
+    def build() -> EngineFactory:
+        if request.registered is not None:
+            return EngineFactory.for_workload(request.registered, seed=request.seed)
+        from repro import cache
+
+        return EngineFactory(
+            cache.instrumented_for(request.source),
+            _world_from_spec(request.world_spec),
+        )
+
+    if factories is None:
+        factory = build()
+    else:
+        factory, _ = factories.lookup(request.module_key(), build)
+    kwargs = RunBudget.from_deadline(
+        min(request.deadline, MAX_DEADLINE)
+    ).engine_kwargs()
+    if request.fault_rate > 0.0:
+        kwargs["faults"] = FaultConfig(
+            seed=request.fault_seed, rate=request.fault_rate
+        )
+    return factory.run(request.config, **kwargs)
 
 
 class LdxService:
@@ -250,11 +281,7 @@ class LdxService:
         """Answer one request on the calling thread: parse, breaker,
         admission, run.  Always returns a response."""
         try:
-            request = (
-                payload
-                if isinstance(payload, api.ServeRequest)
-                else api.parse_request(payload)
-            )
+            request = api.parse_request(payload)
         except api.RequestError as error:
             return self._reject(_salvage_id(payload), api.STATUS_INVALID,
                                 str(error))
@@ -299,45 +326,6 @@ class LdxService:
         finally:
             self.queue.leave()
 
-    def _factory_for(self, request: api.ServeRequest, key: str) -> tuple:
-        """(factory, config, warm-flag) for one request."""
-        if request.workload is not None:
-            from repro.workloads import get_workload
-
-            workload = get_workload(request.workload)
-            if request.variant == "leak":
-                config = workload.leak_variant()
-            elif request.variant == "noleak":
-                config = workload.noleak_variant()
-                if config is None:
-                    raise api.RequestError(
-                        f"workload {request.workload!r} has no noleak variant"
-                    )
-            elif request.variant == "table3":
-                config = workload.table3_variant()
-            else:
-                config = workload.config()
-            factory, warm = self.factories.lookup(
-                key,
-                lambda: EngineFactory.for_workload(workload, seed=request.seed),
-            )
-            return factory, config, warm
-
-        def build() -> EngineFactory:
-            from repro import cache
-            from repro.errors import ReproError
-
-            try:
-                instrumented = cache.instrumented_for(request.source)
-            except ReproError as error:
-                raise api.RequestError(
-                    f"source does not compile: {error}"
-                ) from None
-            return EngineFactory(instrumented, _world_from_spec(request.world_spec))
-
-        factory, warm = self.factories.lookup(key, build)
-        return factory, request.config(), warm
-
     def _serve(
         self,
         request: api.ServeRequest,
@@ -347,16 +335,13 @@ class LdxService:
     ) -> dict:
         started = time.monotonic()
         queue_wait = started - enqueued
-        factory, config, warm = self._factory_for(request, key)
-        budget = RunBudget.from_deadline(
-            min(request.deadline, MAX_DEADLINE)
-        )
-        kwargs = budget.engine_kwargs()
-        if request.fault_rate > 0.0:
-            kwargs["faults"] = FaultConfig(
-                seed=request.fault_seed, rate=request.fault_rate
-            )
-        result = factory.run(config, **kwargs)
+        warm = self.factories.contains(key)
+        try:
+            result = run_request(request, self.factories)
+        except ReproError as error:
+            # The engine turns its own failures into degradation, so
+            # this is the request's source failing to compile.
+            raise api.RequestError(f"source does not compile: {error}") from None
         service_time = time.monotonic() - started
         response = api.ok_response(
             request.id,

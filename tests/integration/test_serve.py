@@ -31,6 +31,7 @@ from repro.serve import (
     StdioTransport,
     api,
 )
+from repro.serve import service as service_module
 from repro.serve import transport as transport_module
 from repro.serve.admission import ShedReason
 from repro.serve.service import _world_from_spec
@@ -301,15 +302,15 @@ def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
     service = _service().start()
     service.breakers = BreakerBoard(clock)
     try:
-        original = LdxService._factory_for
+        original = service_module.run_request
         state = {"explode": True}
 
-        def flaky(self, request, key):
+        def flaky(request, factories=None):
             if state["explode"]:
                 raise RuntimeError("synthetic engine failure")
-            return original(self, request, key)
+            return original(request, factories)
 
-        monkeypatch.setattr(LdxService, "_factory_for", flaky)
+        monkeypatch.setattr(service_module, "run_request", flaky)
         payload = {"id": "x", "workload": "gzip", "variant": "leak"}
         for index in range(FAILURE_THRESHOLD):
             response = service.submit(dict(payload, id=f"x{index}"))
@@ -329,6 +330,31 @@ def test_breaker_opens_after_repeated_engine_failures_and_recovers(monkeypatch):
         assert response["status"] == "ok"
         # Closed with no failures again: the breaker is forgotten.
         assert service.stats()["breakers"] == {}
+    finally:
+        assert service.drain(timeout=120)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"workload": "nosuch"},
+     {"workload": "gzip", "variant": "noleak"},
+     _source_request(world={"endpoints": {"hostonly": "ok"}})],
+    ids=["unknown-workload", "missing-variant", "bad-endpoint"],
+)
+def test_unrunnable_requests_are_invalid_before_admission(payload):
+    # These used to be admitted: an unknown workload answered `error`
+    # and three of them opened its breaker; the other two held a slot
+    # before coming back `invalid`, and a bad endpoint missed the
+    # factory cache.
+    service = _service().start()
+    try:
+        for index in range(4):
+            response = service.submit(dict(payload, id=f"bad-{index}"))
+            assert response["status"] == api.STATUS_INVALID, response
+        stats = service.stats()
+        assert (stats["served"], stats["rejected"], stats["errors"]) == (0, 4, 0)
+        assert stats["breakers"] == {}
+        assert stats["factories"]["misses"] == 0
     finally:
         assert service.drain(timeout=120)
 

